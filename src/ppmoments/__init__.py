@@ -23,6 +23,7 @@ from .ansatz import (
     AnsatzSum,
     AnsatzTerm,
     ansatz_to_series,
+    chain_iterates,
     chain_shape_violations,
     euler_apply,
     f_initial,

@@ -8,16 +8,21 @@ building blocks:
                trailing zeros stripped (canonical degree).
   RationalFnC  quotients of PolyC in canonical form: gcd-reduced and
                monic denominator, so equality is plain field comparison.
-  SeriesX      truncated power series in x with Fraction coefficients;
+  SeriesX      truncated power series in x with exact coefficients;
                arithmetic never reports powers beyond the truncation.
   FineStructureForm
                the normal form of an order-g moment correction:
                c/(2-c)^g times a polynomial in t = (c-1)/(2-c), stored
                as a sparse integer-keyed coefficient map.
 
-Rationals are plain fractions.Fraction (already canonical: reduced,
-positive denominator, zero is 0/1).  They serialize as "p/q", or "p"
-when the denominator is 1.
+A coefficient is a plain int when it is integral and a
+fractions.Fraction (reduced, positive denominator) only when it is not,
+so the integer polynomials that the moment pipeline produces never pay
+for Fraction arithmetic.  Every coefficient division goes through
+_exact_div, which stays in the integers when the quotient is exact and
+never yields a float.  Since an int and the Fraction of the same value
+compare and hash equal, equality is unaffected.  Rationals serialize as
+"p/q", or "p" when the denominator is 1.
 """
 
 from __future__ import annotations
@@ -44,8 +49,10 @@ __all__ = [
     "expand_in_x",
     "fine_structure_form",
     "fine_structure_to_rational",
+    "over_two_minus_c",
     "rat_from_str",
     "rat_to_str",
+    "strip_two_minus_c",
     "theta_support_window",
 ]
 
@@ -73,13 +80,31 @@ def rat_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
+def _exact(c) -> Scalar:
+    """Canonical coefficient: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)  # ints of other types, floats (exactly) and strings
+    return c.numerator if c.denominator == 1 else c
+
+
+def _exact_div(a: Scalar, b: Scalar) -> Scalar:
+    """Exact quotient a / b: floor division when it is exact, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _exact(Fraction(a, b))
+
+
 class PolyC:
-    """Dense univariate polynomial with Fraction coefficients."""
+    """Dense univariate polynomial with exact (int or Fraction) coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -93,8 +118,8 @@ class PolyC:
         return len(self.coeffs) - 1
 
     @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+    def leading(self) -> Scalar:
+        return self.coeffs[-1] if self.coeffs else 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -109,15 +134,20 @@ class PolyC:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def __getitem__(self, i: int) -> Scalar:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other) -> "PolyC":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyC(self[i] + other[i] for i in range(n))
+        longer, shorter = self.coeffs, other.coeffs
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        out = list(longer)
+        for i, c in enumerate(shorter):
+            out[i] += c
+        return PolyC(out)
 
     __radd__ = __add__
 
@@ -134,12 +164,13 @@ class PolyC:
         return -(self - other)
 
     def __mul__(self, other) -> "PolyC":
-        other = _as_poly(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return PolyC(c * other for c in self.coeffs)
+        if not isinstance(other, PolyC):
             return NotImplemented
         if not self or not other:
             return POLY_ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -164,7 +195,7 @@ class PolyC:
         other = _as_poly(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
+        q = [0] * max(0, self.degree - other.degree + 1)
         rem = list(self.coeffs)
         d, lead = other.degree, other.leading
         while len(rem) - 1 >= d and any(rem):
@@ -172,7 +203,7 @@ class PolyC:
             if rem[k] == 0:
                 rem.pop()
                 continue
-            f = rem[k] / lead
+            f = _exact_div(rem[k], lead)
             q[k - d] = f
             for j in range(d + 1):
                 rem[k - d + j] -= f * other.coeffs[j]
@@ -192,11 +223,11 @@ class PolyC:
         if not self:
             return self
         lead = self.leading
-        return PolyC(c / lead for c in self.coeffs)
+        return PolyC(_exact_div(c, lead) for c in self.coeffs)
 
-    def evaluate(self, x: Scalar) -> Fraction:
+    def evaluate(self, x: Scalar) -> Scalar:
         """Horner evaluation at an exact rational point."""
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -249,6 +280,27 @@ POLY_ONE = PolyC((1,))
 POLY_C = PolyC((0, 1))
 C_MINUS_ONE = PolyC((-1, 1))
 TWO_MINUS_C = PolyC((2, -1))
+C_MINUS_TWO = PolyC((-2, 1))
+
+
+def strip_two_minus_c(p: PolyC, a: int) -> tuple[PolyC, int]:
+    """Divide (2-c) out of p as often as it goes, at most a times.
+
+    Returns (p / (2-c)^j, a - j) for the largest such j.  Each step is
+    an exact synthetic division by c - 2 (Horner at c = 2), so integer
+    numerators stay integer; the step stops at a nonzero remainder p(2).
+    """
+    cs = p.coeffs
+    while a > 0 and cs:
+        acc, partial = 0, []
+        for c in reversed(cs):
+            acc = 2 * acc + c
+            partial.append(acc)
+        if partial.pop():
+            break
+        cs = tuple(-c for c in reversed(partial))
+        a -= 1
+    return (p if cs is p.coeffs else PolyC(cs)), a
 
 
 class RationalFnC:
@@ -266,12 +318,20 @@ class RationalFnC:
                 num, den = num // g, den // g
             lead = den.leading
             if lead != 1:
-                num = num * (1 / lead)
+                num = num * _exact_div(1, lead)
                 den = den.monic()
         else:
             den = POLY_ONE
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _canonical(cls, num: PolyC, den: PolyC) -> "RationalFnC":
+        """Wrap a pair the caller knows is coprime with monic den."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFnC is immutable")
@@ -337,6 +397,19 @@ class RationalFnC:
         return f"({self.num!r}) / ({self.den!r})"
 
 
+def over_two_minus_c(num: PolyC, a: int) -> RationalFnC:
+    """Canonical form of num / (2-c)^a, without a polynomial gcd.
+
+    The only irreducible factor of the denominator is c - 2, so once
+    strip_two_minus_c has divided (2-c) out of num, what is left is
+    coprime to the monic denominator (c-2)^a = (-1)^a (2-c)^a.
+    """
+    num, a = strip_two_minus_c(num, a)
+    if not num:
+        return RationalFnC(POLY_ZERO)
+    return RationalFnC._canonical(-num if a % 2 else num, C_MINUS_TWO ** a)
+
+
 def _as_ratfn(x):
     if isinstance(x, RationalFnC):
         return x
@@ -353,20 +426,20 @@ class SeriesX:
     def __init__(self, order: int, coeffs: Iterable[Scalar] = ()):
         if order < 0:
             raise ValueError("series order must be nonnegative")
-        cs = [Fraction(c) for c in coeffs][: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
+        cs = [c if type(c) is int else _exact(c) for c in coeffs][: order + 1]
+        cs += [0] * (order + 1 - len(cs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("SeriesX is immutable")
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> Scalar:
         if i > self.order:
             raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
-        return self.coeffs[i] if i >= 0 else Fraction(0)
+        return self.coeffs[i] if i >= 0 else 0
 
-    def __iter__(self) -> Iterator[Fraction]:
+    def __iter__(self) -> Iterator[Scalar]:
         return iter(self.coeffs)
 
     def __eq__(self, other) -> bool:
@@ -404,7 +477,7 @@ class SeriesX:
         if not isinstance(other, SeriesX):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
             if a == 0:
                 continue
@@ -433,14 +506,14 @@ class SeriesX:
         a0 = self.coeffs[0]
         if a0 == 0:
             raise ZeroDivisionError("series has no inverse: zero constant term")
-        out = [Fraction(0)] * (self.order + 1)
-        out[0] = 1 / a0
+        out = [0] * (self.order + 1)
+        out[0] = _exact_div(1, a0)
         for n in range(1, self.order + 1):
-            s = Fraction(0)
+            s = 0
             for k in range(1, n + 1):
                 if self.coeffs[k]:
                     s += self.coeffs[k] * out[n - k]
-            out[n] = -s / a0
+            out[n] = _exact_div(-s, a0)
         return SeriesX(self.order, out)
 
     def __truediv__(self, other) -> "SeriesX":
@@ -507,7 +580,7 @@ class FineStructureForm:
     def __init__(self, g: int, theta: Mapping[int, Scalar]):
         if g < 1:
             raise ValueError("order g must be >= 1")
-        clean = {int(k): Fraction(v) for k, v in theta.items() if v != 0}
+        clean = {int(k): _exact(v) for k, v in theta.items() if v != 0}
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "theta", clean)
 
@@ -586,4 +659,4 @@ def fine_structure_to_rational(form: FineStructureForm) -> RationalFnC:
     acc = POLY_ZERO
     for k, v in form.theta.items():
         acc = acc + v * C_MINUS_ONE ** k * TWO_MINUS_C ** (top - k)
-    return RationalFnC(POLY_C * acc, TWO_MINUS_C ** (form.g + top))
+    return over_two_minus_c(POLY_C * acc, form.g + top)

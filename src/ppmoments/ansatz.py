@@ -17,10 +17,9 @@ zero numerators, so structural checks and equality are literal.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .algebra import (
     C_MINUS_ONE,
@@ -31,12 +30,15 @@ from .algebra import (
     SeriesX,
     TWO_MINUS_C,
     catalan_series,
+    over_two_minus_c,
+    strip_two_minus_c,
 )
 
 __all__ = [
     "AnsatzSum",
     "AnsatzTerm",
     "ansatz_to_series",
+    "chain_iterates",
     "chain_shape_violations",
     "euler_apply",
     "f_initial",
@@ -48,7 +50,7 @@ __all__ = [
     "y0_coefficient",
 ]
 
-Grid = list  # list[list[Fraction]], x index outer, y index inner
+Grid = list  # list[list[int | Fraction]], x index outer, y index inner
 
 
 class AnsatzTerm:
@@ -105,13 +107,9 @@ class AnsatzSum:
             for (a, b), num in merged.items():
                 if not num:
                     continue
-                while a > 0:
-                    q, r = divmod(num, TWO_MINUS_C)
-                    if r:
-                        break
-                    num, a = q, a - 1
-                    changed = True
-                items.append((num, a, b))
+                num, left = strip_two_minus_c(num, a)
+                changed = changed or left != a
+                items.append((num, left, b))
             if not changed:
                 break
         canonical = tuple(AnsatzTerm(num, a, b)
@@ -251,14 +249,26 @@ def y0_coefficient(s: AnsatzSum) -> RationalFnC:
     acc = POLY_ZERO
     for t in s:
         acc = acc + t.num * TWO_MINUS_C ** (top - t.a)
-    return RationalFnC(acc, TWO_MINUS_C ** top)
+    return over_two_minus_c(acc, top)
+
+
+def chain_iterates(r: int) -> Iterator[AnsatzSum]:
+    """Yield the operator-chain iterates of orders 0, 1, ..., r.
+
+    Order 0 is F itself; order g applies the splitting operator of order
+    g-1 to the order g-1 iterate, so the walk calls g_apply once per order.
+    """
+    s = f_initial()
+    yield s
+    for k in range(r):
+        s = g_apply(k, s)
+        yield s
 
 
 def operator_chain(r: int) -> AnsatzSum:
     """Apply the splitting operators of orders 0, 1, ..., r-1 to F in turn."""
-    s = f_initial()
-    for k in range(r):
-        s = g_apply(k, s)
+    for s in chain_iterates(r):
+        pass
     return s
 
 
@@ -282,7 +292,7 @@ def ansatz_to_series(s: AnsatzSum, x_order: int, y_order: int) -> Grid:
     series for c and x*c*y for u.
     """
     cs = catalan_series(x_order)
-    grid = [[Fraction(0)] * (y_order + 1) for _ in range(x_order + 1)]
+    grid = [[0] * (y_order + 1) for _ in range(x_order + 1)]
     inv_two_minus_c = (2 - cs).inverse()
     xc_pow = SeriesX(x_order, (1,))
     xc = SeriesX(x_order, [0] + list(cs.coeffs[:-1]))  # x * c(x^2)
@@ -324,7 +334,7 @@ def g_series(x_order: int, y_order: int, z_order: int) -> list:
     for _ in range(z_order + 1):
         fz_over_c.append(acc)
         acc = acc * xc
-    out = [[[Fraction(0)] * (z_order + 1) for _ in range(y_order + 1)]
+    out = [[[0] * (z_order + 1) for _ in range(y_order + 1)]
            for _ in range(x_order + 1)]
     for j1 in range(y_order + 1):
         for j2 in range(z_order + 1):

@@ -15,7 +15,9 @@ including the seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,11 +37,11 @@ from .algebra import (
     theta_support_window,
 )
 from .ansatz import (
+    chain_iterates,
     chain_shape_violations,
     f_series,
     g_series,
-    operator_chain,
-    phi,
+    y0_coefficient,
 )
 from .oracles import enum_paths, moment_polynomial, rook_counts, word_moment
 from .sampler import DEFAULT_SEED, mc_moment
@@ -55,6 +57,10 @@ REFERENCE_THETA = {
     3: {4: 1, 5: 64, 6: 565, 7: 1122, 8: 630},
     4: {5: 1, 6: 222, 7: 5820, 8: 42500, 9: 110670, 10: 118740, 11: 45045},
 }
+
+# verify's word normal-ordering check walks all Catalan(k) operator words;
+# its time and memory grow about 3.5x per step of k (k = 12: ~3 s, ~235 MB).
+VERIFY_K_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,10 @@ class RunConfig:
 def run_theta(g_max: int) -> dict:
     """Coefficient table rows and closed forms for g = 1..g_max."""
     rows = []
-    for g in range(1, g_max + 1):
-        fn = phi(g)
+    for g, s in enumerate(chain_iterates(g_max)):
+        if g == 0:
+            continue
+        fn = y0_coefficient(s)
         form = fine_structure_form(fn, g)
         rows.append({"g": g,
                      "theta": form.to_json()["theta"],
@@ -88,10 +96,10 @@ def run_theta(g_max: int) -> dict:
 def run_phi(g_max: int, dump_ansatz: bool = False) -> dict:
     """Closed forms for g = 0..g_max, optionally with raw term sums."""
     rows = []
-    for g in range(g_max + 1):
-        row = {"g": g, "phi": phi(g).to_json()}
+    for g, s in enumerate(chain_iterates(g_max)):
+        row = {"g": g, "phi": y0_coefficient(s).to_json()}
         if dump_ansatz and g >= 1:
-            row["ansatz"] = operator_chain(g).to_json()
+            row["ansatz"] = s.to_json()
         rows.append(row)
     return {"command": "phi", "params": {"g_max": g_max}, "results": rows}
 
@@ -103,10 +111,18 @@ def run_moments(k_max: int) -> dict:
 
 
 def run_sample(n: int, k: int, trials: int, seed: int = DEFAULT_SEED) -> dict:
-    """Monte Carlo estimate of the 2k-th moment with its exact target."""
+    """Monte Carlo estimate of the 2k-th moment with its exact target.
+
+    With a zero standard error (every trial gave the same value) z is
+    0.0 when the estimate equals the prediction exactly and None (JSON
+    null) otherwise, since no finite z-score describes that mismatch.
+    """
     estimate, stderr = mc_moment(n, k, trials, seed)
     predicted = moment_polynomial(k).evaluate(n) if k >= 1 else Fraction(1)
-    z = (estimate - float(predicted)) / stderr if stderr > 0 else 0.0
+    if stderr > 0:
+        z = (estimate - float(predicted)) / stderr
+    else:
+        z = 0.0 if estimate == predicted else None
     return {"command": "sample",
             "params": {"n": n, "k": k, "trials": trials, "seed": seed},
             "results": [{"n": n, "k": k, "trials": trials,
@@ -136,6 +152,11 @@ def run_verify(g_max: int, k_max: int) -> dict:
     """Run the oracle agreements and structural invariants; report each."""
     checks: list[dict] = []
     x_order = 2 * k_max
+    iterates, phis = [], []
+    for s in chain_iterates(max(g_max, 1)):
+        iterates.append(s)
+        phis.append(y0_coefficient(s))
+    forms = {g: fine_structure_form(phis[g], g) for g in range(1, g_max + 1)}
 
     # Catalan series self-consistency
     s = catalan_series(x_order)
@@ -147,19 +168,18 @@ def run_verify(g_max: int, k_max: int) -> dict:
            plain.derivative() * (2 - plain))
 
     # Leading order and first correction
-    _check(checks, "phi(0) closed form", RationalFnC(POLY_C), phi(0))
+    _check(checks, "phi(0) closed form", RationalFnC(POLY_C), phis[0])
     phi1_expected = RationalFnC(POLY_C * PolyC((-1, 1)) ** 2, PolyC((2, -1)) ** 3)
-    _check(checks, "phi(1) closed form", phi1_expected, phi(1))
+    _check(checks, "phi(1) closed form", phi1_expected, phis[1])
 
     # Reference coefficient table
     for g in range(1, min(g_max, 4) + 1):
-        form = fine_structure_form(phi(g), g)
         _check(checks, f"theta table row g={g}",
                {k: Fraction(v) for k, v in REFERENCE_THETA[g].items()},
-               form.theta)
+               forms[g].theta)
 
     # Three-way moment agreement
-    phi_series = {g: expand_in_x(phi(g), x_order) for g in range(g_max + 1)}
+    phi_series = {g: expand_in_x(phis[g], x_order) for g in range(g_max + 1)}
     for k in range(1, k_max + 1):
         rook = moment_polynomial(k)
         _check(checks, f"word vs rook moments k={k}",
@@ -172,13 +192,12 @@ def run_verify(g_max: int, k_max: int) -> dict:
     # Closed operator-chain shape, support window, round trip
     for g in range(1, g_max + 1):
         _check(checks, f"chain shape g={g}", [],
-               chain_shape_violations(operator_chain(g), g))
-        form = fine_structure_form(phi(g), g)
+               chain_shape_violations(iterates[g], g))
         lo, hi = theta_support_window(g)
         _check(checks, f"support window g={g}", True,
-               all(lo <= key <= hi for key in form.theta))
-        _check(checks, f"normal form round trip g={g}", phi(g),
-               fine_structure_to_rational(form))
+               all(lo <= key <= hi for key in forms[g].theta))
+        _check(checks, f"normal form round trip g={g}", phis[g],
+               fine_structure_to_rational(forms[g]))
 
     # Generating functions against path counts
     imax = min(x_order, 12)
@@ -249,6 +268,34 @@ def _positive(value: str) -> int:
     return n
 
 
+def _verify_k_max(value: str) -> int:
+    k = _positive(value)
+    if k > VERIFY_K_MAX:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {VERIFY_K_MAX}: the word normal-ordering check "
+            f"enumerates all Catalan(k) operator words, and its time and "
+            f"memory grow about 3.5x per step of k")
+    return k
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path whole or not at all.
+
+    The report goes to a temporary file beside the target, which then
+    replaces the target in one rename; a reader never sees a partial
+    report, and an old target survives a failed write.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppmoments",
@@ -278,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run all oracle and invariant checks")
     p.add_argument("--g-max", type=_positive, default=4)
-    p.add_argument("--k-max", type=_positive, default=8)
+    p.add_argument("--k-max", type=_verify_k_max, default=8,
+                   help=f"at most {VERIFY_K_MAX}")
     common(p)
 
     p = sub.add_parser("sample", help="Monte Carlo check of one moment")
@@ -321,8 +369,7 @@ def main(argv=None) -> int:
         text = json.dumps(report, indent=2) + "\n"
 
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_atomic(cfg.out, text)
     else:
         sys.stdout.write(text)
 

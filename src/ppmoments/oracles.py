@@ -9,9 +9,9 @@ Three independent routes produce the same exact moment polynomials in
   * normal ordering of raising/lowering operator words under the
     commutation rule LOWER*RAISE -> RAISE*LOWER + 1/n (word_moment).
 
-Path and shape enumeration is exhaustive for small sizes; a transfer
-matrix over (height, open pairs) takes over for large ones, and the two
-strategies are compared on the overlap in the test suite.
+Rook counts come from a transfer matrix over (height, open pairs) at
+every size.  Exhaustive enumeration of staircase shapes stays as the
+reference that the test suite compares the transfer matrix against.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ __all__ = [
     "staircase_partitions",
     "word_moment",
 ]
-
-EXHAUSTIVE_LIMIT = 10  # semilength up to which shape enumeration is exhaustive
-
 
 class UnbalancedPath(ValueError):
     """The path does not return to height zero."""
@@ -419,7 +416,7 @@ def staircase_partitions(k: int) -> Iterator[Partition]:
 
 @lru_cache(maxsize=None)
 def _rook_counts_exhaustive(k: int) -> tuple[int, ...]:
-    """Rook counts per g summed over every staircase shape."""
+    """Rook counts per g summed over every staircase shape (test reference)."""
     totals: list[int] = []
     for shape in staircase_partitions(k):
         for g, n in enumerate(rook_polynomial(shape)):
@@ -461,19 +458,13 @@ def _rook_counts_transfer(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _rook_count_table(k: int) -> tuple[int, ...]:
-    if k <= EXHAUSTIVE_LIMIT:
-        return _rook_counts_exhaustive(k)
-    return _rook_counts_transfer(k)
-
-
 def rook_counts(k: int, g: int) -> int:
     """Number of g-rook placements over all semilength-k staircase shapes."""
     if k < 1:
         raise ValueError("k must be positive")
     if g < 0:
         raise ValueError("g must be nonnegative")
-    table = _rook_count_table(k)
+    table = _rook_counts_transfer(k)
     return table[g] if g < len(table) else 0
 
 
@@ -518,7 +509,7 @@ def moment_polynomial(k: int) -> MomentPolynomial:
     """Moment of order 2k via rook counts on staircase shapes."""
     if k < 1:
         raise ValueError("k must be positive")
-    table = _rook_count_table(k)
+    table = _rook_counts_transfer(k)
     return MomentPolynomial(k, dict(enumerate(table)))
 
 

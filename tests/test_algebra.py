@@ -21,7 +21,14 @@ from ppmoments import (
     rook_counts,
     theta_support_window,
 )
-from ppmoments.algebra import C_MINUS_ONE, POLY_C, POLY_ONE, TWO_MINUS_C
+from ppmoments.algebra import (
+    C_MINUS_ONE,
+    POLY_C,
+    POLY_ONE,
+    TWO_MINUS_C,
+    over_two_minus_c,
+    strip_two_minus_c,
+)
 
 C = POLY_C
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -75,6 +82,43 @@ def test_poly_divmod_and_gcd():
         g = PolyC.gcd(a * b, b * b)
         assert g % b == PolyC(())  # gcd(ab, b^2) is a multiple of b
     assert PolyC.gcd(TWO_MINUS_C * C, TWO_MINUS_C) == PolyC((-2, 1)).monic()
+
+
+def test_integral_coefficients_are_ints():
+    p, q = PolyC((3, -1, 4)), PolyC((2, 0, -5, 1))
+    quot, rem = divmod(p * q * TWO_MINUS_C + 7, TWO_MINUS_C)
+    for r in (p + q, p - q, p * q, 3 * p, p ** 3, p.derivative(), quot, rem,
+              PolyC((Fraction(4, 2), Fraction(1, 2) + Fraction(1, 2)))):
+        assert all(type(c) is int for c in r.coeffs), r
+    s = SeriesX(6, (1, 2, 3))
+    for r in (s + s, s * s, 2 - s, s.inverse(), s ** 3, s.derivative()):
+        assert all(type(c) is int for c in r.coeffs), r
+    half = PolyC((1, 2)).monic()
+    assert half.coeffs == (Fraction(1, 2), 1)
+    assert type(half.coeffs[0]) is Fraction and type(half.coeffs[1]) is int
+
+
+def test_coefficients_are_never_floats():
+    values = [*PolyC((0.5, 2.0)).coeffs, *SeriesX(4, (2, 1)).inverse().coeffs,
+              *RationalFnC(C, 2 * C + 4).num.coeffs,
+              *divmod(PolyC((1, 0, 1)), PolyC((3, 2)))[0].coeffs]
+    assert values and not any(isinstance(v, float) for v in values)
+    assert PolyC((0.5, 2.0)).coeffs == (Fraction(1, 2), 2)
+
+
+def test_two_minus_c_reduction_matches_generic_gcd():
+    rng = Random(29)
+    for _ in range(30):
+        core = PolyC(rng.randint(-4, 4) for _ in range(rng.randint(1, 5)))
+        if not core:
+            continue
+        j, a = rng.randint(0, 3), rng.randint(0, 5)
+        num = core * TWO_MINUS_C ** j
+        stripped, left = strip_two_minus_c(num, a)
+        assert stripped * TWO_MINUS_C ** (a - left) == num
+        assert left == 0 or stripped.evaluate(2) != 0
+        assert over_two_minus_c(num, a) == RationalFnC(num, TWO_MINUS_C ** a)
+    assert over_two_minus_c(PolyC(()), 3) == RationalFnC(PolyC(()))
 
 
 def test_poly_derivative_and_eval():

@@ -7,6 +7,7 @@ from ppmoments import (
     AnsatzSum,
     AnsatzTerm,
     PolyC,
+    chain_iterates,
     RationalFnC,
     ansatz_to_series,
     chain_shape_violations,
@@ -139,6 +140,18 @@ def test_operator_chain_shape():
         assert chain_shape_violations(operator_chain(r), r) == []
     with pytest.raises(ValueError):
         chain_shape_violations(f_initial(), 0)
+
+
+def test_chain_iterates_apply_each_order_once():
+    s = f_initial()
+    iterates = list(chain_iterates(5))
+    assert len(iterates) == 6 and iterates[0] == s
+    for g, got in enumerate(iterates[1:], start=1):
+        s = g_apply(g - 1, s)
+        assert got == s
+        assert all(type(c) is int for t in got for c in t.num.coeffs)
+    assert operator_chain(5) == iterates[-1]
+    assert operator_chain(0) == f_initial()
 
 
 def test_ansatz_to_series_zero_and_units():

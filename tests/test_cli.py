@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+import ppmoments.ansatz as ansatz
 import ppmoments.cli as cli
 from ppmoments.cli import main, run_moments, run_sample, run_theta, run_verify
 
@@ -21,6 +23,33 @@ def test_theta_report(capsys):
     assert rows[1]["theta"] == {"3": "1", "4": "14", "5": "15"}
     assert rows[0]["phi"]["num"] == ["0", "-1", "2", "-1"]
     assert rows[0]["phi"]["den"] == ["-8", "12", "-6", "1"]
+
+
+def test_theta_deep_report_digest(capsys):
+    # sha256 of `theta --g-max 7` as computed by the all-Fraction algebra
+    code, out = run_cli(capsys, "theta", "--g-max", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d19dc06f10759d30b0951cd7caf94453835330212a3c0ab18dac4def576472c5"
+
+
+def test_reports_walk_the_operator_chain_once(monkeypatch):
+    calls = []
+    original = ansatz.g_apply
+
+    def counting(k, s):
+        calls.append(k)
+        return original(k, s)
+
+    monkeypatch.setattr(ansatz, "g_apply", counting)
+    run_theta(4)
+    assert calls == [0, 1, 2, 3]
+    calls.clear()
+    assert run_verify(3, 4)["passed"] is True
+    assert calls == [0, 1, 2]
+    calls.clear()
+    cli.run_phi(2, dump_ansatz=True)
+    assert calls == [0, 1]
 
 
 def test_theta_reference_table_full():
@@ -101,14 +130,28 @@ def test_sample_predicted_values():
     assert report["results"][0]["predicted"] == "37/4"
 
 
+def test_sample_zero_stderr_does_not_hide_a_mismatch(capsys):
+    code, out = run_cli(capsys, "sample", "--n", "2", "--k", "3",
+                        "--trials", "1")
+    assert code == 0
+    row = json.loads(out)["results"][0]
+    assert row["stderr"] == 0 and row["predicted"] == "37/4"
+    assert row["estimate"] != 37 / 4
+    assert row["z"] is None
+
+
 def test_usage_errors_exit_two(capsys):
     for args in (["moments", "--k-max", "0"],
                  ["sample", "--trials", "-3"],
+                 ["verify", "--k-max", "13"],
                  ["bogus"],
                  []):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
+    assert "Catalan(k) operator words" in capsys.readouterr().err
+    assert cli._build_parser().parse_args(
+        ["verify", "--k-max", str(cli.VERIFY_K_MAX)]).k_max == 12
 
 
 def test_reports_are_deterministic(capsys):
@@ -129,6 +172,30 @@ def test_out_file_writing(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["command"] == "moments"
+
+
+def test_out_file_replaces_target_whole(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("x" * 100000)
+    code, out = run_cli(capsys, "moments", "--k-max", "1",
+                        "--out", str(target))
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text()) == run_moments(1)
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_out_file_failed_write_keeps_old_target(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        main(["moments", "--k-max", "1", "--out", str(target)])
+    assert target.read_text() == "old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_theta_tsv_rows(capsys):

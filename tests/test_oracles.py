@@ -180,7 +180,7 @@ def test_rook_counts_leading_is_catalan():
 
 
 def test_rook_count_strategies_agree_on_overlap():
-    for k in range(1, 10):
+    for k in range(1, 11):
         a = _rook_counts_exhaustive(k)
         b = _rook_counts_transfer(k)
         assert list(a) + [0] * (len(b) - len(a)) == \
