@@ -19,9 +19,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import (
     POLY_C,
@@ -46,8 +44,8 @@ from .ansatz import (
 from .oracles import enum_paths, moment_polynomial, rook_counts, word_moment
 from .sampler import DEFAULT_SEED, mc_moment
 
-__all__ = ["REFERENCE_THETA", "RunConfig", "main", "run_moments", "run_phi",
-           "run_sample", "run_theta", "run_verify"]
+__all__ = ["REFERENCE_THETA", "main", "run_moments", "run_phi", "run_sample",
+           "run_theta", "run_verify"]
 
 # Reference coefficient table for orders 1..4, reproduced by the pipeline
 # and pinned by the acceptance suite.
@@ -59,24 +57,8 @@ REFERENCE_THETA = {
 }
 
 # verify's word normal-ordering check walks all Catalan(k) operator words;
-# its time and memory grow about 3.5x per step of k (k = 12: ~3 s, ~235 MB).
+# its time and memory grow about 3.5x per step of k (k = 12: ~3 s, ~145 MB).
 VERIFY_K_MAX = 12
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One reproducible CLI invocation."""
-
-    command: str
-    g_max: Optional[int] = None
-    k_max: Optional[int] = None
-    n: Optional[int] = None
-    k: Optional[int] = None
-    trials: Optional[int] = None
-    seed: int = DEFAULT_SEED
-    output_format: str = "json"
-    out: Optional[str] = None
-    dump_ansatz: bool = False
 
 
 def run_theta(g_max: int) -> dict:
@@ -164,7 +146,7 @@ def run_verify(g_max: int, k_max: int) -> dict:
     _check(checks, "catalan quadratic identity", s, 1 + x2 * s * s)
     plain = SeriesX(k_max, (catalan_number(i) for i in range(k_max + 1)))
     _check(checks, "catalan derivative identity",
-           _truncate(plain * plain * plain, max(k_max - 1, 0)),
+           SeriesX(max(k_max - 1, 0), (plain * plain * plain).coeffs),
            plain.derivative() * (2 - plain))
 
     # Leading order and first correction
@@ -223,10 +205,6 @@ def run_verify(g_max: int, k_max: int) -> dict:
             "params": {"g_max": g_max, "k_max": k_max},
             "passed": passed,
             "results": checks}
-
-
-def _truncate(s, order):
-    return type(s)(order, s.coeffs[: order + 1])
 
 
 def _to_tsv(report: dict) -> str:
@@ -341,39 +319,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command,
-                    g_max=getattr(args, "g_max", None),
-                    k_max=getattr(args, "k_max", None),
-                    n=getattr(args, "n", None),
-                    k=getattr(args, "k", None),
-                    trials=getattr(args, "trials", None),
-                    seed=getattr(args, "seed", DEFAULT_SEED),
-                    output_format=args.output_format,
-                    out=args.out,
-                    dump_ansatz=getattr(args, "dump_ansatz", False))
-
-    if cfg.command == "theta":
-        report = run_theta(cfg.g_max)
-    elif cfg.command == "phi":
-        report = run_phi(cfg.g_max, cfg.dump_ansatz)
-    elif cfg.command == "moments":
-        report = run_moments(cfg.k_max)
-    elif cfg.command == "verify":
-        report = run_verify(cfg.g_max, cfg.k_max)
+    if args.command == "theta":
+        report = run_theta(args.g_max)
+    elif args.command == "phi":
+        report = run_phi(args.g_max, args.dump_ansatz)
+    elif args.command == "moments":
+        report = run_moments(args.k_max)
+    elif args.command == "verify":
+        report = run_verify(args.g_max, args.k_max)
     else:
-        report = run_sample(cfg.n, cfg.k, cfg.trials, cfg.seed)
+        report = run_sample(args.n, args.k, args.trials, args.seed)
 
-    if cfg.output_format == "tsv":
+    if args.output_format == "tsv":
         text = _to_tsv(report)
     else:
         text = json.dumps(report, indent=2) + "\n"
 
-    if cfg.out:
-        _write_atomic(cfg.out, text)
+    if args.out:
+        _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
-    if cfg.command == "verify" and not report["passed"]:
+    if args.command == "verify" and not report["passed"]:
         return 1
     return 0
 

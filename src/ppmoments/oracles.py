@@ -513,33 +513,30 @@ def moment_polynomial(k: int) -> MomentPolynomial:
     return MomentPolynomial(k, dict(enumerate(table)))
 
 
-_normal_order_cache: dict[tuple[int, ...], dict[int, int]] = {}
-
-
-def _normal_order(word: tuple[int, ...]) -> dict[int, int]:
+def _normal_order(word: str, memo: dict[str, dict[int, int]]) -> dict[int, int]:
     """Tally of commutator insertions needed to normal-order a word.
 
-    Scans for the first lowering step immediately left of a raising step
-    and rewrites it as the swap plus the deletion weighted by one power
-    of 1/n; a fully ordered balanced word evaluates to 1.
+    A word spells raising steps as "u" and lowering steps as "d".  Scans
+    for the first lowering step immediately left of a raising step and
+    rewrites it as the swap plus the deletion weighted by one power of
+    1/n; a fully ordered word evaluates to 1.  Leading raising and
+    trailing lowering steps are never rewritten, so they are stripped
+    before the lookup in memo, which the caller owns.
     """
-    cached = _normal_order_cache.get(word)
+    word = word.lstrip("u").rstrip("d")
+    cached = memo.get(word)
     if cached is not None:
         return cached
-    spot = -1
-    for i in range(len(word) - 1):
-        if word[i] == -1 and word[i + 1] == 1:
-            spot = i
-            break
+    spot = word.find("du")
     if spot < 0:
         result = {0: 1}
     else:
-        swapped = _normal_order(word[:spot] + (1, -1) + word[spot + 2:])
-        dropped = _normal_order(word[:spot] + word[spot + 2:])
+        swapped = _normal_order(word[:spot] + "ud" + word[spot + 2:], memo)
+        dropped = _normal_order(word[:spot] + word[spot + 2:], memo)
         result = dict(swapped)
         for g, n in dropped.items():
             result[g + 1] = result.get(g + 1, 0) + n
-    _normal_order_cache[word] = result
+    memo[word] = result
     return result
 
 
@@ -552,7 +549,9 @@ def word_moment(k: int) -> MomentPolynomial:
     if k < 1:
         raise ValueError("k must be positive")
     totals: dict[int, int] = {}
-    for word in iter_paths(2 * k):
-        for g, n in _normal_order(word).items():
+    memo: dict[str, dict[int, int]] = {}
+    for path in iter_paths(2 * k):
+        word = "".join("u" if step > 0 else "d" for step in path)
+        for g, n in _normal_order(word, memo).items():
             totals[g] = totals.get(g, 0) + n
     return MomentPolynomial(k, totals)

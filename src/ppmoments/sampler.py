@@ -1,21 +1,25 @@
-"""Monte Carlo side: random partitions and their corner transition measures.
+"""Monte Carlo side: Poissonized sizes, random partitions, corner measures.
 
-A sample is drawn by taking a Poisson-distributed size, a uniform random
-permutation of that size, and the insertion-tableau shape of the
-permutation.  The transition measure of the resulting partition is the
-discrete probability measure supported on the contents of its addable
-corners, with weights given by the partial fractions of
+The moment estimator needs only the size of each sampled partition: the
+2k-th moment of the transformed measure of a partition depends on its
+size alone (transformed_moment below).  So a trial draws a
+Poisson-distributed size and looks up that exact moment; the estimator
+exercises the Poisson draw and the exact lookup, not the shape sampler.
+
+The shape sampler is separate.  sample_pp takes a
+Poisson-distributed size, a uniform random permutation of that size, and
+the insertion-tableau shape of the permutation.  The transition measure
+of a partition is the discrete probability measure supported on the
+contents of its addable corners, with weights given by the partial
+fractions of
 
     prod_j (x - b_j) / prod_i (x - a_i)
 
 over upper corner contents a_i and lower corner contents b_j.  Corner
 arithmetic is exact; positions are rescaled by 1/sqrt(n), so even scaled
-moments stay rational and floats appear only when estimates are averaged.
-
-The moment estimator averages the transformed measure of the sampled
-partition, whose exact even moments are the path-product sums of
-transformed_moment below (the corner measure itself has the same mass,
-mean and variance but larger sixth and higher moments; see the tests).
+moments stay rational.  The corner measure has the same mass, mean and
+variance as the transformed measure of a partition of the same size,
+but larger sixth and higher moments (see the tests).
 
 Randomness comes from a counter-based 64-bit generator that derives an
 independent stream per trial index, so results are identical no matter
@@ -211,10 +215,6 @@ class TransitionMeasure:
                              "use unscaled_moment")
         return self.unscaled_moment(order) / Fraction(self.n) ** (order // 2)
 
-    def scaled_atoms(self) -> list[float]:
-        root = math.sqrt(self.n)
-        return [a / root for a in self.atoms]
-
     def to_json(self) -> dict:
         return {"n": self.n,
                 "atoms": [str(a) for a in self.atoms],
@@ -275,10 +275,12 @@ def mc_moments(n: int, ks: Sequence[int], trials: int,
                seed: int = DEFAULT_SEED) -> list[tuple[float, float]]:
     """Estimate scaled moments of orders 2k for each k, sharing the samples.
 
-    Each trial draws a partition and evaluates the exact rational 2k-th
-    moment of its transformed measure, transformed_moment(|shape|, k)/n^k;
-    averaging is the only floating step.  Returns (mean, standard error)
-    per requested k.
+    Each trial draws a Poisson(n) size from its own stream and reads the
+    exact scaled 2k-th moment of the transformed measure at that size,
+    transformed_moment(size, k) / n^k, rounded once to a float.  The
+    estimate thus tests the Poisson draw and the exact lookup; no shape
+    is sampled, since the moment does not depend on one.  Returns
+    (mean, standard error) per requested k.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -288,10 +290,9 @@ def mc_moments(n: int, ks: Sequence[int], trials: int,
     sums = [0.0] * len(ks)
     sq_sums = [0.0] * len(ks)
     for t in range(trials):
-        shape = sample_pp(n, root.split(t))
-        size = shape.size
+        size = poisson_sample(n, root.split(t))
         for i, k in enumerate(ks):
-            v = float(Fraction(transformed_moment(size, k), n ** k))
+            v = transformed_moment(size, k) / n ** k
             sums[i] += v
             sq_sums[i] += v * v
     out = []

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from ppmoments import (
@@ -239,3 +242,19 @@ def test_word_moment_small_values():
 def test_word_moment_matches_rook_route():
     for k in range(1, 7):
         assert word_moment(k).counts == moment_polynomial(k).counts
+
+
+def test_word_moment_releases_its_memo():
+    # the normal-order memo must be freed when the call that built it
+    # returns; at k = 10 it holds megabytes of word tallies
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        result = word_moment(10)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.counts == moment_polynomial(10).counts
+    assert held < 2_000_000

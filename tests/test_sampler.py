@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import ppmoments.sampler as sampler
 from ppmoments import (
     DuplicateEntries,
     Partition,
@@ -237,6 +238,24 @@ def test_mc_moment_is_reproducible():
     assert a == b
     c = mc_moment(2, 2, trials=2000, seed=54321)
     assert a != c
+    # pinned floats; n = 2 draws by inversion, n = 50 by PTRS rejection
+    assert mc_moments(2, [2, 3], 2000, seed=7) == [
+        (2.50175, 0.08073475874358386), (9.488125, 0.5137418607914409)]
+    assert mc_moments(50, [1, 4], 300, seed=3) == [
+        (0.9911333333333321, 0.00813049551165022),
+        (14.40513666826664, 0.4619811068139303)]
+
+
+def test_mc_moments_never_samples_a_shape(monkeypatch):
+    # a trial reads only the Poisson size, so the shape sampler never runs
+    def boom(*args, **kwargs):
+        raise AssertionError("shape sampler called by the estimator")
+
+    monkeypatch.setattr(sampler.RngState, "shuffle", boom)
+    monkeypatch.setattr(sampler, "rsk_shape", boom)
+    monkeypatch.setattr(sampler, "sample_pp", boom)
+    assert mc_moments(2, [2, 3], 2000, seed=7)[0] == (2.50175,
+                                                       0.08073475874358386)
 
 
 def test_mc_moments_consistency_with_exact_values():
