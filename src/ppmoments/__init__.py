@@ -49,6 +49,7 @@ from .oracles import (
     iter_rook_placements,
     marking_counts,
     moment_polynomial,
+    moment_polynomials,
     partitions_of,
     path_to_partition,
     rook_counts,

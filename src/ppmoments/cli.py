@@ -41,7 +41,12 @@ from .ansatz import (
     g_series,
     y0_coefficient,
 )
-from .oracles import enum_paths, moment_polynomial, rook_counts, word_moment
+from .oracles import (
+    enum_paths,
+    moment_polynomial,
+    moment_polynomials,
+    word_moment,
+)
 from .sampler import DEFAULT_SEED, mc_moment
 
 __all__ = ["REFERENCE_THETA", "main", "run_moments", "run_phi", "run_sample",
@@ -88,7 +93,7 @@ def run_phi(g_max: int, dump_ansatz: bool = False) -> dict:
 
 def run_moments(k_max: int) -> dict:
     """Exact moment polynomials for k = 1..k_max."""
-    rows = [moment_polynomial(k).to_json() for k in range(1, k_max + 1)]
+    rows = [mp.to_json() for mp in moment_polynomials(k_max)]
     return {"command": "moments", "params": {"k_max": k_max}, "results": rows}
 
 
@@ -162,13 +167,12 @@ def run_verify(g_max: int, k_max: int) -> dict:
 
     # Three-way moment agreement
     phi_series = {g: expand_in_x(phis[g], x_order) for g in range(g_max + 1)}
-    for k in range(1, k_max + 1):
-        rook = moment_polynomial(k)
+    for k, rook in enumerate(moment_polynomials(k_max), start=1):
         _check(checks, f"word vs rook moments k={k}",
                rook.counts, word_moment(k).counts)
         for g in range(g_max + 1):
             _check(checks, f"pipeline coefficient k={k} g={g}",
-                   Fraction(rook_counts(k, g)),
+                   Fraction(rook.counts.get(g, 0)),
                    phi_series[g].coefficient(2 * k))
 
     # Closed operator-chain shape, support window, round trip

@@ -5,13 +5,14 @@ Three independent routes produce the same exact moment polynomials in
 
   * lattice paths with marked step pairs (count_markings),
   * non-attacking rook placements on staircase-bounded partitions
-    (rook_counts / moment_polynomial),
+    (rook_counts / moment_polynomials),
   * normal ordering of raising/lowering operator words under the
     commutation rule LOWER*RAISE -> RAISE*LOWER + 1/n (word_moment).
 
-Rook counts come from a transfer matrix over (height, open pairs) at
-every size.  Exhaustive enumeration of staircase shapes stays as the
-reference that the test suite compares the transfer matrix against.
+Rook counts come from a transfer matrix over (height, open pairs): one
+walk of 2k_max steps yields every row k = 1..k_max.  Exhaustive
+enumeration of staircase shapes stays as the reference that the test
+suite compares the transfer matrix against.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "iter_rook_placements",
     "marking_counts",
     "moment_polynomial",
+    "moment_polynomials",
     "partitions_of",
     "path_to_partition",
     "rook_counts",
@@ -426,46 +428,45 @@ def _rook_counts_exhaustive(k: int) -> tuple[int, ...]:
     return tuple(totals)
 
 
-@lru_cache(maxsize=None)
-def _rook_counts_transfer(k: int) -> tuple[int, ...]:
-    """Marked-path transfer matrix: all paths and markings in one sweep.
+def _rook_rows(k_max: int) -> list[tuple[int, ...]]:
+    """Rook counts per g for k = 1..k_max from one marked-path walk.
 
-    State (height, open pairs); closing an up step multiplies by the
-    number of pending down steps.  Equivalent to the exhaustive count via
-    the marking/rook correspondence, without enumerating paths.
+    State (height, open pairs) holds a tally of closed pairs, listed by
+    their number.  A down step may open a pair; an up step may close one
+    of the open pairs, which multiplies by their number.  Equivalent to
+    the exhaustive count via the marking/rook correspondence, without
+    enumerating paths.  The transitions do not depend on k, so the tally
+    at (0, 0) after step 2k is row k.  A state needs at least
+    height + 2 * open more steps to reach (0, 0); one with fewer steps
+    left before the horizon 2 * k_max is dropped.
     """
-    states: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
-    for _ in range(2 * k):
-        nxt: dict[tuple[int, int], dict[int, int]] = {}
+    states: dict[tuple[int, int], list[int]] = {(0, 0): [1]}
+    rows: list[tuple[int, ...]] = []
+    left = 2 * k_max
+    while left:
+        left -= 1
+        nxt: dict[tuple[int, int], list[int]] = {}
 
-        def bump(key, closed, w):
-            slot = nxt.setdefault(key, {})
-            slot[closed] = slot.get(closed, 0) + w
+        def add(h, open_, tally, shift, factor):
+            if h + 2 * open_ > left:
+                return
+            slot = nxt.setdefault((h, open_), [])
+            if len(slot) < len(tally) + shift:
+                slot.extend([0] * (len(tally) + shift - len(slot)))
+            for closed, w in enumerate(tally, shift):
+                slot[closed] += factor * w
 
         for (h, open_), tally in states.items():
-            for closed, w in tally.items():
-                bump((h + 1, open_), closed, w)
-                if open_:
-                    bump((h + 1, open_ - 1), closed + 1, open_ * w)
-                if h > 0:
-                    bump((h - 1, open_), closed, w)
-                    bump((h - 1, open_ + 1), closed, w)
+            add(h + 1, open_, tally, 0, 1)
+            if open_:
+                add(h + 1, open_ - 1, tally, 1, open_)
+            if h > 0:
+                add(h - 1, open_, tally, 0, 1)
+                add(h - 1, open_ + 1, tally, 0, 1)
         states = nxt
-    final = states.get((0, 0), {})
-    out = [0] * (max(final, default=0) + 1)
-    for closed, w in final.items():
-        out[closed] = w
-    return tuple(out)
-
-
-def rook_counts(k: int, g: int) -> int:
-    """Number of g-rook placements over all semilength-k staircase shapes."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if g < 0:
-        raise ValueError("g must be nonnegative")
-    table = _rook_counts_transfer(k)
-    return table[g] if g < len(table) else 0
+        if left % 2 == 0:
+            rows.append(tuple(states.get((0, 0), ())))
+    return rows
 
 
 class MomentPolynomial:
@@ -505,12 +506,26 @@ class MomentPolynomial:
         return f"MomentPolynomial(k={self.k}: {' + '.join(terms) or '0'})"
 
 
+def moment_polynomials(k_max: int) -> list[MomentPolynomial]:
+    """Moments of orders 2, 4, ..., 2k_max from one rook transfer-matrix walk."""
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
+    return [MomentPolynomial(k, dict(enumerate(row)))
+            for k, row in enumerate(_rook_rows(k_max), start=1)]
+
+
 def moment_polynomial(k: int) -> MomentPolynomial:
     """Moment of order 2k via rook counts on staircase shapes."""
     if k < 1:
         raise ValueError("k must be positive")
-    table = _rook_counts_transfer(k)
-    return MomentPolynomial(k, dict(enumerate(table)))
+    return moment_polynomials(k)[-1]
+
+
+def rook_counts(k: int, g: int) -> int:
+    """Number of g-rook placements over all semilength-k staircase shapes."""
+    if g < 0:
+        raise ValueError("g must be nonnegative")
+    return moment_polynomial(k).counts.get(g, 0)
 
 
 def _normal_order(word: str, memo: dict[str, dict[int, int]]) -> dict[int, int]:
@@ -540,6 +555,24 @@ def _normal_order(word: str, memo: dict[str, dict[int, int]]) -> dict[int, int]:
     return result
 
 
+def _dyck_words(k: int) -> Iterator[str]:
+    """Yield the semilength-k nonnegative balanced paths as "u"/"d" words.
+
+    Same order as iter_paths(2 * k); once every raising step is placed
+    the word closes with the lowering steps it still needs.
+    """
+
+    def rec(word: str, ups: int, h: int) -> Iterator[str]:
+        if ups == 0:
+            yield word + "d" * h
+            return
+        yield from rec(word + "u", ups - 1, h + 1)
+        if h > 0:
+            yield from rec(word + "d", ups, h - 1)
+
+    yield from rec("", k, 0)
+
+
 def word_moment(k: int) -> MomentPolynomial:
     """Moment of order 2k by normal-ordering operator words.
 
@@ -550,8 +583,7 @@ def word_moment(k: int) -> MomentPolynomial:
         raise ValueError("k must be positive")
     totals: dict[int, int] = {}
     memo: dict[str, dict[int, int]] = {}
-    for path in iter_paths(2 * k):
-        word = "".join("u" if step > 0 else "d" for step in path)
+    for word in _dyck_words(k):
         for g, n in _normal_order(word, memo).items():
             totals[g] = totals.get(g, 0) + n
     return MomentPolynomial(k, totals)

@@ -5,6 +5,7 @@ import pytest
 
 import ppmoments.ansatz as ansatz
 import ppmoments.cli as cli
+import ppmoments.oracles as oracles
 from ppmoments.cli import main, run_moments, run_sample, run_theta, run_verify
 
 
@@ -31,6 +32,30 @@ def test_theta_deep_report_digest(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "d19dc06f10759d30b0951cd7caf94453835330212a3c0ab18dac4def576472c5"
+
+
+def test_moments_deep_report_digest(capsys):
+    # sha256 of `moments --k-max 40` as computed with one walk per k
+    code, out = run_cli(capsys, "moments", "--k-max", "40")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "09ad0295e7ae7be9940f5c6e687f1ea5059920974f062f0123c67d857150c5b4"
+
+
+def test_reports_walk_the_rook_transfer_matrix_once(monkeypatch):
+    calls = []
+    original = oracles._rook_rows
+
+    def counting(k_max):
+        calls.append(k_max)
+        return original(k_max)
+
+    monkeypatch.setattr(oracles, "_rook_rows", counting)
+    assert len(run_moments(40)["results"]) == 40
+    assert calls == [40]
+    calls.clear()
+    assert run_verify(2, 8)["passed"] is True
+    assert calls == [8]
 
 
 def test_reports_walk_the_operator_chain_once(monkeypatch):

@@ -18,6 +18,7 @@ from ppmoments import (
     iter_rook_placements,
     marking_counts,
     moment_polynomial,
+    moment_polynomials,
     partitions_of,
     path_to_partition,
     rook_counts,
@@ -25,7 +26,7 @@ from ppmoments import (
     staircase_partitions,
     word_moment,
 )
-from ppmoments.oracles import _rook_counts_exhaustive, _rook_counts_transfer
+from ppmoments.oracles import _dyck_words, _rook_counts_exhaustive
 
 from helpers import brute_marking_count
 
@@ -90,6 +91,13 @@ def test_iter_paths_agrees_with_enum():
             for end in range(4):
                 assert sum(1 for _ in iter_paths(length, start, end)) == \
                     enum_paths(length, start, end)
+
+
+def test_dyck_words_spell_iter_paths():
+    for k in range(1, 8):
+        assert list(_dyck_words(k)) == [
+            "".join("u" if step > 0 else "d" for step in path)
+            for path in iter_paths(2 * k)]
 
 
 def test_path_to_partition_examples():
@@ -183,11 +191,27 @@ def test_rook_counts_leading_is_catalan():
 
 
 def test_rook_count_strategies_agree_on_overlap():
-    for k in range(1, 11):
-        a = _rook_counts_exhaustive(k)
-        b = _rook_counts_transfer(k)
-        assert list(a) + [0] * (len(b) - len(a)) == \
-            list(b) + [0] * (len(a) - len(b))
+    rows = moment_polynomials(10)
+    assert [mp.k for mp in rows] == list(range(1, 11))
+    for k, mp in enumerate(rows, start=1):
+        assert mp == MomentPolynomial(k, dict(enumerate(
+            _rook_counts_exhaustive(k))))
+
+
+def test_moment_rows_do_not_depend_on_the_horizon():
+    # the walk drops states that cannot return to (0, 0) by step 2k_max;
+    # every state that feeds an earlier row must survive
+    rows = moment_polynomials(15)
+    assert len(rows) == 15
+    for k in range(1, 16):
+        assert rows[k - 1] == moment_polynomial(k)
+
+
+def test_moment_polynomials_needs_a_positive_horizon():
+    with pytest.raises(ValueError):
+        moment_polynomials(0)
+    with pytest.raises(ValueError):
+        moment_polynomials(-2)
 
 
 def test_marking_rook_bijection_per_path():
