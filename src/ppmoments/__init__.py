@@ -3,8 +3,6 @@ Poissonized Plancherel random partitions, cross-checked by brute-force
 combinatorics and Monte Carlo sampling."""
 
 from .algebra import (
-    BigRational,
-    DenominatorVanishesAtOrigin,
     FineStructureForm,
     NotFineStructure,
     PolyC,
@@ -15,7 +13,6 @@ from .algebra import (
     expand_in_x,
     fine_structure_form,
     fine_structure_to_rational,
-    rat_from_str,
     rat_to_str,
     theta_support_window,
 )

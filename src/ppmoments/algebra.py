@@ -6,8 +6,9 @@ building blocks:
 
   PolyC        polynomials in c, dense coefficient tuple, low to high,
                trailing zeros stripped (canonical degree).
-  RationalFnC  quotients of PolyC in canonical form: gcd-reduced and
-               monic denominator, so equality is plain field comparison.
+  RationalFnC  num / (2-c)^a, the only denominators the pipeline meets,
+               stored coprime over the monic (c-2)^a, so equality is
+               plain comparison.
   SeriesX      truncated power series in x with exact coefficients;
                arithmetic never reports powers beyond the truncation.
   FineStructureForm
@@ -32,8 +33,6 @@ from math import comb
 from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
-    "BigRational",
-    "DenominatorVanishesAtOrigin",
     "FineStructureForm",
     "NotFineStructure",
     "POLY_C",
@@ -49,20 +48,12 @@ __all__ = [
     "expand_in_x",
     "fine_structure_form",
     "fine_structure_to_rational",
-    "over_two_minus_c",
-    "rat_from_str",
     "rat_to_str",
     "strip_two_minus_c",
     "theta_support_window",
 ]
 
-BigRational = Fraction
-
 Scalar = Union[int, Fraction]
-
-
-class DenominatorVanishesAtOrigin(ValueError):
-    """The denominator vanishes at c = 1 (x = 0), so no x-expansion exists."""
 
 
 class NotFineStructure(ValueError):
@@ -74,10 +65,6 @@ def rat_to_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def _exact(c) -> Scalar:
@@ -213,17 +200,8 @@ class PolyC:
     def __floordiv__(self, other) -> "PolyC":
         return divmod(self, other)[0]
 
-    def __mod__(self, other) -> "PolyC":
-        return divmod(self, other)[1]
-
     def derivative(self) -> "PolyC":
         return PolyC(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    def monic(self) -> "PolyC":
-        if not self:
-            return self
-        lead = self.leading
-        return PolyC(_exact_div(c, lead) for c in self.coeffs)
 
     def evaluate(self, x: Scalar) -> Scalar:
         """Horner evaluation at an exact rational point."""
@@ -238,12 +216,6 @@ class PolyC:
         for c in reversed(self.coeffs):
             acc = acc * s + c
         return acc
-
-    @staticmethod
-    def gcd(a: "PolyC", b: "PolyC") -> "PolyC":
-        while b:
-            a, b = b, a % b
-        return a.monic() if a else a
 
     def to_json(self) -> list[str]:
         return [rat_to_str(c) for c in self.coeffs]
@@ -304,34 +276,24 @@ def strip_two_minus_c(p: PolyC, a: int) -> tuple[PolyC, int]:
 
 
 class RationalFnC:
-    """Quotient of two PolyC in canonical form (reduced, monic denominator)."""
+    """num / (2-c)^a in canonical form: coprime, monic denominator.
+
+    The only irreducible factor of (2-c)^a is c - 2, so once
+    strip_two_minus_c has divided (2-c) out of num, what is left is
+    coprime to the monic denominator (c-2)^a = (-1)^a (2-c)^a; equality
+    is then plain comparison of numerator and denominator.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=POLY_ONE):
-        num, den = _as_poly(num), _as_poly(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            g = PolyC.gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.leading
-            if lead != 1:
-                num = num * _exact_div(1, lead)
-                den = den.monic()
-        else:
-            den = POLY_ONE
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _canonical(cls, num: PolyC, den: PolyC) -> "RationalFnC":
-        """Wrap a pair the caller knows is coprime with monic den."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "num", num)
-        object.__setattr__(f, "den", den)
-        return f
+    def __init__(self, num: PolyC, a: int = 0):
+        if a < 0:
+            raise ValueError("exponent of (2-c) must be nonnegative")
+        num, a = strip_two_minus_c(num, a)
+        if not num:
+            a = 0
+        object.__setattr__(self, "num", -num if a % 2 else num)
+        object.__setattr__(self, "den", C_MINUS_TWO ** a)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFnC is immutable")
@@ -340,53 +302,12 @@ class RationalFnC:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        other = _as_ratfn(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if isinstance(other, RationalFnC):
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
-
-    def __add__(self, other) -> "RationalFnC":
-        other = _as_ratfn(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFnC(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFnC":
-        return RationalFnC(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _as_ratfn(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other) -> "RationalFnC":
-        other = _as_ratfn(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFnC(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFnC":
-        other = _as_ratfn(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFnC(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _as_ratfn(other) / self
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -395,27 +316,6 @@ class RationalFnC:
         if self.den == POLY_ONE:
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
-
-
-def over_two_minus_c(num: PolyC, a: int) -> RationalFnC:
-    """Canonical form of num / (2-c)^a, without a polynomial gcd.
-
-    The only irreducible factor of the denominator is c - 2, so once
-    strip_two_minus_c has divided (2-c) out of num, what is left is
-    coprime to the monic denominator (c-2)^a = (-1)^a (2-c)^a.
-    """
-    num, a = strip_two_minus_c(num, a)
-    if not num:
-        return RationalFnC(POLY_ZERO)
-    return RationalFnC._canonical(-num if a % 2 else num, C_MINUS_TWO ** a)
-
-
-def _as_ratfn(x):
-    if isinstance(x, RationalFnC):
-        return x
-    if isinstance(x, (int, Fraction, PolyC)):
-        return RationalFnC(_as_poly(x))
-    return NotImplemented
 
 
 class SeriesX:
@@ -557,15 +457,10 @@ def catalan_series(order: int) -> SeriesX:
 def expand_in_x(f: RationalFnC, order: int) -> SeriesX:
     """Expand f(c(x^2)) as an exact truncated series in x.
 
-    Raises DenominatorVanishesAtOrigin when the denominator is zero at
-    c = 1, i.e. at x = 0.
+    The denominator (c-2)^a is +-1 at c = 1 (x = 0), so it is invertible.
     """
     cs = catalan_series(order)
-    den = f.den.eval_series(cs)
-    if den.coefficient(0) == 0:
-        raise DenominatorVanishesAtOrigin(
-            f"denominator {f.den!r} vanishes at c=1")
-    return f.num.eval_series(cs) * den.inverse()
+    return f.num.eval_series(cs) * f.den.eval_series(cs).inverse()
 
 
 class FineStructureForm:
@@ -659,4 +554,4 @@ def fine_structure_to_rational(form: FineStructureForm) -> RationalFnC:
     acc = POLY_ZERO
     for k, v in form.theta.items():
         acc = acc + v * C_MINUS_ONE ** k * TWO_MINUS_C ** (top - k)
-    return over_two_minus_c(POLY_C * acc, form.g + top)
+    return RationalFnC(POLY_C * acc, form.g + top)

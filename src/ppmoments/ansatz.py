@@ -30,7 +30,6 @@ from .algebra import (
     SeriesX,
     TWO_MINUS_C,
     catalan_series,
-    over_two_minus_c,
     strip_two_minus_c,
 )
 
@@ -249,7 +248,7 @@ def y0_coefficient(s: AnsatzSum) -> RationalFnC:
     acc = POLY_ZERO
     for t in s:
         acc = acc + t.num * TWO_MINUS_C ** (top - t.a)
-    return over_two_minus_c(acc, top)
+    return RationalFnC(acc, top)
 
 
 def chain_iterates(r: int) -> Iterator[AnsatzSum]:

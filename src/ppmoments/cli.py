@@ -8,8 +8,8 @@ Commands
   sample   Monte Carlo estimate of one moment against its exact value
 
 Exit codes: 0 success / verification passed, 1 verification mismatch,
-2 usage error.  Reports are deterministic for a fixed configuration,
-including the seed.
+2 usage error or a failed --out write.  Reports are deterministic for a
+fixed configuration, including the seed.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .oracles import (
     moment_polynomials,
     word_moment,
 )
-from .sampler import DEFAULT_SEED, mc_moment
+from .sampler import DEFAULT_SEED, POISSON_MEAN_MAX, mc_moment
 
 __all__ = ["REFERENCE_THETA", "main", "run_moments", "run_phi", "run_sample",
            "run_theta", "run_verify"]
@@ -156,7 +156,7 @@ def run_verify(g_max: int, k_max: int) -> dict:
 
     # Leading order and first correction
     _check(checks, "phi(0) closed form", RationalFnC(POLY_C), phis[0])
-    phi1_expected = RationalFnC(POLY_C * PolyC((-1, 1)) ** 2, PolyC((2, -1)) ** 3)
+    phi1_expected = RationalFnC(POLY_C * PolyC((-1, 1)) ** 2, 3)
     _check(checks, "phi(1) closed form", phi1_expected, phis[1])
 
     # Reference coefficient table
@@ -260,6 +260,15 @@ def _verify_k_max(value: str) -> int:
     return k
 
 
+def _poisson_mean(value: str) -> int:
+    n = _positive(value)
+    if n > POISSON_MEAN_MAX:
+        raise argparse.ArgumentTypeError(
+            f"must be at most 2**53 = {POISSON_MEAN_MAX}: the Poisson draw "
+            f"runs in double precision")
+    return n
+
+
 def _write_atomic(path: str, text: str) -> None:
     """Write text to path whole or not at all.
 
@@ -312,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("sample", help="Monte Carlo check of one moment")
-    p.add_argument("--n", type=_positive, default=2)
+    p.add_argument("--n", type=_poisson_mean, default=2,
+                   help="at most 2**53")
     p.add_argument("--k", type=_positive, default=2)
     p.add_argument("--trials", type=_positive, default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -340,7 +350,12 @@ def main(argv=None) -> int:
         text = json.dumps(report, indent=2) + "\n"
 
     if args.out:
-        _write_atomic(args.out, text)
+        try:
+            _write_atomic(args.out, text)
+        except OSError as exc:
+            print(f"ppmoments: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
 

@@ -39,6 +39,7 @@ from .oracles import DuplicateEntries, Partition
 
 __all__ = [
     "DEFAULT_SEED",
+    "POISSON_MEAN_MAX",
     "RngState",
     "TransitionMeasure",
     "mc_moment",
@@ -55,6 +56,8 @@ DEFAULT_SEED = 8675309  # documented default; override with --seed / seed=
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INVERSION_LIMIT = 30  # Poisson mean up to which plain inversion is used
+# The draw runs in double precision, which holds every integer up to 2**53.
+POISSON_MEAN_MAX = 2 ** 53
 
 
 def _mix64(z: int) -> int:
@@ -114,10 +117,13 @@ def poisson_sample(mean: float, rng: RngState) -> int:
 
     The transformed-rejection sampler follows Hormann's PTRS scheme,
     which is exact for means above 10; the inversion cutoff keeps well
-    inside both methods' domains.
+    inside both methods' domains.  Means above POISSON_MEAN_MAX raise
+    ValueError: a double can no longer hold every size near the mean.
     """
     if mean <= 0:
         raise ValueError("mean must be positive")
+    if mean > POISSON_MEAN_MAX:
+        raise ValueError(f"mean must be at most 2**53 = {POISSON_MEAN_MAX}")
     if mean <= _INVERSION_LIMIT:
         u = rng.random()
         p = math.exp(-mean)

@@ -31,7 +31,7 @@ from ppmoments import (
     word_moment,
     y0_coefficient,
 )
-from ppmoments.algebra import C_MINUS_ONE, POLY_C, TWO_MINUS_C
+from ppmoments.algebra import C_MINUS_ONE, POLY_C
 
 from helpers import direct_g_apply_grid, euler_grid, random_ansatz_sum
 
@@ -63,7 +63,7 @@ def test_criterion_1_theta_table():
 
 def test_criterion_2_first_correction_closed_form():
     with criterion(2, "first correction closed form"):
-        expected = RationalFnC(POLY_C * C_MINUS_ONE ** 2, TWO_MINUS_C ** 3)
+        expected = RationalFnC(POLY_C * C_MINUS_ONE ** 2, 3)
         assert phi(1) == expected
 
 

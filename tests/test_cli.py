@@ -34,6 +34,22 @@ def test_theta_deep_report_digest(capsys):
         "d19dc06f10759d30b0951cd7caf94453835330212a3c0ab18dac4def576472c5"
 
 
+def test_phi_dump_report_digest(capsys):
+    # sha256 of `phi --g-max 4 --dump-ansatz` as computed with the gcd field
+    code, out = run_cli(capsys, "phi", "--g-max", "4", "--dump-ansatz")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "2fadf74ccde4208f55a8d1b9cffaf65d1e15ed581c7d6d879dc03b74e2809ce3"
+
+
+def test_verify_gate_report_digest(capsys):
+    # sha256 of `verify --g-max 5 --k-max 10` as computed with the gcd field
+    code, out = run_cli(capsys, "verify", "--g-max", "5", "--k-max", "10")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "82cafbf035bca12476895c334d1e3f832ba3d2cba4a329180627e8cf3432eb3a"
+
+
 def test_moments_deep_report_digest(capsys):
     # sha256 of `moments --k-max 40` as computed with one walk per k
     code, out = run_cli(capsys, "moments", "--k-max", "40")
@@ -169,12 +185,17 @@ def test_usage_errors_exit_two(capsys):
     for args in (["moments", "--k-max", "0"],
                  ["sample", "--trials", "-3"],
                  ["verify", "--k-max", "13"],
+                 ["sample", "--n", str(2**53 + 1)],
                  ["bogus"],
                  []):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
-    assert "Catalan(k) operator words" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Catalan(k) operator words" in err
+    assert "must be at most 2**53" in err
+    assert cli._build_parser().parse_args(
+        ["sample", "--n", str(2**53)]).n == 2**53
     assert cli._build_parser().parse_args(
         ["verify", "--k-max", str(cli.VERIFY_K_MAX)]).k_max == 12
 
@@ -217,10 +238,28 @@ def test_out_file_failed_write_keeps_old_target(tmp_path, capsys, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli.os, "replace", failing_replace)
-    with pytest.raises(OSError):
-        main(["moments", "--k-max", "1", "--out", str(target)])
+    code = main(["moments", "--k-max", "1", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"ppmoments: cannot write {target}: disk full\n"
     assert target.read_text() == "old report\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_out_file_into_missing_directory_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["theta", "--g-max", "1", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"ppmoments: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+    # a directory as target: the temp file sits beside it and must go too
+    assert main(["theta", "--g-max", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"ppmoments: cannot write {tmp_path}: ")
+    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.parent.glob(f"{tmp_path.name}.*.tmp")) == []
 
 
 def test_theta_tsv_rows(capsys):

@@ -80,6 +80,14 @@ def test_poisson_rejection_moments():
         poisson_sample(0, rng)
 
 
+def test_poisson_mean_is_bounded_by_double_precision():
+    assert sampler.POISSON_MEAN_MAX == 2 ** 53
+    assert poisson_sample(2 ** 53, RngState(3)) > 0
+    for mean in (2 ** 53 + 1, 10 ** 100, 1e306):
+        with pytest.raises(ValueError):
+            poisson_sample(mean, RngState(3))
+
+
 def test_rsk_shape_examples():
     assert rsk_shape((1, 2, 3)) == Partition((3,))
     assert rsk_shape((2, 1)) == Partition((1, 1))
