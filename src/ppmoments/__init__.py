@@ -1,6 +1,6 @@
 """Exact fine-structure expansion of transition-measure moments of
-Poissonized Plancherel random partitions, cross-checked by brute-force
-combinatorics and Monte Carlo sampling."""
+Poissonized Plancherel random partitions, cross-checked by independent
+combinatorial routes and Monte Carlo sampling."""
 
 from .algebra import (
     FineStructureForm,
@@ -33,25 +33,13 @@ from .ansatz import (
 )
 from .oracles import (
     DuplicateEntries,
-    LatticePath,
-    Marking,
     MomentPolynomial,
     Partition,
-    RookPlacement,
-    UnbalancedPath,
-    count_markings,
-    count_rook_placements,
     enum_paths,
-    iter_paths,
-    iter_rook_placements,
-    marking_counts,
     moment_polynomial,
     moment_polynomials,
     partitions_of,
-    path_to_partition,
     rook_counts,
-    rook_polynomial,
-    staircase_partitions,
     word_moment,
 )
 from .sampler import (

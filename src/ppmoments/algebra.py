@@ -503,43 +503,29 @@ def theta_support_window(g: int) -> tuple[int, int]:
     return g + 1, 3 * g - 1
 
 
-def _mobius_substitute(p: PolyC) -> tuple[PolyC, int]:
-    """Substitute c = (1+2t)/(1+t) into p; return (q, d) with p = q/(1+t)^d."""
-    if not p:
-        return POLY_ZERO, 0
-    d = p.degree
-    one_plus = PolyC((1, 1))
-    one_plus_2t = PolyC((1, 2))
-    acc = POLY_ZERO
-    for i, coeff in enumerate(p.coeffs):
-        if coeff:
-            acc = acc + coeff * one_plus_2t ** i * one_plus ** (d - i)
-    return acc, d
-
-
 def fine_structure_form(f: RationalFnC, g: int) -> FineStructureForm:
     """Extract the normal-form coefficient table of an order-g correction.
 
-    Divides f by c/(2-c)^g and rewrites the quotient in t = (c-1)/(2-c)
-    via the inverse Moebius substitution c = (1+2t)/(1+t).  The result
-    must come out as a finite polynomial in t; otherwise f is not in
+    Write f = N/(2-c)^a and s = c - 1, so 2-c = 1-s.  Then f divided by
+    c/(2-c)^g is M(s)/(1-s)^b with M(s) = (N/c)(1+s) and b = a - g, and
+    since t = s/(1-s) and 1/(1-s) = 1+t, each s^i/(1-s)^b is
+    t^i (1+t)^(b-i).  So theta[k] = sum_i m_i C(b-i, k-i).  The quotient
+    is a polynomial in t exactly when c divides N and deg M <= b (at
+    t = -1 a higher term of M leaves a pole); otherwise f is not in
     normal form and NotFineStructure is raised.
     """
     if g < 1:
         raise ValueError("order g must be >= 1")
-    num = f.num * TWO_MINUS_C ** g
-    den = f.den * POLY_C
-    n_t, dn = _mobius_substitute(num)
-    d_t, dd = _mobius_substitute(den)
-    one_plus = PolyC((1, 1))
-    if dd >= dn:
-        n_t = n_t * one_plus ** (dd - dn)
-    else:
-        d_t = d_t * one_plus ** (dn - dd)
-    q, r = divmod(n_t, d_t)
-    if r:
+    a = f.den.degree
+    n = (-f.num if a % 2 else f.num).coeffs  # f.den is (c-2)^a
+    b = a - g
+    if n and (n[0] or len(n) - 2 > b):
         raise NotFineStructure(f"no polynomial normal form at order g={g}")
-    return FineStructureForm(g, {k: q[k] for k in range(q.degree + 1)})
+    m = [sum(n[j + 1] * comb(j, i) for j in range(i, len(n) - 1))
+         for i in range(len(n) - 1)]
+    return FineStructureForm(g, {
+        k: sum(m[i] * comb(b - i, k - i) for i in range(min(k + 1, len(m))))
+        for k in range(b + 1)})
 
 
 def fine_structure_to_rational(form: FineStructureForm) -> RationalFnC:

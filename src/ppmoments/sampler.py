@@ -283,32 +283,36 @@ def mc_moments(n: int, ks: Sequence[int], trials: int,
 
     Each trial draws a Poisson(n) size from its own stream and reads the
     exact scaled 2k-th moment of the transformed measure at that size,
-    transformed_moment(size, k) / n^k, rounded once to a float.  The
-    estimate thus tests the Poisson draw and the exact lookup; no shape
-    is sampled, since the moment does not depend on one.  Returns
-    (mean, standard error) per requested k.
+    transformed_moment(size, k) / n^k.  The estimate thus tests the
+    Poisson draw and the exact lookup; no shape is sampled, since the
+    moment does not depend on one.  The integer moments and their
+    squares are summed exactly, and the mean and the variance of the
+    mean are each rounded once, so the spread survives at any n where a
+    float sum of squares would cancel.  Returns (mean, standard error)
+    per requested k.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if any(k < 0 for k in ks):
         raise ValueError("moment orders must be nonnegative")
     root = RngState(seed)
-    sums = [0.0] * len(ks)
-    sq_sums = [0.0] * len(ks)
+    sums = [0] * len(ks)
+    sq_sums = [0] * len(ks)
     for t in range(trials):
         size = poisson_sample(n, root.split(t))
         for i, k in enumerate(ks):
-            v = transformed_moment(size, k) / n ** k
+            v = transformed_moment(size, k)
             sums[i] += v
             sq_sums[i] += v * v
     out = []
-    for i in range(len(ks)):
-        mean = sums[i] / trials
+    for s1, s2, k in zip(sums, sq_sums, ks):
+        scale = n ** k
+        mean = s1 / (trials * scale)
         if trials == 1:
             se = 0.0
         else:
-            var = max(0.0, (sq_sums[i] - trials * mean * mean) / (trials - 1))
-            se = math.sqrt(var / trials)
+            se = math.sqrt((trials * s2 - s1 * s1)
+                           / (trials * trials * (trials - 1) * scale * scale))
         out.append((mean, se))
     return out
 

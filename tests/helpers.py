@@ -4,15 +4,27 @@ These deliberately recompute things along different routes than the
 library code: coefficientwise operators on raw series grids, explicit
 enumeration of marked step pairs, and Newton's identities on Hermite
 coefficients.
+
+The exhaustive enumerators live here, not in the package: no report
+runs them, and they are the references that the package's rook transfer
+matrix and word normal ordering are compared with.  They cover lattice
+paths (LatticePath, iter_paths), their marked step pairs
+(marking_counts, count_markings, brute_marking_count), the partition
+cut out above a path (path_to_partition), and rook placements on
+partition diagrams (RookPlacement, iter_rook_placements,
+rook_polynomial) summed over every staircase shape
+(staircase_partitions, rook_counts_exhaustive).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
+from typing import Iterable, Iterator
 
-from ppmoments import AnsatzSum, PolyC, ansatz_to_series, g_series
+from ppmoments import AnsatzSum, Partition, PolyC, ansatz_to_series, g_series
 
 
 def euler_grid(r, grid):
@@ -60,6 +72,133 @@ def random_ansatz_sum(rng: Random) -> AnsatzSum:
     return AnsatzSum(terms)
 
 
+class UnbalancedPath(ValueError):
+    """The path does not return to height zero."""
+
+
+class LatticePath:
+    """Nonnegative lattice path from height zero: steps of +1/-1."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: Iterable[int]):
+        ss = tuple(int(s) for s in steps)
+        if any(s not in (1, -1) for s in ss):
+            raise ValueError("steps must be +1 or -1")
+        h = 0
+        for s in ss:
+            h += s
+            if h < 0:
+                raise ValueError("path dips below height zero")
+        object.__setattr__(self, "steps", ss)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LatticePath is immutable")
+
+    @classmethod
+    def from_string(cls, word: str) -> "LatticePath":
+        return cls(1 if ch == "U" else -1 for ch in word.upper())
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LatticePath):
+            return self.steps == other.steps
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.steps)
+
+    @property
+    def end_height(self) -> int:
+        return sum(self.steps)
+
+    def heights(self) -> list[int]:
+        hs = [0]
+        for s in self.steps:
+            hs.append(hs[-1] + s)
+        return hs
+
+    def __repr__(self) -> str:
+        return "".join("U" if s == 1 else "D" for s in self.steps) or "(empty)"
+
+
+def iter_paths(length: int, start_height: int = 0,
+               end_height: int = 0) -> Iterator[tuple[int, ...]]:
+    """Yield all nonnegative step sequences between the given heights."""
+
+    def rec(remaining: int, h: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            if h == end_height:
+                yield tuple(acc)
+            return
+        if abs(end_height - h) > remaining:
+            return
+        acc.append(1)
+        yield from rec(remaining - 1, h + 1, acc)
+        acc.pop()
+        if h > 0:
+            acc.append(-1)
+            yield from rec(remaining - 1, h - 1, acc)
+            acc.pop()
+
+    yield from rec(length, start_height, [])
+
+
+def path_to_partition(p: LatticePath) -> Partition:
+    """Partition cut out above a balanced path inside its bounding staircase.
+
+    One part per down step: the number of up steps strictly to its right.
+    Zero parts are dropped by canonicalization.
+    """
+    if p.end_height != 0:
+        raise UnbalancedPath(f"path ends at height {p.end_height}")
+    ups_after = 0
+    parts_rev: list[int] = []
+    for s in reversed(p.steps):
+        if s == 1:
+            ups_after += 1
+        else:
+            parts_rev.append(ups_after)
+    return Partition(reversed(parts_rev))
+
+
+def marking_counts(p: LatticePath) -> dict[int, int]:
+    """Number of markings of one path, per number of pairs.
+
+    Forward sweep: a down step may open a pending pair; an up step may
+    close any one pending pair.  Counting closures gives the tally.
+    """
+    states: dict[tuple[int, int], int] = {(0, 0): 1}  # (open, closed) -> ways
+    for s in p.steps:
+        nxt: dict[tuple[int, int], int] = {}
+        for (open_, closed), w in states.items():
+            if s == -1:
+                for key in ((open_, closed), (open_ + 1, closed)):
+                    nxt[key] = nxt.get(key, 0) + w
+            else:
+                nxt[(open_, closed)] = nxt.get((open_, closed), 0) + w
+                if open_:
+                    key = (open_ - 1, closed + 1)
+                    nxt[key] = nxt.get(key, 0) + open_ * w
+        states = nxt
+    out: dict[int, int] = {}
+    for (open_, closed), w in states.items():
+        if open_ == 0:
+            out[closed] = out.get(closed, 0) + w
+    return out
+
+
+def count_markings(p: LatticePath, g: int) -> int:
+    """Number of markings of p with exactly g pairs."""
+    if p.end_height != 0:
+        raise UnbalancedPath(f"path ends at height {p.end_height}")
+    if g < 0:
+        raise ValueError("g must be nonnegative")
+    return marking_counts(p).get(g, 0)
+
+
 def brute_marking_count(path, g: int) -> int:
     """Count marked pair sets by explicit enumeration and injections."""
     downs = [i for i, s in enumerate(path.steps) if s == -1]
@@ -80,6 +219,139 @@ def brute_marking_count(path, g: int) -> int:
 
         total += injections(0, set())
     return total
+
+
+def conjugate(shape: Partition) -> Partition:
+    """Transposed diagram: column j's height is the number of parts >= j."""
+    if not shape.parts:
+        return shape
+    cols = [0] * shape.parts[0]
+    for p in shape.parts:
+        for j in range(p):
+            cols[j] += 1
+    return Partition(cols)
+
+
+def cells(shape: Partition) -> Iterator[tuple[int, int]]:
+    """All diagram cells as 1-indexed (row, column)."""
+    for i, p in enumerate(shape.parts, start=1):
+        for j in range(1, p + 1):
+            yield i, j
+
+
+def fits_staircase(shape: Partition, k: int) -> bool:
+    """Part i at most k - i: the diagram fits above a semilength-k path."""
+    return all(p <= k - i for i, p in enumerate(shape.parts, start=1))
+
+
+class RookPlacement:
+    """Non-attacking rooks on the cells of a partition diagram."""
+
+    __slots__ = ("shape", "rooks")
+
+    def __init__(self, shape: Partition, rooks: Iterable[tuple[int, int]]):
+        rs = frozenset((int(r), int(c)) for r, c in rooks)
+        parts = shape.parts
+        for r, c in rs:
+            if not (1 <= r <= len(parts) and 1 <= c <= parts[r - 1]):
+                raise ValueError(f"cell ({r}, {c}) outside the diagram")
+        rows = [r for r, _ in rs]
+        cols = [c for _, c in rs]
+        if len(set(rows)) != len(rs) or len(set(cols)) != len(rs):
+            raise ValueError("two rooks share a row or column")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rooks", rs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RookPlacement is immutable")
+
+    def __len__(self) -> int:
+        return len(self.rooks)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RookPlacement):
+            return self.shape == other.shape and self.rooks == other.rooks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.rooks))
+
+
+def iter_rook_placements(shape: Partition, g: int) -> Iterator[RookPlacement]:
+    """Exhaustively yield all placements of g non-attacking rooks."""
+    diagram = list(cells(shape))
+
+    def rec(idx: int, chosen: list[tuple[int, int]],
+            rows: set[int], cols: set[int]) -> Iterator[RookPlacement]:
+        if len(chosen) == g:
+            yield RookPlacement(shape, chosen)
+            return
+        if idx == len(diagram) or len(diagram) - idx < g - len(chosen):
+            return
+        r, c = diagram[idx]
+        if r not in rows and c not in cols:
+            chosen.append((r, c))
+            rows.add(r)
+            cols.add(c)
+            yield from rec(idx + 1, chosen, rows, cols)
+            chosen.pop()
+            rows.discard(r)
+            cols.discard(c)
+        yield from rec(idx + 1, chosen, rows, cols)
+
+    yield from rec(0, [], set(), set())
+
+
+def rook_polynomial(shape: Partition) -> list[int]:
+    """Counts of g-rook placements for g = 0, 1, ... on a partition diagram.
+
+    Column-by-column recursion in increasing column height: a rook in a
+    column of height h, with t rooks already placed in shorter columns,
+    has h - t free rows.
+    """
+    heights = sorted(conjugate(shape).parts)
+    ways = [1]
+    for h in heights:
+        nxt = ways + [0]
+        for t in range(len(ways)):
+            free = h - t
+            if free > 0:
+                nxt[t + 1] += ways[t] * free
+        ways = nxt
+    while len(ways) > 1 and ways[-1] == 0:
+        ways.pop()
+    return ways
+
+
+def count_rook_placements(shape: Partition, g: int) -> int:
+    poly = rook_polynomial(shape)
+    return poly[g] if 0 <= g < len(poly) else 0
+
+
+def staircase_partitions(k: int) -> Iterator[Partition]:
+    """All partitions with part i at most k - i."""
+
+    def rec(i: int, cap: int, acc: list[int]) -> Iterator[Partition]:
+        yield Partition(acc)
+        top = min(cap, k - i)
+        for part in range(top, 0, -1):
+            acc.append(part)
+            yield from rec(i + 1, part, acc)
+            acc.pop()
+
+    yield from rec(1, k - 1, [])
+
+
+@lru_cache(maxsize=None)
+def rook_counts_exhaustive(k: int) -> tuple[int, ...]:
+    """Rook counts per g summed over every staircase shape."""
+    totals: list[int] = []
+    for shape in staircase_partitions(k):
+        for g, n in enumerate(rook_polynomial(shape)):
+            if g == len(totals):
+                totals.append(0)
+            totals[g] += n
+    return tuple(totals)
 
 
 def hermite_coeffs(n: int) -> list[int]:

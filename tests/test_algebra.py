@@ -218,6 +218,8 @@ def test_fine_structure_form_basics():
 def test_fine_structure_form_rejects_non_polynomial():
     with pytest.raises(NotFineStructure):
         fine_structure_form(RationalFnC(POLY_ONE), 1)
+    with pytest.raises(NotFineStructure):  # c divides, but deg 3 > a - g
+        fine_structure_form(RationalFnC(POLY_C * C_MINUS_ONE ** 3, 2), 1)
 
 
 def test_fine_structure_round_trip_randomized():

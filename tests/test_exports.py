@@ -1,9 +1,11 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
 from pathlib import Path
 
 import ppmoments
+import ppmoments.oracles as oracles
 
 
 def test_every_exported_name_resolves():
@@ -40,3 +42,28 @@ def test_every_benchmark_span_resolves():
                for owner, attr in spanned
                if not callable(getattr(owner, attr, None))]
     assert not missing, f"benchmark spans missing names {missing}"
+
+
+def test_exhaustive_enumerators_stay_out_of_the_package():
+    # the enumerators are test references in tests/helpers.py; no report
+    # runs them, so the package neither exports nor imports them
+    gone = ["LatticePath", "Marking", "RookPlacement", "UnbalancedPath",
+            "_rook_counts_exhaustive", "count_markings",
+            "count_rook_placements", "iter_paths", "iter_rook_placements",
+            "marking_counts", "path_to_partition", "rook_polynomial",
+            "staircase_partitions"]
+    for owner in (ppmoments, oracles):
+        present = [name for name in gone if hasattr(owner, name)]
+        assert not present, f"{owner.__name__} still has {present}"
+    for method in ("cells", "conjugate", "fits_staircase"):
+        assert not hasattr(ppmoments.Partition, method)
+    for path in Path(ppmoments.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "helpers" for n in names), \
+                f"{path.name} imports helpers"

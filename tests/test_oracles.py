@@ -4,31 +4,35 @@ import tracemalloc
 import pytest
 
 from ppmoments import (
-    LatticePath,
-    Marking,
     MomentPolynomial,
     Partition,
-    RookPlacement,
-    UnbalancedPath,
     catalan_number,
-    count_markings,
-    count_rook_placements,
     enum_paths,
-    iter_paths,
-    iter_rook_placements,
-    marking_counts,
     moment_polynomial,
     moment_polynomials,
     partitions_of,
-    path_to_partition,
     rook_counts,
-    rook_polynomial,
-    staircase_partitions,
     word_moment,
 )
-from ppmoments.oracles import _dyck_words, _rook_counts_exhaustive
+from ppmoments.oracles import _dyck_words
 
-from helpers import brute_marking_count
+from helpers import (
+    LatticePath,
+    RookPlacement,
+    UnbalancedPath,
+    brute_marking_count,
+    conjugate,
+    count_markings,
+    count_rook_placements,
+    fits_staircase,
+    iter_paths,
+    iter_rook_placements,
+    marking_counts,
+    path_to_partition,
+    rook_counts_exhaustive,
+    rook_polynomial,
+    staircase_partitions,
+)
 
 P = LatticePath.from_string
 
@@ -38,9 +42,9 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition((1, 2))
     assert Partition(()).size == 0
-    assert Partition((3, 1)).conjugate() == Partition((2, 1, 1))
-    assert Partition((2, 1)).fits_staircase(3)
-    assert not Partition((3,)).fits_staircase(3)
+    assert conjugate(Partition((3, 1))) == Partition((2, 1, 1))
+    assert fits_staircase(Partition((2, 1)), 3)
+    assert not fits_staircase(Partition((3,)), 3)
 
 
 def test_partition_corner_contents():
@@ -113,21 +117,9 @@ def test_path_to_partition_lands_in_staircase():
         seen = set()
         for steps in iter_paths(2 * k):
             lam = path_to_partition(LatticePath(steps))
-            assert lam.fits_staircase(k)
+            assert fits_staircase(lam, k)
             seen.add(lam)
         assert len(seen) == catalan_number(k)
-
-
-def test_marking_validation():
-    p = P("UDUD")
-    m = Marking(p, [(1, 2)])
-    assert len(m) == 1
-    with pytest.raises(ValueError):
-        Marking(p, [(2, 1)])  # down index is an up step
-    with pytest.raises(ValueError):
-        Marking(p, [(3, 2)])  # up step before the down step
-    with pytest.raises(ValueError):
-        Marking(p, [(1, 2), (3, 2)])  # reused up step
 
 
 def test_count_markings_examples():
@@ -173,7 +165,7 @@ def test_staircase_partition_counts():
     for k in range(1, 8):
         shapes = list(staircase_partitions(k))
         assert len(shapes) == catalan_number(k)
-        assert all(s.fits_staircase(k) for s in shapes)
+        assert all(fits_staircase(s, k) for s in shapes)
 
 
 def test_rook_counts_examples():
@@ -195,7 +187,7 @@ def test_rook_count_strategies_agree_on_overlap():
     assert [mp.k for mp in rows] == list(range(1, 11))
     for k, mp in enumerate(rows, start=1):
         assert mp == MomentPolynomial(k, dict(enumerate(
-            _rook_counts_exhaustive(k))))
+            rook_counts_exhaustive(k))))
 
 
 def test_moment_rows_do_not_depend_on_the_horizon():

@@ -20,6 +20,7 @@ from ppmoments import (
     transformed_moment,
     transition_measure,
 )
+from ppmoments.cli import run_sample
 
 from helpers import hermite_coeffs, power_sums
 
@@ -248,10 +249,10 @@ def test_mc_moment_is_reproducible():
     assert a != c
     # pinned floats; n = 2 draws by inversion, n = 50 by PTRS rejection
     assert mc_moments(2, [2, 3], 2000, seed=7) == [
-        (2.50175, 0.08073475874358386), (9.488125, 0.5137418607914409)]
+        (2.50175, 0.08073475874358388), (9.488125, 0.5137418607914409)]
     assert mc_moments(50, [1, 4], 300, seed=3) == [
-        (0.9911333333333321, 0.00813049551165022),
-        (14.40513666826664, 0.4619811068139303)]
+        (0.9911333333333333, 0.008130495511649783),
+        (14.405136668266667, 0.4619811068139281)]
 
 
 def test_mc_moments_never_samples_a_shape(monkeypatch):
@@ -263,7 +264,7 @@ def test_mc_moments_never_samples_a_shape(monkeypatch):
     monkeypatch.setattr(sampler, "rsk_shape", boom)
     monkeypatch.setattr(sampler, "sample_pp", boom)
     assert mc_moments(2, [2, 3], 2000, seed=7)[0] == (2.50175,
-                                                       0.08073475874358386)
+                                                       0.08073475874358388)
 
 
 def test_mc_moments_consistency_with_exact_values():
@@ -273,6 +274,16 @@ def test_mc_moments_consistency_with_exact_values():
         for (est, err), target in zip(results, targets):
             assert err > 0
             assert abs(est - float(target)) < 4 * err
+
+
+def test_mc_standard_error_survives_large_n():
+    # a float sum of squares cancels here: stderr read 0.0 at n = 2**53
+    # and about twice the true value at n = 10**15
+    result = run_sample(2 ** 53, 1, 20)["results"][0]
+    assert result["stderr"] > 0 and result["z"] is not None
+    n, trials = 10 ** 15, 200
+    (_, err), = mc_moments(n, [1], trials)
+    assert abs(err / math.sqrt(1 / (n * trials)) - 1) < 0.1
 
 
 def test_mc_moment_argument_validation():
