@@ -13,7 +13,6 @@ from .algebra import (
     expand_in_x,
     fine_structure_form,
     fine_structure_to_rational,
-    rat_to_str,
     theta_support_window,
 )
 from .ansatz import (
@@ -39,7 +38,7 @@ from .oracles import (
     moment_polynomial,
     moment_polynomials,
     partitions_of,
-    rook_counts,
+    path_counts,
     word_moment,
 )
 from .sampler import (

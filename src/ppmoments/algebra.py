@@ -48,7 +48,6 @@ __all__ = [
     "expand_in_x",
     "fine_structure_form",
     "fine_structure_to_rational",
-    "rat_to_str",
     "strip_two_minus_c",
     "theta_support_window",
 ]
@@ -58,13 +57,6 @@ Scalar = Union[int, Fraction]
 
 class NotFineStructure(ValueError):
     """The function is not c/(2-c)^g times a polynomial in t = (c-1)/(2-c)."""
-
-
-def rat_to_str(q: Fraction) -> str:
-    """Render a rational exactly, "p/q" or just "p" for integers."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _exact(c) -> Scalar:
@@ -218,7 +210,7 @@ class PolyC:
         return acc
 
     def to_json(self) -> list[str]:
-        return [rat_to_str(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     def __repr__(self) -> str:
         if not self:
@@ -228,9 +220,9 @@ class PolyC:
             if co == 0:
                 continue
             if i == 0:
-                parts.append(rat_to_str(co))
+                parts.append(str(co))
             else:
-                mag = "" if abs(co) == 1 else f"{rat_to_str(abs(co))}*"
+                mag = "" if abs(co) == 1 else f"{abs(co)}*"
                 var = "c" if i == 1 else f"c^{i}"
                 parts.append(("-" if co < 0 else "") + mag + var)
         out = parts[0]
@@ -436,7 +428,7 @@ class SeriesX:
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"SeriesX(order={self.order}, {[rat_to_str(c) for c in self.coeffs]})"
+        return f"SeriesX(order={self.order}, {[str(c) for c in self.coeffs]})"
 
 
 def catalan_number(k: int) -> int:
@@ -489,11 +481,11 @@ class FineStructureForm:
 
     def to_json(self) -> dict:
         return {"g": self.g,
-                "theta": {str(k): rat_to_str(v)
+                "theta": {str(k): str(v)
                           for k, v in sorted(self.theta.items())}}
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {rat_to_str(v)}"
+        body = ", ".join(f"{k}: {v}"
                          for k, v in sorted(self.theta.items()))
         return f"FineStructureForm(g={self.g}, {{{body}}})"
 

@@ -2,19 +2,24 @@
 
 Three production routes feed the reports:
 
-  * the rook transfer matrix (moment_polynomials, rook_counts): rook
-    placements on staircase-bounded partitions, counted by one walk of
-    2k_max steps over (height, open pairs) that yields every row
-    k = 1..k_max;
-  * word normal ordering (word_moment): raising/lowering operator words
-    rewritten under LOWER*RAISE -> RAISE*LOWER + 1/n;
-  * enum_paths: nonnegative lattice paths between two heights.
+  * the rook transfer matrix (moment_polynomials): rook placements on
+    staircase-bounded partitions, counted by one walk of 2k_max steps
+    over (height, open pairs) that yields every row k = 1..k_max;
+  * word normal ordering (word_moment): the sum of all raising/lowering
+    operator words of length 2k, normal-ordered under [d, u] = 1/n by
+    one walk over (height, pending lowering steps);
+  * path_counts and enum_paths: nonnegative lattice paths between two
+    heights.
 
 The first two give the same moment polynomials independently, and the
-closed forms are checked against them.  The exhaustive references the
-test suite compares these routes with (explicit lattice paths and their
-marked step pairs, explicit rook placements on every staircase shape)
-live in tests/helpers.py, outside the package.  Partition and
+closed forms are checked against them.  They are different recurrences
+and share no code: the rook walk decides at a down step whether it opens
+a pair and reads only state (0, 0), while the word walk keeps every
+lowering step pending, contracts one at a raising step, and sums every
+state at height 0.  The exhaustive references the test suite compares
+these routes with (explicit lattice paths and their marked step pairs,
+explicit rook placements on every staircase shape, per-word normal
+ordering) live in tests/helpers.py, outside the package.  Partition and
 partitions_of serve the sampler.
 """
 
@@ -31,7 +36,7 @@ __all__ = [
     "moment_polynomial",
     "moment_polynomials",
     "partitions_of",
-    "rook_counts",
+    "path_counts",
     "word_moment",
 ]
 
@@ -113,19 +118,30 @@ def partitions_of(total: int) -> Iterator[Partition]:
     yield from rec(total, total, [])
 
 
-def enum_paths(length: int, start_height: int, end_height: int) -> int:
-    """Count nonnegative paths of the given length between two heights."""
-    if length < 0 or start_height < 0 or end_height < 0:
+def path_counts(start_height: int, max_length: int) -> list[dict[int, int]]:
+    """Nonnegative paths from one height, by length and end height.
+
+    Entry [length][end] counts the paths of that length from
+    start_height to end; one walk yields every length up to max_length.
+    """
+    if start_height < 0 or max_length < 0:
         raise ValueError("arguments must be nonnegative")
-    ways = {start_height: 1}
-    for _ in range(length):
+    rows = [{start_height: 1}]
+    for _ in range(max_length):
         nxt: dict[int, int] = {}
-        for h, w in ways.items():
+        for h, w in rows[-1].items():
             nxt[h + 1] = nxt.get(h + 1, 0) + w
             if h > 0:
                 nxt[h - 1] = nxt.get(h - 1, 0) + w
-        ways = nxt
-    return ways.get(end_height, 0)
+        rows.append(nxt)
+    return rows
+
+
+def enum_paths(length: int, start_height: int, end_height: int) -> int:
+    """Count nonnegative paths of the given length between two heights."""
+    if end_height < 0:
+        raise ValueError("arguments must be nonnegative")
+    return path_counts(start_height, length)[length].get(end_height, 0)
 
 
 def _rook_rows(k_max: int) -> list[tuple[int, ...]]:
@@ -221,71 +237,40 @@ def moment_polynomial(k: int) -> MomentPolynomial:
     return moment_polynomials(k)[-1]
 
 
-def rook_counts(k: int, g: int) -> int:
-    """Number of g-rook placements over all semilength-k staircase shapes."""
-    if g < 0:
-        raise ValueError("g must be nonnegative")
-    return moment_polynomial(k).counts.get(g, 0)
-
-
-def _normal_order(word: str, memo: dict[str, dict[int, int]]) -> dict[int, int]:
-    """Tally of commutator insertions needed to normal-order a word.
-
-    A word spells raising steps as "u" and lowering steps as "d".  Scans
-    for the first lowering step immediately left of a raising step and
-    rewrites it as the swap plus the deletion weighted by one power of
-    1/n; a fully ordered word evaluates to 1.  Leading raising and
-    trailing lowering steps are never rewritten, so they are stripped
-    before the lookup in memo, which the caller owns.
-    """
-    word = word.lstrip("u").rstrip("d")
-    cached = memo.get(word)
-    if cached is not None:
-        return cached
-    spot = word.find("du")
-    if spot < 0:
-        result = {0: 1}
-    else:
-        swapped = _normal_order(word[:spot] + "ud" + word[spot + 2:], memo)
-        dropped = _normal_order(word[:spot] + word[spot + 2:], memo)
-        result = dict(swapped)
-        for g, n in dropped.items():
-            result[g + 1] = result.get(g + 1, 0) + n
-    memo[word] = result
-    return result
-
-
-def _dyck_words(k: int) -> Iterator[str]:
-    """Yield the semilength-k nonnegative balanced paths as "u"/"d" words.
-
-    A raising step is tried before a lowering one, the order of the
-    reference enumerator iter_paths in tests/helpers.py; once every
-    raising step is placed the word closes with the lowering steps it
-    still needs.
-    """
-
-    def rec(word: str, ups: int, h: int) -> Iterator[str]:
-        if ups == 0:
-            yield word + "d" * h
-            return
-        yield from rec(word + "u", ups - 1, h + 1)
-        if h > 0:
-            yield from rec(word + "d", ups, h - 1)
-
-    yield from rec("", k, 0)
-
-
 def word_moment(k: int) -> MomentPolynomial:
-    """Moment of order 2k by normal-ordering operator words.
+    """Moment of order 2k by normal-ordering the sum of all operator words.
 
-    Words are the step sequences of nonnegative balanced paths; each
-    application of the commutation rule contributes one power of 1/n.
+    The words are the step sequences of nonnegative balanced paths, with
+    a raising step for up and a lowering step for down, and [d, u] = 1/n.
+    One walk normal-orders all of them at once, letter by letter.  State
+    (height, pending) holds a tally by power of 1/n, where pending counts
+    the lowering steps that no raising step has passed yet.  A lowering
+    step adds one pending.  A raising step passes them all, and by
+    d^j u = u d^j + (j/n) d^(j-1) it may instead contract one of the j,
+    with weight j and one more power of 1/n.  A state higher than the
+    steps left cannot return to height 0 and is dropped.  Every ordered
+    word counts 1, so the tallies left after step 2k sum to the moment.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    states: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
+    for left in reversed(range(2 * k)):
+        nxt: dict[tuple[int, int], dict[int, int]] = {}
+        for (h, pending), tally in states.items():
+            steps = [(h + 1, pending, 0, 1)]
+            if pending:
+                steps.append((h + 1, pending - 1, 1, pending))
+            if h:
+                steps.append((h - 1, pending + 1, 0, 1))
+            for to_h, to_pending, extra, weight in steps:
+                if to_h > left:
+                    continue
+                slot = nxt.setdefault((to_h, to_pending), {})
+                for g, n in tally.items():
+                    slot[g + extra] = slot.get(g + extra, 0) + weight * n
+        states = nxt
     totals: dict[int, int] = {}
-    memo: dict[str, dict[int, int]] = {}
-    for word in _dyck_words(k):
-        for g, n in _normal_order(word, memo).items():
+    for tally in states.values():
+        for g, n in tally.items():
             totals[g] = totals.get(g, 0) + n
     return MomentPolynomial(k, totals)

@@ -31,10 +31,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .algebra import rat_to_str
 from .oracles import DuplicateEntries, Partition
 
 __all__ = [
@@ -224,7 +222,7 @@ class TransitionMeasure:
     def to_json(self) -> dict:
         return {"n": self.n,
                 "atoms": [str(a) for a in self.atoms],
-                "weights": [rat_to_str(w) for w in self.weights]}
+                "weights": [str(w) for w in self.weights]}
 
 
 def transition_measure(shape: Partition, n: int) -> TransitionMeasure:
@@ -249,7 +247,6 @@ def transition_measure(shape: Partition, n: int) -> TransitionMeasure:
     return TransitionMeasure(uppers, weights, lowers, n)
 
 
-@lru_cache(maxsize=None)
 def transformed_moment(size: int, k: int) -> int:
     """Exact unscaled 2k-th moment of the transformed measure at a size.
 
@@ -283,27 +280,30 @@ def mc_moments(n: int, ks: Sequence[int], trials: int,
 
     Each trial draws a Poisson(n) size from its own stream and reads the
     exact scaled 2k-th moment of the transformed measure at that size,
-    transformed_moment(size, k) / n^k.  The estimate thus tests the
-    Poisson draw and the exact lookup; no shape is sampled, since the
-    moment does not depend on one.  The integer moments and their
-    squares are summed exactly, and the mean and the variance of the
-    mean are each rounded once, so the spread survives at any n where a
-    float sum of squares would cancel.  Returns (mean, standard error)
-    per requested k.
+    transformed_moment(size, k) / n^k, computed once per distinct size.
+    The estimate thus tests the Poisson draw and the exact lookup; no
+    shape is sampled, since the moment does not depend on one.  The
+    integer moments and their squares are summed exactly, and the mean
+    and the variance of the mean are each rounded once, so the spread
+    survives at any n where a float sum of squares would cancel.
+    Returns (mean, standard error) per requested k.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if any(k < 0 for k in ks):
         raise ValueError("moment orders must be nonnegative")
     root = RngState(seed)
-    sums = [0] * len(ks)
-    sq_sums = [0] * len(ks)
+    counts: dict[int, int] = {}
     for t in range(trials):
         size = poisson_sample(n, root.split(t))
+        counts[size] = counts.get(size, 0) + 1
+    sums = [0] * len(ks)
+    sq_sums = [0] * len(ks)
+    for size, count in counts.items():
         for i, k in enumerate(ks):
             v = transformed_moment(size, k)
-            sums[i] += v
-            sq_sums[i] += v * v
+            sums[i] += count * v
+            sq_sums[i] += count * v * v
     out = []
     for s1, s2, k in zip(sums, sq_sums, ks):
         scale = n ** k

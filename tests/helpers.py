@@ -13,7 +13,8 @@ paths (LatticePath, iter_paths), their marked step pairs
 cut out above a path (path_to_partition), and rook placements on
 partition diagrams (RookPlacement, iter_rook_placements,
 rook_polynomial) summed over every staircase shape
-(staircase_partitions, rook_counts_exhaustive).
+(staircase_partitions, rook_counts_exhaustive), and the Dyck words
+(dyck_words) each rewritten on its own (normal_order).
 """
 
 from __future__ import annotations
@@ -352,6 +353,52 @@ def rook_counts_exhaustive(k: int) -> tuple[int, ...]:
                 totals.append(0)
             totals[g] += n
     return tuple(totals)
+
+
+def dyck_words(k: int) -> Iterator[str]:
+    """Yield the semilength-k nonnegative balanced paths as "u"/"d" words.
+
+    A raising step is tried before a lowering one, the order of
+    iter_paths; once every raising step is placed the word closes with
+    the lowering steps it still needs.
+    """
+
+    def rec(word: str, ups: int, h: int) -> Iterator[str]:
+        if ups == 0:
+            yield word + "d" * h
+            return
+        yield from rec(word + "u", ups - 1, h + 1)
+        if h > 0:
+            yield from rec(word + "d", ups, h - 1)
+
+    yield from rec("", k, 0)
+
+
+def normal_order(word: str, memo: dict[str, dict[int, int]]) -> dict[int, int]:
+    """Tally of commutator insertions needed to normal-order one word.
+
+    A word spells raising steps as "u" and lowering steps as "d".  Scans
+    for the first lowering step immediately left of a raising step and
+    rewrites it as the swap plus the deletion weighted by one power of
+    1/n; a fully ordered word evaluates to 1.  Leading raising and
+    trailing lowering steps are never rewritten, so they are stripped
+    before the lookup in memo, which the caller owns.
+    """
+    word = word.lstrip("u").rstrip("d")
+    cached = memo.get(word)
+    if cached is not None:
+        return cached
+    spot = word.find("du")
+    if spot < 0:
+        result = {0: 1}
+    else:
+        swapped = normal_order(word[:spot] + "ud" + word[spot + 2:], memo)
+        dropped = normal_order(word[:spot] + word[spot + 2:], memo)
+        result = dict(swapped)
+        for g, n in dropped.items():
+            result[g + 1] = result.get(g + 1, 0) + n
+    memo[word] = result
+    return result
 
 
 def hermite_coeffs(n: int) -> list[int]:

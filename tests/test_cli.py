@@ -184,7 +184,7 @@ def test_sample_zero_stderr_does_not_hide_a_mismatch(capsys):
 def test_usage_errors_exit_two(capsys):
     for args in (["moments", "--k-max", "0"],
                  ["sample", "--trials", "-3"],
-                 ["verify", "--k-max", "13"],
+                 ["verify", "--k-max", "0"],
                  ["sample", "--n", str(2**53 + 1)],
                  ["bogus"],
                  []):
@@ -192,12 +192,19 @@ def test_usage_errors_exit_two(capsys):
             main(args)
         assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "Catalan(k) operator words" in err
     assert "must be at most 2**53" in err
     assert cli._build_parser().parse_args(
         ["sample", "--n", str(2**53)]).n == 2**53
-    assert cli._build_parser().parse_args(
-        ["verify", "--k-max", str(cli.VERIFY_K_MAX)]).k_max == 12
+
+
+def test_verify_runs_past_twelve(capsys):
+    # the word route is one walk, so verify --k-max has no upper bound
+    code, out = run_cli(capsys, "verify", "--g-max", "3", "--k-max", "16")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    checks = {c["check"] for c in report["results"]}
+    assert "word vs rook moments k=16" in checks
 
 
 def test_reports_are_deterministic(capsys):

@@ -48,9 +48,10 @@ def test_exhaustive_enumerators_stay_out_of_the_package():
     # the enumerators are test references in tests/helpers.py; no report
     # runs them, so the package neither exports nor imports them
     gone = ["LatticePath", "Marking", "RookPlacement", "UnbalancedPath",
-            "_rook_counts_exhaustive", "count_markings",
-            "count_rook_placements", "iter_paths", "iter_rook_placements",
-            "marking_counts", "path_to_partition", "rook_polynomial",
+            "_dyck_words", "_normal_order", "_rook_counts_exhaustive",
+            "count_markings", "count_rook_placements", "iter_paths",
+            "iter_rook_placements", "marking_counts", "path_to_partition",
+            "rat_to_str", "rook_counts", "rook_polynomial",
             "staircase_partitions"]
     for owner in (ppmoments, oracles):
         present = [name for name in gone if hasattr(owner, name)]

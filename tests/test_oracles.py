@@ -11,10 +11,9 @@ from ppmoments import (
     moment_polynomial,
     moment_polynomials,
     partitions_of,
-    rook_counts,
+    path_counts,
     word_moment,
 )
-from ppmoments.oracles import _dyck_words
 
 from helpers import (
     LatticePath,
@@ -24,10 +23,12 @@ from helpers import (
     conjugate,
     count_markings,
     count_rook_placements,
+    dyck_words,
     fits_staircase,
     iter_paths,
     iter_rook_placements,
     marking_counts,
+    normal_order,
     path_to_partition,
     rook_counts_exhaustive,
     rook_polynomial,
@@ -76,6 +77,8 @@ def test_enum_paths_examples():
     assert enum_paths(2, 1, 1) == 2
     with pytest.raises(ValueError):
         enum_paths(-1, 0, 0)
+    with pytest.raises(ValueError):
+        path_counts(-1, 3)
 
 
 def test_enum_paths_catalan_row():
@@ -90,16 +93,19 @@ def test_odd_length_balanced_paths_vanish():
 
 
 def test_iter_paths_agrees_with_enum():
-    for length in range(7):
-        for start in range(3):
+    for start in range(3):
+        rows = path_counts(start, 6)
+        assert len(rows) == 7
+        for length in range(7):
             for end in range(4):
-                assert sum(1 for _ in iter_paths(length, start, end)) == \
-                    enum_paths(length, start, end)
+                want = sum(1 for _ in iter_paths(length, start, end))
+                assert enum_paths(length, start, end) == want
+                assert rows[length].get(end, 0) == want
 
 
 def test_dyck_words_spell_iter_paths():
     for k in range(1, 8):
-        assert list(_dyck_words(k)) == [
+        assert list(dyck_words(k)) == [
             "".join("u" if step > 0 else "d" for step in path)
             for path in iter_paths(2 * k)]
 
@@ -169,17 +175,18 @@ def test_staircase_partition_counts():
 
 
 def test_rook_counts_examples():
-    assert rook_counts(2, 1) == 1
-    assert rook_counts(2, 0) == 2
-    assert rook_counts(3, 2) == 1
-    assert rook_counts(1, 1) == 0
+    rows = moment_polynomials(3)
+    assert rows[1].counts.get(1, 0) == 1
+    assert rows[1].counts.get(0, 0) == 2
+    assert rows[2].counts.get(2, 0) == 1
+    assert rows[0].counts.get(1, 0) == 0
     with pytest.raises(ValueError):
-        rook_counts(0, 0)
+        moment_polynomial(0)
 
 
 def test_rook_counts_leading_is_catalan():
-    for k in range(1, 10):
-        assert rook_counts(k, 0) == catalan_number(k)
+    for k, mp in enumerate(moment_polynomials(9), start=1):
+        assert mp.counts.get(0, 0) == catalan_number(k)
 
 
 def test_rook_count_strategies_agree_on_overlap():
@@ -207,6 +214,7 @@ def test_moment_polynomials_needs_a_positive_horizon():
 
 
 def test_marking_rook_bijection_per_path():
+    rows = moment_polynomials(5)
     for k in (2, 3, 4, 5):
         totals = {}
         for steps in iter_paths(2 * k):
@@ -217,7 +225,7 @@ def test_marking_rook_bijection_per_path():
             for g, n in marking_counts(p).items():
                 totals[g] = totals.get(g, 0) + n
         for g, n in totals.items():
-            assert n == rook_counts(k, g)
+            assert n == rows[k - 1].counts.get(g, 0)
 
 
 def test_moment_polynomial_small_values():
@@ -234,7 +242,7 @@ def test_moment_polynomial_invariants():
         assert mp.counts[0] == catalan_number(k)
         top = max(mp.counts)
         assert top <= max(k - 1, 0) or k == 1
-        assert rook_counts(k, k) == 0
+        assert mp.counts.get(k, 0) == 0
 
 
 def test_moment_polynomial_evaluate():
@@ -256,13 +264,25 @@ def test_word_moment_small_values():
 
 
 def test_word_moment_matches_rook_route():
-    for k in range(1, 7):
-        assert word_moment(k).counts == moment_polynomial(k).counts
+    for k, mp in enumerate(moment_polynomials(24), start=1):
+        assert word_moment(k).counts == mp.counts
+
+
+def test_word_walk_matches_per_word_normal_order():
+    # the walk's d^j u rule against the plain du -> ud + 1/n rewrite,
+    # applied to each Dyck word on its own
+    for k in range(1, 9):
+        memo: dict[str, dict[int, int]] = {}
+        totals: dict[int, int] = {}
+        for word in dyck_words(k):
+            for g, n in normal_order(word, memo).items():
+                totals[g] = totals.get(g, 0) + n
+        assert word_moment(k).counts == totals
 
 
 def test_word_moment_releases_its_memo():
-    # the normal-order memo must be freed when the call that built it
-    # returns; at k = 10 it holds megabytes of word tallies
+    # nothing the walk builds may outlive the call; the per-word
+    # rewrite it replaced held megabytes of word tallies at k = 10
     tracemalloc.start()
     try:
         gc.collect()

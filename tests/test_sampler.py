@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,9 @@ from ppmoments import (
     mc_moment,
     mc_moments,
     moment_polynomial,
+    moment_polynomials,
     partitions_of,
     poisson_sample,
-    rook_counts,
     rsk_shape,
     sample_pp,
     transformed_moment,
@@ -221,9 +223,10 @@ def test_transformed_moment_matches_rook_counts_via_falling_factorials():
             out *= m - i
         return out
 
+    rows = moment_polynomials(6)
     for size in range(11):
         for k in range(1, 7):
-            want = sum(rook_counts(k, g) * falling(size, k - g)
+            want = sum(rows[k - 1].counts.get(g, 0) * falling(size, k - g)
                        for g in range(k + 1))
             assert transformed_moment(size, k) == want
 
@@ -284,6 +287,23 @@ def test_mc_standard_error_survives_large_n():
     n, trials = 10 ** 15, 200
     (_, err), = mc_moments(n, [1], trials)
     assert abs(err / math.sqrt(1 / (n * trials)) - 1) < 0.1
+
+
+def test_mc_moments_releases_its_size_tally():
+    # the exact moment is computed once per distinct size inside the
+    # call; nothing may outlive it, though at n = 10**15 nearly every
+    # one of the 20,000 sizes differs
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        (est, err), = mc_moments(10 ** 15, [3], 20000)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert abs(est - 5) < 0.01 and err > 0
+    assert held < 1_000_000
 
 
 def test_mc_moment_argument_validation():
