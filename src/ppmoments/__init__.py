@@ -31,18 +31,17 @@ from .ansatz import (
     y0_coefficient,
 )
 from .oracles import (
-    DuplicateEntries,
     MomentPolynomial,
-    Partition,
     enum_paths,
     moment_polynomial,
     moment_polynomials,
-    partitions_of,
     path_counts,
     word_moment,
 )
 from .sampler import (
     DEFAULT_SEED,
+    DuplicateEntries,
+    Partition,
     RngState,
     TransitionMeasure,
     mc_moment,

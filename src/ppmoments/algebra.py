@@ -1,4 +1,4 @@
-"""Exact univariate algebra over the rationals.
+"""Exact univariate algebra with integer coefficients.
 
 Everything downstream works in the Catalan variable c, the power series
 solving c = 1 + x^2 c^2 with c(0) = 1.  This module supplies the exact
@@ -16,21 +16,15 @@ building blocks:
                c/(2-c)^g times a polynomial in t = (c-1)/(2-c), stored
                as a sparse integer-keyed coefficient map.
 
-A coefficient is a plain int when it is integral and a
-fractions.Fraction (reduced, positive denominator) only when it is not,
-so the integer polynomials that the moment pipeline produces never pay
-for Fraction arithmetic.  Every coefficient division goes through
-_exact_div, which stays in the integers when the quotient is exact and
-never yields a float.  Since an int and the Fraction of the same value
-compare and hash equal, equality is unaffected.  Rationals serialize as
-"p/q", or "p" when the denominator is 1.
+Every coefficient is a plain int.  The two divisions stay integral by
+contract: divmod by a PolyC needs a leading coefficient of +-1, and
+SeriesX.inverse a constant term of +-1; other divisors raise ValueError.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "FineStructureForm",
@@ -52,38 +46,17 @@ __all__ = [
     "theta_support_window",
 ]
 
-Scalar = Union[int, Fraction]
-
-
 class NotFineStructure(ValueError):
     """The function is not c/(2-c)^g times a polynomial in t = (c-1)/(2-c)."""
 
 
-def _exact(c) -> Scalar:
-    """Canonical coefficient: an int when integral, else a Fraction."""
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)  # ints of other types, floats (exactly) and strings
-    return c.numerator if c.denominator == 1 else c
-
-
-def _exact_div(a: Scalar, b: Scalar) -> Scalar:
-    """Exact quotient a / b: floor division when it is exact, else a Fraction."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _exact(Fraction(a, b))
-
-
 class PolyC:
-    """Dense univariate polynomial with exact (int or Fraction) coefficients."""
+    """Dense univariate polynomial with int coefficients."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if type(c) is int else _exact(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -97,7 +70,7 @@ class PolyC:
         return len(self.coeffs) - 1
 
     @property
-    def leading(self) -> Scalar:
+    def leading(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
     def __bool__(self) -> bool:
@@ -106,14 +79,14 @@ class PolyC:
     def __eq__(self, other) -> bool:
         if isinstance(other, PolyC):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self == PolyC((other,))
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __getitem__(self, i: int) -> Scalar:
+    def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other) -> "PolyC":
@@ -143,7 +116,7 @@ class PolyC:
         return -(self - other)
 
     def __mul__(self, other) -> "PolyC":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return PolyC(c * other for c in self.coeffs)
         if not isinstance(other, PolyC):
             return NotImplemented
@@ -171,32 +144,33 @@ class PolyC:
         return result
 
     def __divmod__(self, other) -> tuple["PolyC", "PolyC"]:
+        """Quotient and remainder by a divisor with leading coefficient +-1."""
         other = _as_poly(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [0] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
         d, lead = other.degree, other.leading
+        if lead not in (1, -1):
+            raise ValueError("polynomial division needs a divisor with "
+                             "leading coefficient +-1")
+        q = [0] * max(0, self.degree - d + 1)
+        rem = list(self.coeffs)
         while len(rem) - 1 >= d and any(rem):
             k = len(rem) - 1
             if rem[k] == 0:
                 rem.pop()
                 continue
-            f = _exact_div(rem[k], lead)
+            f = rem[k] * lead
             q[k - d] = f
             for j in range(d + 1):
                 rem[k - d + j] -= f * other.coeffs[j]
             rem.pop()
         return PolyC(q), PolyC(rem)
 
-    def __floordiv__(self, other) -> "PolyC":
-        return divmod(self, other)[0]
-
     def derivative(self) -> "PolyC":
         return PolyC(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
-    def evaluate(self, x: Scalar) -> Scalar:
-        """Horner evaluation at an exact rational point."""
+    def evaluate(self, x):
+        """Horner evaluation at an exact point."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -234,7 +208,7 @@ class PolyC:
 def _as_poly(x) -> "PolyC":
     if isinstance(x, PolyC):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return PolyC((x,))
     return NotImplemented
 
@@ -311,14 +285,14 @@ class RationalFnC:
 
 
 class SeriesX:
-    """Power series in x truncated at a fixed order, exact coefficients."""
+    """Power series in x truncated at a fixed order, int coefficients."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, order: int, coeffs: Iterable[int] = ()):
         if order < 0:
             raise ValueError("series order must be nonnegative")
-        cs = [c if type(c) is int else _exact(c) for c in coeffs][: order + 1]
+        cs = list(coeffs)[: order + 1]
         cs += [0] * (order + 1 - len(cs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -326,12 +300,12 @@ class SeriesX:
     def __setattr__(self, name, value):
         raise AttributeError("SeriesX is immutable")
 
-    def coefficient(self, i: int) -> Scalar:
+    def coefficient(self, i: int) -> int:
         if i > self.order:
             raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
         return self.coeffs[i] if i >= 0 else 0
 
-    def __iter__(self) -> Iterator[Scalar]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.coeffs)
 
     def __eq__(self, other) -> bool:
@@ -364,7 +338,7 @@ class SeriesX:
         return -(self - other)
 
     def __mul__(self, other) -> "SeriesX":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return SeriesX(self.order, (c * other for c in self.coeffs))
         if not isinstance(other, SeriesX):
             return NotImplemented
@@ -394,25 +368,21 @@ class SeriesX:
         return result
 
     def inverse(self) -> "SeriesX":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a constant term of +-1."""
         a0 = self.coeffs[0]
         if a0 == 0:
             raise ZeroDivisionError("series has no inverse: zero constant term")
+        if a0 not in (1, -1):
+            raise ValueError("series inverse needs a constant term of +-1")
         out = [0] * (self.order + 1)
-        out[0] = _exact_div(1, a0)
+        out[0] = a0
         for n in range(1, self.order + 1):
             s = 0
             for k in range(1, n + 1):
                 if self.coeffs[k]:
                     s += self.coeffs[k] * out[n - k]
-            out[n] = _exact_div(-s, a0)
+            out[n] = -s * a0
         return SeriesX(self.order, out)
-
-    def __truediv__(self, other) -> "SeriesX":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
 
     def derivative(self) -> "SeriesX":
         if self.order == 0:
@@ -423,7 +393,7 @@ class SeriesX:
     def _coerce(self, other):
         if isinstance(other, SeriesX):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return SeriesX(self.order, (other,))
         return NotImplemented
 
@@ -464,10 +434,10 @@ class FineStructureForm:
 
     __slots__ = ("g", "theta")
 
-    def __init__(self, g: int, theta: Mapping[int, Scalar]):
+    def __init__(self, g: int, theta: Mapping[int, int]):
         if g < 1:
             raise ValueError("order g must be >= 1")
-        clean = {int(k): _exact(v) for k, v in theta.items() if v != 0}
+        clean = {int(k): v for k, v in theta.items() if v != 0}
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "theta", clean)
 

@@ -49,7 +49,7 @@ __all__ = [
     "y0_coefficient",
 ]
 
-Grid = list  # list[list[int | Fraction]], x index outer, y index inner
+Grid = list  # list[list[int]], x index outer, y index inner
 
 
 class AnsatzTerm:

@@ -19,103 +19,22 @@ lowering step pending, contracts one at a raising step, and sums every
 state at height 0.  The exhaustive references the test suite compares
 these routes with (explicit lattice paths and their marked step pairs,
 explicit rook placements on every staircase shape, per-word normal
-ordering) live in tests/helpers.py, outside the package.  Partition and
-partitions_of serve the sampler.
+ordering) live in tests/helpers.py, outside the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 __all__ = [
-    "DuplicateEntries",
     "MomentPolynomial",
-    "Partition",
     "enum_paths",
     "moment_polynomial",
     "moment_polynomials",
-    "partitions_of",
     "path_counts",
     "word_moment",
 ]
-
-
-class DuplicateEntries(ValueError):
-    """Insertion words must have pairwise distinct entries."""
-
-
-class Partition:
-    """Integer partition: weakly decreasing tuple of positive parts."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts if p)
-        if any(p < 0 for p in ps):
-            raise ValueError("parts must be positive")
-        if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-        object.__setattr__(self, "parts", ps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition{self.parts}"
-
-    def addable_contents(self) -> list[int]:
-        """Contents (column - row) of cells that can be added, descending."""
-        out = []
-        prev = None
-        for i, p in enumerate(self.parts, start=1):
-            if prev is None or p < prev:
-                out.append(p + 1 - i)
-            prev = p
-        out.append(-len(self.parts))
-        return out
-
-    def removable_contents(self) -> list[int]:
-        """Contents of cells that can be removed, descending."""
-        out = []
-        parts = self.parts
-        for i, p in enumerate(parts, start=1):
-            if i == len(parts) or parts[i] < p:
-                out.append(p - i)
-        return out
-
-
-def partitions_of(total: int) -> Iterator[Partition]:
-    """All partitions of the given size."""
-
-    def rec(remaining: int, cap: int, acc: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield Partition(acc)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            acc.append(part)
-            yield from rec(remaining - part, part, acc)
-            acc.pop()
-
-    yield from rec(total, total, [])
 
 
 def path_counts(start_height: int, max_length: int) -> list[dict[int, int]]:

@@ -8,8 +8,9 @@ exercises the Poisson draw and the exact lookup, not the shape sampler.
 
 The shape sampler is separate.  sample_pp takes a
 Poisson-distributed size, a uniform random permutation of that size, and
-the insertion-tableau shape of the permutation.  The transition measure
-of a partition is the discrete probability measure supported on the
+the insertion-tableau shape of the permutation, a Partition (defined
+here, since only the shape side uses it).  The transition measure of a
+partition is the discrete probability measure supported on the
 contents of its addable corners, with weights given by the partial
 fractions of
 
@@ -31,13 +32,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-from .oracles import DuplicateEntries, Partition
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "DEFAULT_SEED",
+    "DuplicateEntries",
     "POISSON_MEAN_MAX",
+    "Partition",
     "RngState",
     "TransitionMeasure",
     "mc_moment",
@@ -110,6 +111,68 @@ class RngState:
             xs[i], xs[j] = xs[j], xs[i]
 
 
+class DuplicateEntries(ValueError):
+    """Insertion words must have pairwise distinct entries."""
+
+
+class Partition:
+    """Integer partition: weakly decreasing tuple of positive parts."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Iterable[int] = ()):
+        ps = tuple(int(p) for p in parts if p)
+        if any(p < 0 for p in ps):
+            raise ValueError("parts must be positive")
+        if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
+            raise ValueError("parts must be weakly decreasing")
+        object.__setattr__(self, "parts", ps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Partition is immutable")
+
+    @property
+    def size(self) -> int:
+        return sum(self.parts)
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.parts)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Partition):
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"Partition{self.parts}"
+
+    def addable_contents(self) -> list[int]:
+        """Contents (column - row) of cells that can be added, descending."""
+        out = []
+        prev = None
+        for i, p in enumerate(self.parts, start=1):
+            if prev is None or p < prev:
+                out.append(p + 1 - i)
+            prev = p
+        out.append(-len(self.parts))
+        return out
+
+    def removable_contents(self) -> list[int]:
+        """Contents of cells that can be removed, descending."""
+        out = []
+        parts = self.parts
+        for i, p in enumerate(parts, start=1):
+            if i == len(parts) or parts[i] < p:
+                out.append(p - i)
+        return out
+
+
 def poisson_sample(mean: float, rng: RngState) -> int:
     """Draw a Poisson variate: inversion for small means, PTRS above.
 
@@ -127,7 +190,9 @@ def poisson_sample(mean: float, rng: RngState) -> int:
         p = math.exp(-mean)
         cdf = p
         k = 0
-        while u > cdf:
+        # rounding can leave the final cdf a few ulps below u; stop once
+        # the pmf term underflows to 0, else k would count up forever
+        while u > cdf and p:
             k += 1
             p *= mean / k
             cdf += p

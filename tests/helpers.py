@@ -13,8 +13,9 @@ paths (LatticePath, iter_paths), their marked step pairs
 cut out above a path (path_to_partition), and rook placements on
 partition diagrams (RookPlacement, iter_rook_placements,
 rook_polynomial) summed over every staircase shape
-(staircase_partitions, rook_counts_exhaustive), and the Dyck words
-(dyck_words) each rewritten on its own (normal_order).
+(staircase_partitions, rook_counts_exhaustive), the Dyck words
+(dyck_words) each rewritten on its own (normal_order), and every
+partition of a size (partitions_of).
 """
 
 from __future__ import annotations
@@ -61,9 +62,7 @@ def direct_g_apply_grid(k, s, x_order, y_order, g_grid=None):
 
 def random_poly(rng: Random, max_deg: int = 3) -> PolyC:
     deg = rng.randint(0, max_deg)
-    coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
-              for _ in range(deg + 1)]
-    return PolyC(coeffs)
+    return PolyC(rng.randint(-3, 3) for _ in range(deg + 1))
 
 
 def random_ansatz_sum(rng: Random) -> AnsatzSum:
@@ -341,6 +340,21 @@ def staircase_partitions(k: int) -> Iterator[Partition]:
             acc.pop()
 
     yield from rec(1, k - 1, [])
+
+
+def partitions_of(total: int) -> Iterator[Partition]:
+    """All partitions of the given size."""
+
+    def rec(remaining: int, cap: int, acc: list[int]) -> Iterator[Partition]:
+        if remaining == 0:
+            yield Partition(acc)
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            acc.append(part)
+            yield from rec(remaining - part, part, acc)
+            acc.pop()
+
+    yield from rec(total, total, [])
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,6 @@ from ppmoments import (
     mc_moments,
     moment_polynomial,
     operator_chain,
-    partitions_of,
     phi,
     theta_support_window,
     transition_measure,
@@ -32,7 +31,12 @@ from ppmoments import (
 )
 from ppmoments.algebra import C_MINUS_ONE, POLY_C
 
-from helpers import direct_g_apply_grid, euler_grid, random_ansatz_sum
+from helpers import (
+    direct_g_apply_grid,
+    euler_grid,
+    partitions_of,
+    random_ansatz_sum,
+)
 
 # Pinned coefficient table for orders 1..4 (integer entries, exact).
 THETA_TABLE = {

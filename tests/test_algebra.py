@@ -6,16 +6,20 @@ import pytest
 from ppmoments import (
     FineStructureForm,
     NotFineStructure,
+    Partition,
     PolyC,
     RationalFnC,
     SeriesX,
     catalan_number,
     catalan_series,
+    chain_iterates,
     expand_in_x,
     fine_structure_form,
     fine_structure_to_rational,
     moment_polynomials,
     theta_support_window,
+    transition_measure,
+    y0_coefficient,
 )
 from ppmoments.algebra import (
     C_MINUS_ONE,
@@ -24,19 +28,21 @@ from ppmoments.algebra import (
     TWO_MINUS_C,
     strip_two_minus_c,
 )
+from ppmoments.cli import run_sample
 
 C = POLY_C
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
 
 def test_rationals_are_canonical():
-    q = Fraction(6, -4)
-    assert q.numerator == -3 and q.denominator == 2
-    assert Fraction(0, 7) == Fraction(0, 1)
-    assert str(Fraction(-3, 2)) == "-3/2"
-    assert str(Fraction(5)) == "5"
-    for s in ("5", "-3/2", "0", "22/7"):
-        assert str(Fraction(s)) == s
+    # the package renders an exact rational reduced, as "p/q" or "p"
+    assert run_sample(2, 3, 1)["results"][0]["predicted"] == "37/4"
+    assert run_sample(2, 1, 1)["results"][0]["predicted"] == "1"
+    tm = transition_measure(Partition((2,)), 1)
+    assert tm.atoms == (2, -1)
+    assert tm.to_json()["weights"] == ["1/3", "2/3"]
+    tm = transition_measure(Partition((2, 1)), 4)
+    assert tm.to_json()["weights"] == ["3/8", "1/4", "3/8"]  # 2/8 reduced
 
 
 def test_poly_construction_trims_and_indexes():
@@ -51,8 +57,7 @@ def test_poly_ring_laws_randomized():
     rng = Random(7)
 
     def rand_poly():
-        return PolyC(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                     for _ in range(rng.randint(0, 5)))
+        return PolyC(rng.randint(-5, 5) for _ in range(rng.randint(0, 5)))
 
     for _ in range(60):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
@@ -68,9 +73,8 @@ def test_poly_divmod():
     rng = Random(11)
     for _ in range(40):
         a = PolyC(rng.randint(-4, 4) for _ in range(rng.randint(0, 6)))
-        b = PolyC(rng.randint(-4, 4) for _ in range(rng.randint(1, 4)))
-        if not b:
-            continue
+        b = PolyC([rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
+                  + [rng.choice((1, -1))])
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
@@ -79,22 +83,33 @@ def test_poly_divmod():
 def test_integral_coefficients_are_ints():
     p, q = PolyC((3, -1, 4)), PolyC((2, 0, -5, 1))
     quot, rem = divmod(p * q * TWO_MINUS_C + 7, TWO_MINUS_C)
-    for r in (p + q, p - q, p * q, 3 * p, p ** 3, p.derivative(), quot, rem,
-              PolyC((Fraction(4, 2), Fraction(1, 2) + Fraction(1, 2)))):
+    for r in (p + q, p - q, p * q, 3 * p, p ** 3, p.derivative(), quot, rem):
         assert all(type(c) is int for c in r.coeffs), r
     s = SeriesX(6, (1, 2, 3))
-    for r in (s + s, s * s, 2 - s, s.inverse(), s ** 3, s.derivative()):
+    for r in (s + s, s * s, 2 - s, s.inverse(), s ** 3, s.derivative(),
+              (-s).inverse()):
         assert all(type(c) is int for c in r.coeffs), r
-    half = PolyC((1, 2)) // PolyC((2,))
-    assert half.coeffs == (Fraction(1, 2), 1)
-    assert type(half.coeffs[0]) is Fraction and type(half.coeffs[1]) is int
+    assert (-s).inverse() == -s.inverse()
 
 
-def test_coefficients_are_never_floats():
-    values = [*PolyC((0.5, 2.0)).coeffs, *SeriesX(4, (2, 1)).inverse().coeffs,
-              *divmod(PolyC((1, 0, 1)), PolyC((3, 2)))[0].coeffs]
-    assert values and not any(isinstance(v, float) for v in values)
-    assert PolyC((0.5, 2.0)).coeffs == (Fraction(1, 2), 2)
+def test_pipeline_coefficients_are_ints():
+    values = []
+    for g, s in enumerate(chain_iterates(6)):
+        for t in s:
+            values += t.num.coeffs
+        if g:
+            f = y0_coefficient(s)
+            values += f.num.coeffs + f.den.coeffs
+            values += fine_structure_form(f, g).theta.values()
+            values += expand_in_x(f, 20).coeffs
+    assert values and all(type(v) is int for v in values)
+
+
+def test_non_unit_divisors_raise():
+    with pytest.raises(ValueError, match="leading coefficient"):
+        divmod(PolyC((1, 0, 1)), PolyC((3, 2)))
+    with pytest.raises(ValueError, match="constant term"):
+        SeriesX(4, (2, 1)).inverse()
 
 
 def test_two_minus_c_reduction_is_canonical():
@@ -153,7 +168,6 @@ def test_series_inverse_division_pow():
     with pytest.raises(ZeroDivisionError):
         SeriesX(3, (0, 1)).inverse()
     assert (s ** 3).coeffs == (1, 3, 3, 1, 0, 0, 0)
-    assert (s / s).coeffs == (1, 0, 0, 0, 0, 0, 0)
     assert s.derivative().coeffs == (1, 0, 0, 0, 0, 0)
 
 
@@ -209,7 +223,7 @@ def test_expand_in_x_is_ring_homomorphism():
 def test_fine_structure_form_basics():
     f = RationalFnC(C * C_MINUS_ONE ** 2, 3)
     form = fine_structure_form(f, 1)
-    assert form.theta == {2: Fraction(1)}
+    assert form.theta == {2: 1}
     assert fine_structure_form(RationalFnC(PolyC(())), 3).theta == {}
     with pytest.raises(ValueError):
         fine_structure_form(f, 0)
@@ -227,7 +241,7 @@ def test_fine_structure_round_trip_randomized():
     for _ in range(25):
         g = rng.randint(1, 4)
         lo, hi = theta_support_window(g)
-        theta = {k: Fraction(rng.randint(-6, 6)) for k in range(lo, hi + 1)}
+        theta = {k: rng.randint(-6, 6) for k in range(lo, hi + 1)}
         form = FineStructureForm(g, theta)
         f = fine_structure_to_rational(form)
         back = fine_structure_form(f, g)
@@ -236,9 +250,9 @@ def test_fine_structure_round_trip_randomized():
 
 
 def test_fine_structure_form_drops_zeros_and_serializes():
-    form = FineStructureForm(2, {3: 1, 4: 0, 5: Fraction(1, 2)})
-    assert form.theta == {3: Fraction(1), 5: Fraction(1, 2)}
-    assert form.to_json() == {"g": 2, "theta": {"3": "1", "5": "1/2"}}
+    form = FineStructureForm(2, {3: 1, 4: 0, 5: -2})
+    assert form.theta == {3: 1, 5: -2}
+    assert form.to_json() == {"g": 2, "theta": {"3": "1", "5": "-2"}}
 
 
 def test_theta_support_window():

@@ -10,7 +10,6 @@ from ppmoments import (
     enum_paths,
     moment_polynomial,
     moment_polynomials,
-    partitions_of,
     path_counts,
     word_moment,
 )
@@ -29,6 +28,7 @@ from helpers import (
     iter_rook_placements,
     marking_counts,
     normal_order,
+    partitions_of,
     path_to_partition,
     rook_counts_exhaustive,
     rook_polynomial,

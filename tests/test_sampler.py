@@ -1,7 +1,11 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,6 @@ from ppmoments import (
     mc_moments,
     moment_polynomial,
     moment_polynomials,
-    partitions_of,
     poisson_sample,
     rsk_shape,
     sample_pp,
@@ -24,7 +27,7 @@ from ppmoments import (
 )
 from ppmoments.cli import run_sample
 
-from helpers import hermite_coeffs, power_sums
+from helpers import hermite_coeffs, partitions_of, power_sums
 
 
 def test_rng_is_deterministic():
@@ -89,6 +92,29 @@ def test_poisson_mean_is_bounded_by_double_precision():
     for mean in (2 ** 53 + 1, 10 ** 100, 1e306):
         with pytest.raises(ValueError):
             poisson_sample(mean, RngState(3))
+
+
+_TOP_UNIFORM_DRAWS = """
+import ppmoments.sampler as sampler
+
+class TopRng(sampler.RngState):
+    def random(self):
+        return 1 - 2 ** -53  # the largest value RngState.random yields
+
+print(*(sampler.poisson_sample(m, TopRng(0)) for m in range(1, 31)))
+"""
+
+
+def test_poisson_inversion_returns_at_the_largest_uniform():
+    # rounding leaves the final inversion cdf below 1 - 2**-53 at some
+    # means (4, 8, 12, 16, 17, 23, 24, 29); a hang shows as a timeout
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(sampler.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _TOP_UNIFORM_DRAWS],
+                         capture_output=True, text=True, env=env,
+                         timeout=20, check=True).stdout.split()
+    assert len(out) == 30
+    assert all(int(k) > m for m, k in enumerate(out, start=1))
 
 
 def test_rsk_shape_examples():
