@@ -17,7 +17,6 @@ from .algebra import (
 )
 from .ansatz import (
     AnsatzSum,
-    AnsatzTerm,
     ansatz_to_series,
     chain_iterates,
     chain_shape_violations,

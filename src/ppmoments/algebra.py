@@ -16,9 +16,9 @@ building blocks:
                c/(2-c)^g times a polynomial in t = (c-1)/(2-c), stored
                as a sparse integer-keyed coefficient map.
 
-Every coefficient is a plain int.  The two divisions stay integral by
-contract: divmod by a PolyC needs a leading coefficient of +-1, and
-SeriesX.inverse a constant term of +-1; other divisors raise ValueError.
+Every coefficient is a plain int.  The two divisions stay integral:
+divide_out_root divides by the monic c - root, and SeriesX.inverse needs
+a constant term of +-1; any other constant term raises ValueError.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "SeriesX",
     "catalan_number",
     "catalan_series",
+    "divide_out_root",
     "expand_in_x",
     "fine_structure_form",
     "fine_structure_to_rational",
@@ -143,38 +144,8 @@ class PolyC:
             n >>= 1
         return result
 
-    def __divmod__(self, other) -> tuple["PolyC", "PolyC"]:
-        """Quotient and remainder by a divisor with leading coefficient +-1."""
-        other = _as_poly(other)
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        d, lead = other.degree, other.leading
-        if lead not in (1, -1):
-            raise ValueError("polynomial division needs a divisor with "
-                             "leading coefficient +-1")
-        q = [0] * max(0, self.degree - d + 1)
-        rem = list(self.coeffs)
-        while len(rem) - 1 >= d and any(rem):
-            k = len(rem) - 1
-            if rem[k] == 0:
-                rem.pop()
-                continue
-            f = rem[k] * lead
-            q[k - d] = f
-            for j in range(d + 1):
-                rem[k - d + j] -= f * other.coeffs[j]
-            rem.pop()
-        return PolyC(q), PolyC(rem)
-
     def derivative(self) -> "PolyC":
         return PolyC(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    def evaluate(self, x):
-        """Horner evaluation at an exact point."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def eval_series(self, s: "SeriesX") -> "SeriesX":
         """Horner evaluation at a truncated series."""
@@ -221,24 +192,35 @@ TWO_MINUS_C = PolyC((2, -1))
 C_MINUS_TWO = PolyC((-2, 1))
 
 
+def divide_out_root(p: PolyC, root: int, most: int) -> tuple[PolyC, int]:
+    """Divide c - root out of p as often as it goes, at most `most` times.
+
+    Returns (p / (c-root)^j, j) for the largest such j (j = most for the
+    zero polynomial).  Each step is a synthetic division (Horner at
+    c = root), so int coefficients stay ints; it stops at a nonzero
+    remainder p(root).
+    """
+    cs, j = p.coeffs, 0
+    while j < most:
+        acc, partial = 0, []
+        for c in reversed(cs):
+            acc = root * acc + c
+            partial.append(acc)
+        if partial and partial.pop():
+            break
+        cs = tuple(reversed(partial))
+        j += 1
+    return (PolyC(cs) if j else p), j
+
+
 def strip_two_minus_c(p: PolyC, a: int) -> tuple[PolyC, int]:
     """Divide (2-c) out of p as often as it goes, at most a times.
 
-    Returns (p / (2-c)^j, a - j) for the largest such j.  Each step is
-    an exact synthetic division by c - 2 (Horner at c = 2), so integer
-    numerators stay integer; the step stops at a nonzero remainder p(2).
+    Returns (p / (2-c)^j, a - j) for the largest such j; since
+    2-c = -(c-2), the quotient by (c-2)^j changes sign when j is odd.
     """
-    cs = p.coeffs
-    while a > 0 and cs:
-        acc, partial = 0, []
-        for c in reversed(cs):
-            acc = 2 * acc + c
-            partial.append(acc)
-        if partial.pop():
-            break
-        cs = tuple(-c for c in reversed(partial))
-        a -= 1
-    return (p if cs is p.coeffs else PolyC(cs)), a
+    q, j = divide_out_root(p, 2, a)
+    return (-q if j % 2 else q), a - j
 
 
 class RationalFnC:

@@ -11,15 +11,16 @@ Two facts drive all the algebra:
   x dx c = 2c(c-1)/(2-c)      (from c = 1 + x^2 c^2)
   (xc)^2 = c - 1              (eliminates explicit powers of x)
 
-AnsatzSum keeps at most one term per exponent pair (a, b) and drops
-zero numerators, so structural checks and equality are literal.
+AnsatzSum stores each term as a plain triple (num, a, b), keeps at most
+one term per exponent pair (a, b) and drops zero numerators, so
+structural checks and equality are literal.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .algebra import (
     C_MINUS_ONE,
@@ -30,12 +31,12 @@ from .algebra import (
     SeriesX,
     TWO_MINUS_C,
     catalan_series,
+    divide_out_root,
     strip_two_minus_c,
 )
 
 __all__ = [
     "AnsatzSum",
-    "AnsatzTerm",
     "ansatz_to_series",
     "chain_iterates",
     "chain_shape_violations",
@@ -52,51 +53,17 @@ __all__ = [
 Grid = list  # list[list[int]], x index outer, y index inner
 
 
-class AnsatzTerm:
-    """One summand num(c) / ((2-c)^a (1-u)^b)."""
-
-    __slots__ = ("num", "a", "b")
-
-    def __init__(self, num: PolyC, a: int, b: int):
-        if a < 0 or b < 0:
-            raise ValueError("exponents must be nonnegative")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "a", int(a))
-        object.__setattr__(self, "b", int(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AnsatzTerm is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, AnsatzTerm):
-            return (self.num, self.a, self.b) == (other.num, other.a, other.b)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.a, self.b))
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "a": self.a, "b": self.b}
-
-    def __repr__(self) -> str:
-        return f"({self.num!r}) / ((2-c)^{self.a} (1-u)^{self.b})"
-
-
-TermLike = Union[AnsatzTerm, tuple]
-
-
 class AnsatzSum:
-    """Canonical sum of AnsatzTerms: merged per (a, b), zero terms dropped,
-    numerators reduced so that (2-c) never divides them while a > 0."""
+    """Canonical sum of terms (num, a, b) = num(c) / ((2-c)^a (1-u)^b):
+    merged per (a, b), zero terms dropped, numerators reduced so that
+    (2-c) never divides them while a > 0."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[TermLike] = ()):
-        items = []
-        for t in terms:
-            if not isinstance(t, AnsatzTerm):
-                t = AnsatzTerm(*t)
-            items.append((t.num, t.a, t.b))
+    def __init__(self, terms: Iterable[tuple[PolyC, int, int]] = ()):
+        items = list(terms)
+        if any(a < 0 or b < 0 for _, a, b in items):
+            raise ValueError("exponents must be nonnegative")
         while True:
             merged: dict[tuple[int, int], PolyC] = {}
             for num, a, b in items:
@@ -111,9 +78,8 @@ class AnsatzSum:
                 items.append((num, left, b))
             if not changed:
                 break
-        canonical = tuple(AnsatzTerm(num, a, b)
-                          for num, a, b in sorted(items, key=lambda t: t[1:]))
-        object.__setattr__(self, "terms", canonical)
+        object.__setattr__(self, "terms",
+                           tuple(sorted(items, key=lambda t: t[1:])))
 
     def __setattr__(self, name, value):
         raise AttributeError("AnsatzSum is immutable")
@@ -138,13 +104,15 @@ class AnsatzSum:
         return AnsatzSum((*self.terms, *other.terms))
 
     def scale(self, factor) -> "AnsatzSum":
-        return AnsatzSum((t.num * factor, t.a, t.b) for t in self.terms)
+        return AnsatzSum((num * factor, a, b) for num, a, b in self.terms)
 
     def to_json(self) -> list[dict]:
-        return [t.to_json() for t in self.terms]
+        return [{"num": num.to_json(), "a": a, "b": b}
+                for num, a, b in self.terms]
 
     def __repr__(self) -> str:
-        return " + ".join(repr(t) for t in self.terms) if self.terms else "0"
+        return " + ".join(f"({num!r}) / ((2-c)^{a} (1-u)^{b})"
+                          for num, a, b in self.terms) or "0"
 
 
 def f_initial() -> AnsatzSum:
@@ -167,8 +135,7 @@ def euler_apply(r: int, s: AnsatzSum) -> AnsatzSum:
     which is again a sum of ansatz terms.
     """
     out: list[tuple] = []
-    for t in s:
-        p, a, b = t.num, t.a, t.b
+    for p, a, b in s:
         dp = p.derivative()
         if dp:
             out.append((POLY_C * C_MINUS_ONE * dp, a + 1, b))
@@ -185,7 +152,7 @@ def euler_apply(r: int, s: AnsatzSum) -> AnsatzSum:
 
 @lru_cache(maxsize=None)
 def _kernel(b: int) -> tuple[PolyC, ...]:
-    """Coefficients (in u, low to high) of the splitting kernel for (1-u)^-b.
+    """Numerators L_0, L_1, ... of the splitting kernel for (1-u)^-b.
 
     Pairing a term against the path-splitting weights
     sum_{j>=0} [z^(j+1)] xG(x,y,z) [z^j] (1-xcz)^(-b) collapses, after
@@ -196,25 +163,26 @@ def _kernel(b: int) -> tuple[PolyC, ...]:
 
         K(u) = [ (c-1)^2 (1-u)^b - u^2 (2-c)^b ] / (c - 1 - u).
 
-    The division is exact: the bracket vanishes at u = c-1.  The j >= 0
-    boundary (a coefficient at a negative z-power is zero) is what makes
-    the geometric sums start where they do; it is baked into the bracket.
+    The j >= 0 boundary (a coefficient at a negative z-power is zero) is
+    what makes the geometric sums start where they do; it is baked into
+    the bracket.  This is where the rewrite into the basis (1-u)^j
+    happens, once per b: with v = 1-u the bracket is
+    (c-1)^2 v^b - (1-v)^2 (2-c)^b and the divisor is v - (2-c), so
+    K = sum_j L_j v^j.  The division is exact: the bracket vanishes at
+    v = 2-c.
     """
-    csq = C_MINUS_ONE * C_MINUS_ONE
     two_b = TWO_MINUS_C ** b
     m: list[PolyC] = [POLY_ZERO] * max(b + 1, 3)
-    for s in range(b + 1):
-        m[s] = ((-1) ** s * comb(b, s)) * csq
-    m[2] = m[2] - two_b
-    while len(m) > 1 and not m[-1]:
-        m.pop()
-    # synthetic division of M(u) by (c-1) - u
+    m[b] = C_MINUS_ONE * C_MINUS_ONE
+    for j, w in enumerate((-1, 2, -1)):
+        m[j] = m[j] + w * two_b
+    # synthetic division of M(v) by v - (2-c)
     deg = len(m) - 1
     k = [POLY_ZERO] * deg
-    k[deg - 1] = -m[deg]
-    for s in range(deg - 1, 0, -1):
-        k[s - 1] = C_MINUS_ONE * k[s] - m[s]
-    if C_MINUS_ONE * k[0] != m[0]:
+    k[deg - 1] = m[deg]
+    for j in range(deg - 1, 0, -1):
+        k[j - 1] = m[j] + TWO_MINUS_C * k[j]
+    if m[0] + TWO_MINUS_C * k[0]:
         raise AssertionError("kernel bracket not divisible by c-1-u")
     return tuple(k)
 
@@ -223,31 +191,23 @@ def g_apply(k: int, s: AnsatzSum) -> AnsatzSum:
     """Apply the k-th path-splitting operator.
 
     First the shifted Euler operator of order k, then the closed-form
-    kernel summation per term; powers u^s are rewritten over the basis
-    (1-u)^t so the result is again a canonical AnsatzSum.
+    kernel summation per term; _kernel(b) is already over the basis
+    (1-u)^j, so each kernel numerator gives one term of the canonical
+    AnsatzSum.
     """
-    out: list[tuple] = []
-    for t in euler_apply(k, s):
-        shift_a = t.a + t.b
-        base_b = t.b + 1
-        for s_pow, kpoly in enumerate(_kernel(t.b)):
-            if not kpoly:
-                continue
-            num = t.num * kpoly
-            for j in range(s_pow + 1):
-                out.append(((-1) ** j * comb(s_pow, j) * num,
-                            shift_a, base_b - j))
-    return AnsatzSum(out)
+    return AnsatzSum((num * lj, a + b, b + 1 - j)
+                     for num, a, b in euler_apply(k, s)
+                     for j, lj in enumerate(_kernel(b)))
 
 
 def y0_coefficient(s: AnsatzSum) -> RationalFnC:
     """Constant coefficient in y: every (1-u)^-b contributes 1 at y^0."""
     if not s:
         return RationalFnC(POLY_ZERO)
-    top = max(t.a for t in s)
+    top = max(a for _, a, _ in s)
     acc = POLY_ZERO
-    for t in s:
-        acc = acc + t.num * TWO_MINUS_C ** (top - t.a)
+    for num, a, _ in s:
+        acc = acc + num * TWO_MINUS_C ** (top - a)
     return RationalFnC(acc, top)
 
 
@@ -299,14 +259,14 @@ def ansatz_to_series(s: AnsatzSum, x_order: int, y_order: int) -> Grid:
     for _ in range(y_order + 1):
         xc_powers.append(xc_pow)
         xc_pow = xc_pow * xc
-    for t in s:
-        base = t.num.eval_series(cs) * inv_two_minus_c ** t.a
-        if t.b == 0:
+    for num, a, b in s:
+        base = num.eval_series(cs) * inv_two_minus_c ** a
+        if b == 0:
             for i in range(x_order + 1):
                 grid[i][0] += base.coefficient(i)
             continue
         for j in range(y_order + 1):
-            w = comb(j + t.b - 1, t.b - 1)
+            w = comb(j + b - 1, b - 1)
             col = xc_powers[j] * base
             for i in range(x_order + 1):
                 grid[i][j] += w * col.coefficient(i)
@@ -363,21 +323,20 @@ def chain_shape_violations(s: AnsatzSum, r: int) -> list[str]:
     if r < 1:
         raise ValueError("shape check applies to r >= 1 iterates")
     problems = []
-    lead = POLY_C * C_MINUS_ONE ** r
     grouped: dict[int, PolyC] = {}
-    for t in s:
-        i = t.b - 2
-        if i < 0 or i > 2 * r - 1 or t.a > 4 * r - 1 - i:
-            problems.append(f"term exponents (a={t.a}, b={t.b}) outside shape")
+    for num, a, b in s:
+        i = b - 2
+        if i < 0 or i > 2 * r - 1 or a > 4 * r - 1 - i:
+            problems.append(f"term exponents (a={a}, b={b}) outside shape")
             continue
-        acc = grouped.get(t.b, POLY_ZERO)
-        grouped[t.b] = acc + t.num * TWO_MINUS_C ** (4 * r - 1 - i - t.a)
+        acc = grouped.get(b, POLY_ZERO)
+        grouped[b] = acc + num * TWO_MINUS_C ** (4 * r - 1 - i - a)
     for b, num in sorted(grouped.items()):
         i = b - 2
-        q, rem = divmod(num, lead)
-        if rem:
+        q, j = divide_out_root(num, 1, r)  # then c divides q iff q(0) = 0
+        if j < r or q[0]:
             problems.append(f"numerator at b={b} not divisible by c(c-1)^{r}")
-        elif q.degree > 2 * r - 1 - i:
-            problems.append(f"cofactor degree {q.degree} exceeds "
+        elif q.degree - 1 > 2 * r - 1 - i:
+            problems.append(f"cofactor degree {q.degree - 1} exceeds "
                             f"{2 * r - 1 - i} at b={b}")
     return problems

@@ -232,7 +232,8 @@ def _to_tsv(report: dict) -> str:
     else:
         row = report["results"][0]
         lines.append("\t".join(row))
-        lines.append("\t".join(str(v) for v in row.values()))
+        lines.append("\t".join("null" if v is None else str(v)
+                                for v in row.values()))
     return "\n".join(lines) + "\n"
 
 

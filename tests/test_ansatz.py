@@ -1,11 +1,11 @@
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
 
 from ppmoments import (
     AnsatzSum,
-    AnsatzTerm,
     PolyC,
     chain_iterates,
     RationalFnC,
@@ -22,7 +22,8 @@ from ppmoments import (
     phi,
     y0_coefficient,
 )
-from ppmoments.algebra import C_MINUS_ONE, POLY_C, TWO_MINUS_C
+from ppmoments.algebra import C_MINUS_ONE, POLY_C, POLY_ONE, TWO_MINUS_C
+from ppmoments.ansatz import _kernel
 
 from helpers import direct_g_apply_grid, euler_grid, random_ansatz_sum
 
@@ -32,8 +33,7 @@ C = POLY_C
 def test_f_initial_is_single_term():
     f = f_initial()
     assert len(f) == 1
-    t = f.terms[0]
-    assert (t.num, t.a, t.b) == (C, 0, 1)
+    assert f.terms == ((C, 0, 1),)
 
 
 def test_ansatz_sum_canonicalization():
@@ -41,11 +41,12 @@ def test_ansatz_sum_canonicalization():
     s = AnsatzSum([(C, 1, 1), (-C, 1, 1)])
     assert not s
     merged = AnsatzSum([(C, 1, 1), (C, 1, 1)])
-    assert merged.terms[0].num == 2 * C
+    assert merged.terms == ((2 * C, 1, 1),)
     reduced = AnsatzSum([(TWO_MINUS_C * C, 1, 1)])
     assert reduced == AnsatzSum([(C, 0, 1)])
-    with pytest.raises(ValueError):
-        AnsatzTerm(C, -1, 0)
+    for bad in ((C, -1, 0), (C, 0, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            AnsatzSum([bad])
 
 
 def test_ansatz_serialization():
@@ -102,6 +103,29 @@ def test_g_apply_chained_gives_second_order_table():
     assert form.theta == {3: Fraction(1), 4: Fraction(14), 5: Fraction(15)}
 
 
+def _u_poly(pairs):
+    """Sum (power of u, coefficient in c) pairs; zero coefficients dropped."""
+    acc = {}
+    for s, p in pairs:
+        acc[s] = acc.get(s, PolyC(())) + p
+    return {s: p for s, p in acc.items() if p}
+
+
+def test_kernel_is_in_the_one_minus_u_basis():
+    # (c-1-u) sum_j L_j (1-u)^j = (c-1)^2 (1-u)^b - u^2 (2-c)^b,
+    # compared coefficientwise in u; theta --g-max 7 reaches b = 14
+    for b in range(17):
+        kernel = _kernel(b)
+        assert len(kernel) <= b + 2  # g_apply's (1-u) exponent b+1-j >= 0
+        lhs = _u_poly((s + t, f * ((-1) ** s * comb(j, s)) * lj)
+                      for j, lj in enumerate(kernel)
+                      for s in range(j + 1)
+                      for t, f in ((0, C_MINUS_ONE), (1, -POLY_ONE)))
+        rhs = _u_poly([(s, (-1) ** s * comb(b, s) * C_MINUS_ONE ** 2)
+                       for s in range(b + 1)] + [(2, -TWO_MINUS_C ** b)])
+        assert lhs == rhs, b
+
+
 def test_g_apply_series_equivalence_randomized():
     rng = Random(9)
     x_order, y_order = 10, 5
@@ -142,6 +166,23 @@ def test_operator_chain_shape():
         chain_shape_violations(f_initial(), 0)
 
 
+def test_chain_shape_violations_name_each_break():
+    # one extra term per case on the r = 2 iterate, whose shape holds
+    s = operator_chain(2)
+    cases = [
+        ((C, 0, 1), "term exponents (a=0, b=1) outside shape"),
+        ((C, 8, 2), "term exponents (a=8, b=2) outside shape"),
+        ((POLY_ONE, 0, 2), "numerator at b=2 not divisible by c(c-1)^2"),
+        ((C * C_MINUS_ONE, 0, 2),  # c divides, (c-1)^2 does not
+         "numerator at b=2 not divisible by c(c-1)^2"),
+        ((C_MINUS_ONE ** 2, 0, 2),  # (c-1)^2 divides, c does not
+         "numerator at b=2 not divisible by c(c-1)^2"),
+        ((C * C * C_MINUS_ONE ** 2, 4, 5), "cofactor degree 1 exceeds 0 at b=5"),
+    ]
+    for extra, message in cases:
+        assert chain_shape_violations(s + AnsatzSum([extra]), 2) == [message]
+
+
 def test_chain_iterates_apply_each_order_once():
     s = f_initial()
     iterates = list(chain_iterates(5))
@@ -149,7 +190,7 @@ def test_chain_iterates_apply_each_order_once():
     for g, got in enumerate(iterates[1:], start=1):
         s = g_apply(g - 1, s)
         assert got == s
-        assert all(type(c) is int for t in got for c in t.num.coeffs)
+        assert all(type(c) is int for num, _, _ in got for c in num.coeffs)
     assert operator_chain(5) == iterates[-1]
     assert operator_chain(0) == f_initial()
 

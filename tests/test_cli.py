@@ -34,12 +34,17 @@ def test_theta_deep_report_digest(capsys):
         "d19dc06f10759d30b0951cd7caf94453835330212a3c0ab18dac4def576472c5"
 
 
-def test_phi_dump_report_digest(capsys):
-    # sha256 of `phi --g-max 4 --dump-ansatz` as computed with the gcd field
-    code, out = run_cli(capsys, "phi", "--g-max", "4", "--dump-ansatz")
+@pytest.mark.parametrize("g_max, digest", [
+    # as computed with the gcd field
+    ("4", "2fadf74ccde4208f55a8d1b9cffaf65d1e15ed581c7d6d879dc03b74e2809ce3"),
+    # as computed with AnsatzTerm objects and the per-term binomial rewrite
+    ("7", "f2dc88d0d95942d3f24ca449285f47f7137f7cb4e2d1f8af0daeec76332f24dd"),
+], ids=["g4", "g7"])
+def test_phi_dump_report_digest(capsys, g_max, digest):
+    # sha256 of `phi --g-max <g_max> --dump-ansatz`
+    code, out = run_cli(capsys, "phi", "--g-max", g_max, "--dump-ansatz")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "2fadf74ccde4208f55a8d1b9cffaf65d1e15ed581c7d6d879dc03b74e2809ce3"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_gate_report_digest(capsys):
@@ -179,6 +184,14 @@ def test_sample_zero_stderr_does_not_hide_a_mismatch(capsys):
     assert row["stderr"] == 0 and row["predicted"] == "37/4"
     assert row["estimate"] != 37 / 4
     assert row["z"] is None
+
+
+def test_sample_tsv_renders_a_missing_z_as_null(capsys):
+    code, out = run_cli(capsys, "sample", "--n", "1", "--k", "1",
+                        "--trials", "1", "--format", "tsv")
+    assert code == 0
+    assert out == ("n\tk\ttrials\testimate\tstderr\tpredicted\tz\n"
+                   "1\t1\t1\t2.0\t0.0\t1\tnull\n")
 
 
 def test_usage_errors_exit_two(capsys):
