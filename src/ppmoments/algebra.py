@@ -44,6 +44,7 @@ __all__ = [
     "fine_structure_form",
     "fine_structure_to_rational",
     "strip_two_minus_c",
+    "sum_over_two_minus_c",
     "theta_support_window",
 ]
 
@@ -69,10 +70,6 @@ class PolyC:
     def degree(self) -> int:
         """Canonical degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -221,6 +218,21 @@ def strip_two_minus_c(p: PolyC, a: int) -> tuple[PolyC, int]:
     """
     q, j = divide_out_root(p, 2, a)
     return (-q if j % 2 else q), a - j
+
+
+def sum_over_two_minus_c(pairs: Iterable[tuple]) -> tuple[PolyC, int]:
+    """Sum the fractions num/(2-c)^a given as pairs (num, a).
+
+    Lifts every fraction to the largest a, adds the numerators and strips
+    (2-c) once, so the result (num, a) has (2-c) not dividing num while
+    a > 0; a zero sum, the empty one included, is (0, 0).
+    """
+    pairs = list(pairs)
+    top = max((a for _, a in pairs), default=0)
+    acc = POLY_ZERO
+    for num, a in pairs:
+        acc = acc + num * TWO_MINUS_C ** (top - a)
+    return strip_two_minus_c(acc, top)
 
 
 class RationalFnC:
@@ -475,13 +487,9 @@ def fine_structure_form(f: RationalFnC, g: int) -> FineStructureForm:
 def fine_structure_to_rational(form: FineStructureForm) -> RationalFnC:
     """Re-expand a coefficient table into a single rational function of c.
 
-    Inverse of fine_structure_form: puts the t-polynomial over the common
-    denominator (2-c)^max_k and multiplies by c/(2-c)^g.
+    Inverse of fine_structure_form: sums the t-polynomial as fractions
+    (c-1)^k/(2-c)^k and multiplies by c/(2-c)^g.
     """
-    if not form.theta:
-        return RationalFnC(POLY_ZERO)
-    top = max(form.theta)
-    acc = POLY_ZERO
-    for k, v in form.theta.items():
-        acc = acc + v * C_MINUS_ONE ** k * TWO_MINUS_C ** (top - k)
-    return RationalFnC(POLY_C * acc, form.g + top)
+    num, a = sum_over_two_minus_c((v * C_MINUS_ONE ** k, k)
+                                  for k, v in form.theta.items())
+    return RationalFnC(POLY_C * num, form.g + a)

@@ -11,9 +11,10 @@ Two facts drive all the algebra:
   x dx c = 2c(c-1)/(2-c)      (from c = 1 + x^2 c^2)
   (xc)^2 = c - 1              (eliminates explicit powers of x)
 
-AnsatzSum stores each term as a plain triple (num, a, b), keeps at most
-one term per exponent pair (a, b) and drops zero numerators, so
-structural checks and equality are literal.
+AnsatzSum stores each term as a plain triple (num, a, b), exactly one
+per power b of (1-u), reduced so that (2-c) does not divide num while
+a > 0.  That form is unique: equal functions compare equal, and the
+r-fold chain iterate is stored in the paper's closed shape.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .algebra import (
     TWO_MINUS_C,
     catalan_series,
     divide_out_root,
-    strip_two_minus_c,
+    sum_over_two_minus_c,
 )
 
 __all__ = [
@@ -55,31 +56,20 @@ Grid = list  # list[list[int]], x index outer, y index inner
 
 class AnsatzSum:
     """Canonical sum of terms (num, a, b) = num(c) / ((2-c)^a (1-u)^b):
-    merged per (a, b), zero terms dropped, numerators reduced so that
-    (2-c) never divides them while a > 0."""
+    the terms at each b summed into one, zero terms dropped, numerators
+    reduced so that (2-c) never divides them while a > 0."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[PolyC, int, int]] = ()):
-        items = list(terms)
-        if any(a < 0 or b < 0 for _, a, b in items):
-            raise ValueError("exponents must be nonnegative")
-        while True:
-            merged: dict[tuple[int, int], PolyC] = {}
-            for num, a, b in items:
-                merged[(a, b)] = merged.get((a, b), POLY_ZERO) + num
-            items = []
-            changed = False
-            for (a, b), num in merged.items():
-                if not num:
-                    continue
-                num, left = strip_two_minus_c(num, a)
-                changed = changed or left != a
-                items.append((num, left, b))
-            if not changed:
-                break
-        object.__setattr__(self, "terms",
-                           tuple(sorted(items, key=lambda t: t[1:])))
+        by_b: dict[int, list[tuple[PolyC, int]]] = {}
+        for num, a, b in terms:
+            if a < 0 or b < 0:
+                raise ValueError("exponents must be nonnegative")
+            by_b.setdefault(b, []).append((num, a))
+        reduced = [(*sum_over_two_minus_c(p), b) for b, p in by_b.items()]
+        object.__setattr__(self, "terms", tuple(sorted(
+            (t for t in reduced if t[0]), key=lambda t: t[1:])))
 
     def __setattr__(self, name, value):
         raise AttributeError("AnsatzSum is immutable")
@@ -202,13 +192,7 @@ def g_apply(k: int, s: AnsatzSum) -> AnsatzSum:
 
 def y0_coefficient(s: AnsatzSum) -> RationalFnC:
     """Constant coefficient in y: every (1-u)^-b contributes 1 at y^0."""
-    if not s:
-        return RationalFnC(POLY_ZERO)
-    top = max(a for _, a, _ in s)
-    acc = POLY_ZERO
-    for num, a, _ in s:
-        acc = acc + num * TWO_MINUS_C ** (top - a)
-    return RationalFnC(acc, top)
+    return RationalFnC(*sum_over_two_minus_c((num, a) for num, a, _ in s))
 
 
 def chain_iterates(r: int) -> Iterator[AnsatzSum]:
@@ -315,25 +299,21 @@ def chain_shape_violations(s: AnsatzSum, r: int) -> list[str]:
 
     After r >= 1 applications the sum must be expressible as terms
     indexed by i = 0..2r-1 with exponents a = 4r-1-i and b = 2+i, and
-    numerator c (c-1)^r p_i(c) with deg p_i <= 2r-1-i.  Stored terms are
-    reduced, so the check regroups them per b over the shape's common
-    denominator before testing divisibility and degree.  Returns
+    numerator c (c-1)^r p_i(c) with deg p_i <= 2r-1-i.  The sum holds one
+    reduced term per b, so each term is lifted to the shape's denominator
+    (2-c)^(4r-1-i) before testing divisibility and degree.  Returns
     human-readable violation strings; empty means the shape holds.
     """
     if r < 1:
         raise ValueError("shape check applies to r >= 1 iterates")
     problems = []
-    grouped: dict[int, PolyC] = {}
     for num, a, b in s:
         i = b - 2
         if i < 0 or i > 2 * r - 1 or a > 4 * r - 1 - i:
             problems.append(f"term exponents (a={a}, b={b}) outside shape")
             continue
-        acc = grouped.get(b, POLY_ZERO)
-        grouped[b] = acc + num * TWO_MINUS_C ** (4 * r - 1 - i - a)
-    for b, num in sorted(grouped.items()):
-        i = b - 2
-        q, j = divide_out_root(num, 1, r)  # then c divides q iff q(0) = 0
+        lifted = num * TWO_MINUS_C ** (4 * r - 1 - i - a)
+        q, j = divide_out_root(lifted, 1, r)  # then c divides q iff q(0) = 0
         if j < r or q[0]:
             problems.append(f"numerator at b={b} not divisible by c(c-1)^{r}")
         elif q.degree - 1 > 2 * r - 1 - i:

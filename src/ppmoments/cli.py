@@ -291,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi", help="closed forms for g=0..g_max")
     p.add_argument("--g-max", type=_positive, default=4)
     p.add_argument("--dump-ansatz", action="store_true",
-                   help="include the raw operator-chain term sums")
+                   help="include the operator-chain term sums (JSON only)")
     common(p)
 
     p = sub.add_parser("moments", help="exact moment polynomials k=1..k_max")
@@ -315,7 +315,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "dump_ansatz", False) and args.output_format == "tsv":
+        parser.error("phi --dump-ansatz has no TSV form; use --format json")
     if args.command == "theta":
         report = run_theta(args.g_max)
     elif args.command == "phi":

@@ -27,6 +27,7 @@ from ppmoments.algebra import (
     TWO_MINUS_C,
     divide_out_root,
     strip_two_minus_c,
+    sum_over_two_minus_c,
 )
 from ppmoments.cli import run_sample
 
@@ -130,10 +131,27 @@ def test_two_minus_c_reduction_is_canonical():
         assert left == 0 or divide_out_root(stripped, 2, 1)[1] == 0
         f = RationalFnC(num, a)
         assert f.num * TWO_MINUS_C ** a == num * f.den  # the same function
-        assert f.den.leading == 1
+        assert f.den.coeffs[-1] == 1
         # c - 2 is the only factor of den, so this is coprimality
         assert f.den.degree == 0 or divide_out_root(f.num, 2, 1)[1] == 0
     assert RationalFnC(PolyC(()), 3) == RationalFnC(PolyC(()))
+
+
+def test_sum_over_two_minus_c():
+    rng = Random(31)
+    for _ in range(40):
+        pairs = [(PolyC(rng.randint(-4, 4) for _ in range(rng.randint(0, 4)))
+                  * TWO_MINUS_C ** rng.randint(0, 2), rng.randint(0, 5))
+                 for _ in range(rng.randint(1, 5))]
+        num, a = sum_over_two_minus_c(pairs)
+        top = max(ai for _, ai in pairs)
+        assert num * TWO_MINUS_C ** (top - a) == sum(
+            (n * TWO_MINUS_C ** (top - ai) for n, ai in pairs), PolyC(()))
+        assert a == 0 or divide_out_root(num, 2, 1)[1] == 0
+        assert all(type(c) is int for c in num.coeffs)
+    assert sum_over_two_minus_c([]) == (PolyC(()), 0)
+    assert sum_over_two_minus_c([(C, 3), (-C, 3)]) == (PolyC(()), 0)
+    assert sum_over_two_minus_c([(2 * POLY_ONE, 2), (-C, 2)]) == (POLY_ONE, 1)
 
 
 def test_poly_derivative_and_eval():
@@ -147,7 +165,7 @@ def test_poly_derivative_and_eval():
 def test_rational_fn_canonical_form():
     f = RationalFnC(C * TWO_MINUS_C, 2)
     assert f == RationalFnC(C, 1)
-    assert f.den.leading == 1
+    assert f.den.coeffs[-1] == 1
     assert RationalFnC(PolyC(()), 2).num == PolyC(())
     assert RationalFnC(PolyC(()), 2).den == POLY_ONE
     with pytest.raises(ValueError):

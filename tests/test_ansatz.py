@@ -37,7 +37,7 @@ def test_f_initial_is_single_term():
 
 
 def test_ansatz_sum_canonicalization():
-    # merge by exponent pair, drop zeros, reduce numerator factors of (2-c)
+    # sum the terms at each b, drop zeros, reduce numerator factors of (2-c)
     s = AnsatzSum([(C, 1, 1), (-C, 1, 1)])
     assert not s
     merged = AnsatzSum([(C, 1, 1), (C, 1, 1)])
@@ -47,6 +47,21 @@ def test_ansatz_sum_canonicalization():
     for bad in ((C, -1, 0), (C, 0, -1)):
         with pytest.raises(ValueError, match="nonnegative"):
             AnsatzSum([bad])
+
+
+def test_equal_functions_compare_equal():
+    # c/(2-c) - 1 = (2c-2)/(2-c): one function, one stored term at b = 1
+    assert AnsatzSum([(C, 1, 1), (-1, 0, 1)]) == \
+        AnsatzSum([(2 * C - 2, 1, 1)])
+
+
+def test_chain_iterates_are_the_closed_shape():
+    # iterate r holds the paper's 2r terms, at (a, b) = (4r-1-i, 2+i)
+    for r, s in enumerate(chain_iterates(8)):
+        if r:
+            assert len(s) == 2 * r
+            assert sorted((b, a) for _, a, b in s) == \
+                [(2 + i, 4 * r - 1 - i) for i in range(2 * r)]
 
 
 def test_ansatz_serialization():

@@ -34,11 +34,18 @@ def test_theta_deep_report_digest(capsys):
         "d19dc06f10759d30b0951cd7caf94453835330212a3c0ab18dac4def576472c5"
 
 
+def test_theta_deeper_report_digest(capsys):
+    # sha256 of `theta --g-max 11` as computed with one term per (a, b)
+    code, out = run_cli(capsys, "theta", "--g-max", "11")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "fe92af28b794bc972f186c7c6f51fb62d4a1f5d5f549819b41b4119bccef8ffb"
+
+
+# the dump is the unique reduced form, one term per power of (1-u)
 @pytest.mark.parametrize("g_max, digest", [
-    # as computed with the gcd field
-    ("4", "2fadf74ccde4208f55a8d1b9cffaf65d1e15ed581c7d6d879dc03b74e2809ce3"),
-    # as computed with AnsatzTerm objects and the per-term binomial rewrite
-    ("7", "f2dc88d0d95942d3f24ca449285f47f7137f7cb4e2d1f8af0daeec76332f24dd"),
+    ("4", "590b05ca06214cde5ad972d37161ec779f7681fdadf752a557af8e1e4ca713f9"),
+    ("7", "8b33c03d075e46c10f6088438324bebf7b1a2c6c5df99a2f59cef787a738d44b"),
 ], ids=["g4", "g7"])
 def test_phi_dump_report_digest(capsys, g_max, digest):
     # sha256 of `phi --g-max <g_max> --dump-ansatz`
@@ -113,6 +120,17 @@ def test_phi_command_with_ansatz_dump(capsys):
     assert g0["phi"] == {"num": ["0", "1"], "den": ["1"]}
     assert "ansatz" not in g0
     assert all(set(term) == {"num", "a", "b"} for term in g1["ansatz"])
+
+
+def test_phi_dump_has_no_tsv_form(capsys):
+    # the TSV report has no column for the term sums, so it would drop them
+    with pytest.raises(SystemExit) as exc:
+        main(["phi", "--dump-ansatz", "--format", "tsv"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == ("ppmoments: error: phi --dump-ansatz "
+                                    "has no TSV form; use --format json")
 
 
 def test_moments_report(capsys):
