@@ -1,9 +1,9 @@
-"""Exact fine-structure expansion of transition-measure moments of
-Poissonized Plancherel random partitions, cross-checked by independent
-combinatorial routes and Monte Carlo sampling."""
+"""Exact fine-structure expansion of the Poissonized Plancherel moments
+of the size-only measure, uniform on the roots of He_(N+1) at size N,
+cross-checked by independent combinatorial routes and Monte Carlo
+sampling."""
 
 from .algebra import (
-    FineStructureForm,
     NotFineStructure,
     PolyC,
     RationalFnC,

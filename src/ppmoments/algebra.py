@@ -7,14 +7,14 @@ building blocks:
   PolyC        polynomials in c, dense coefficient tuple, low to high,
                trailing zeros stripped (canonical degree).
   RationalFnC  num / (2-c)^a, the only denominators the pipeline meets,
-               stored coprime over the monic (c-2)^a, so equality is
+               stored as the reduced pair (num, a), so equality is
                plain comparison.
   SeriesX      truncated power series in x with exact coefficients;
                arithmetic never reports powers beyond the truncation.
-  FineStructureForm
-               the normal form of an order-g moment correction:
-               c/(2-c)^g times a polynomial in t = (c-1)/(2-c), stored
-               as a sparse integer-keyed coefficient map.
+
+An order-g moment correction in normal form is c/(2-c)^g times a
+polynomial in t = (c-1)/(2-c); fine_structure_form gives its nonzero
+coefficients as a dict theta[k].
 
 Every coefficient is a plain int.  The two divisions stay integral:
 divide_out_root divides by the monic c - root, and SeriesX.inverse needs
@@ -27,7 +27,6 @@ from math import comb
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
-    "FineStructureForm",
     "NotFineStructure",
     "POLY_C",
     "POLY_ONE",
@@ -43,7 +42,6 @@ __all__ = [
     "expand_in_x",
     "fine_structure_form",
     "fine_structure_to_rational",
-    "strip_two_minus_c",
     "sum_over_two_minus_c",
     "theta_support_window",
 ]
@@ -210,50 +208,40 @@ def divide_out_root(p: PolyC, root: int, most: int) -> tuple[PolyC, int]:
     return (PolyC(cs) if j else p), j
 
 
-def strip_two_minus_c(p: PolyC, a: int) -> tuple[PolyC, int]:
-    """Divide (2-c) out of p as often as it goes, at most a times.
-
-    Returns (p / (2-c)^j, a - j) for the largest such j; since
-    2-c = -(c-2), the quotient by (c-2)^j changes sign when j is odd.
-    """
-    q, j = divide_out_root(p, 2, a)
-    return (-q if j % 2 else q), a - j
-
-
 def sum_over_two_minus_c(pairs: Iterable[tuple]) -> tuple[PolyC, int]:
     """Sum the fractions num/(2-c)^a given as pairs (num, a).
 
-    Lifts every fraction to the largest a, adds the numerators and strips
-    (2-c) once, so the result (num, a) has (2-c) not dividing num while
-    a > 0; a zero sum, the empty one included, is (0, 0).
+    Lifts every fraction to the largest a, adds the numerators and divides
+    (2-c) out as often as it goes, so the result (num, a) has (2-c) not
+    dividing num while a > 0; a zero sum, the empty one included, is
+    (0, 0).  Since 2-c = -(c-2), the quotient by (c-2)^j changes sign
+    when j is odd.
     """
     pairs = list(pairs)
     top = max((a for _, a in pairs), default=0)
     acc = POLY_ZERO
     for num, a in pairs:
         acc = acc + num * TWO_MINUS_C ** (top - a)
-    return strip_two_minus_c(acc, top)
+    q, j = divide_out_root(acc, 2, top)
+    return (-q if j % 2 else q), top - j
 
 
 class RationalFnC:
-    """num / (2-c)^a in canonical form: coprime, monic denominator.
+    """num / (2-c)^a, reduced so that (2-c) does not divide num while a > 0.
 
-    The only irreducible factor of (2-c)^a is c - 2, so once
-    strip_two_minus_c has divided (2-c) out of num, what is left is
-    coprime to the monic denominator (c-2)^a = (-1)^a (2-c)^a; equality
-    is then plain comparison of numerator and denominator.
+    The only irreducible factor of (2-c)^a is c - 2, so the reduced pair
+    (num, a) is coprime and unique; equality is plain comparison of it.
+    Reports render it over the monic (c-2)^a = (-1)^a (2-c)^a.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "a")
 
     def __init__(self, num: PolyC, a: int = 0):
         if a < 0:
             raise ValueError("exponent of (2-c) must be nonnegative")
-        num, a = strip_two_minus_c(num, a)
-        if not num:
-            a = 0
-        object.__setattr__(self, "num", -num if a % 2 else num)
-        object.__setattr__(self, "den", C_MINUS_TWO ** a)
+        num, a = sum_over_two_minus_c([(num, a)])
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "a", a)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFnC is immutable")
@@ -263,19 +251,23 @@ class RationalFnC:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFnC):
-            return self.num == other.num and self.den == other.den
+            return self.num == other.num and self.a == other.a
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.num, self.a))
+
+    def _over_monic(self) -> tuple[PolyC, PolyC]:
+        """(numerator, denominator) over the monic (c-2)^a."""
+        return (-self.num if self.a % 2 else self.num), C_MINUS_TWO ** self.a
 
     def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+        num, den = self._over_monic()
+        return {"num": num.to_json(), "den": den.to_json()}
 
     def __repr__(self) -> str:
-        if self.den == POLY_ONE:
-            return repr(self.num)
-        return f"({self.num!r}) / ({self.den!r})"
+        num, den = self._over_monic()
+        return f"({num!r}) / ({den!r})" if self.a else repr(num)
 
 
 class SeriesX:
@@ -413,45 +405,10 @@ def catalan_series(order: int) -> SeriesX:
 def expand_in_x(f: RationalFnC, order: int) -> SeriesX:
     """Expand f(c(x^2)) as an exact truncated series in x.
 
-    The denominator (c-2)^a is +-1 at c = 1 (x = 0), so it is invertible.
+    2-c is 1 at c = 1 (x = 0), so it is invertible.
     """
     cs = catalan_series(order)
-    return f.num.eval_series(cs) * f.den.eval_series(cs).inverse()
-
-
-class FineStructureForm:
-    """Sparse coefficient table of an order-g correction in normal form.
-
-    Represents c/(2-c)^g * sum_k theta[k] * t^k with t = (c-1)/(2-c).
-    Only nonzero coefficients are stored.
-    """
-
-    __slots__ = ("g", "theta")
-
-    def __init__(self, g: int, theta: Mapping[int, int]):
-        if g < 1:
-            raise ValueError("order g must be >= 1")
-        clean = {int(k): v for k, v in theta.items() if v != 0}
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "theta", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FineStructureForm is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FineStructureForm):
-            return self.g == other.g and self.theta == other.theta
-        return NotImplemented
-
-    def to_json(self) -> dict:
-        return {"g": self.g,
-                "theta": {str(k): str(v)
-                          for k, v in sorted(self.theta.items())}}
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {v}"
-                         for k, v in sorted(self.theta.items()))
-        return f"FineStructureForm(g={self.g}, {{{body}}})"
+    return f.num.eval_series(cs) * (2 - cs).inverse() ** f.a
 
 
 def theta_support_window(g: int) -> tuple[int, int]:
@@ -459,9 +416,10 @@ def theta_support_window(g: int) -> tuple[int, int]:
     return g + 1, 3 * g - 1
 
 
-def fine_structure_form(f: RationalFnC, g: int) -> FineStructureForm:
+def fine_structure_form(f: RationalFnC, g: int) -> dict[int, int]:
     """Extract the normal-form coefficient table of an order-g correction.
 
+    Returns the nonzero theta[k] of f = c/(2-c)^g * sum_k theta[k] t^k.
     Write f = N/(2-c)^a and s = c - 1, so 2-c = 1-s.  Then f divided by
     c/(2-c)^g is M(s)/(1-s)^b with M(s) = (N/c)(1+s) and b = a - g, and
     since t = s/(1-s) and 1/(1-s) = 1+t, each s^i/(1-s)^b is
@@ -472,24 +430,23 @@ def fine_structure_form(f: RationalFnC, g: int) -> FineStructureForm:
     """
     if g < 1:
         raise ValueError("order g must be >= 1")
-    a = f.den.degree
-    n = (-f.num if a % 2 else f.num).coeffs  # f.den is (c-2)^a
-    b = a - g
+    n, b = f.num.coeffs, f.a - g
     if n and (n[0] or len(n) - 2 > b):
         raise NotFineStructure(f"no polynomial normal form at order g={g}")
     m = [sum(n[j + 1] * comb(j, i) for j in range(i, len(n) - 1))
          for i in range(len(n) - 1)]
-    return FineStructureForm(g, {
-        k: sum(m[i] * comb(b - i, k - i) for i in range(min(k + 1, len(m))))
-        for k in range(b + 1)})
+    theta = {k: sum(m[i] * comb(b - i, k - i)
+                    for i in range(min(k + 1, len(m))))
+             for k in range(b + 1)}
+    return {k: v for k, v in theta.items() if v}
 
 
-def fine_structure_to_rational(form: FineStructureForm) -> RationalFnC:
-    """Re-expand a coefficient table into a single rational function of c.
+def fine_structure_to_rational(theta: Mapping[int, int], g: int) -> RationalFnC:
+    """Re-expand a coefficient table of order g into one rational function.
 
     Inverse of fine_structure_form: sums the t-polynomial as fractions
     (c-1)^k/(2-c)^k and multiplies by c/(2-c)^g.
     """
     num, a = sum_over_two_minus_c((v * C_MINUS_ONE ** k, k)
-                                  for k, v in form.theta.items())
-    return RationalFnC(POLY_C * num, form.g + a)
+                                  for k, v in theta.items())
+    return RationalFnC(POLY_C * num, g + a)

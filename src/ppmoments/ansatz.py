@@ -88,14 +88,6 @@ class AnsatzSum:
             return self.terms == other.terms
         return NotImplemented
 
-    def __add__(self, other) -> "AnsatzSum":
-        if not isinstance(other, AnsatzSum):
-            return NotImplemented
-        return AnsatzSum((*self.terms, *other.terms))
-
-    def scale(self, factor) -> "AnsatzSum":
-        return AnsatzSum((num * factor, a, b) for num, a, b in self.terms)
-
     def to_json(self) -> list[dict]:
         return [{"num": num.to_json(), "a": a, "b": b}
                 for num, a, b in self.terms]

@@ -68,9 +68,10 @@ def run_theta(g_max: int) -> dict:
         if g == 0:
             continue
         fn = y0_coefficient(s)
-        form = fine_structure_form(fn, g)
+        theta = fine_structure_form(fn, g)
         rows.append({"g": g,
-                     "theta": form.to_json()["theta"],
+                     "theta": {str(k): str(v)
+                               for k, v in sorted(theta.items())},
                      "phi": fn.to_json()})
     return {"command": "theta", "params": {"g_max": g_max}, "results": rows}
 
@@ -136,7 +137,7 @@ def run_verify(g_max: int, k_max: int) -> dict:
     for s in chain_iterates(max(g_max, 1)):
         iterates.append(s)
         phis.append(y0_coefficient(s))
-    forms = {g: fine_structure_form(phis[g], g) for g in range(1, g_max + 1)}
+    thetas = {g: fine_structure_form(phis[g], g) for g in range(1, g_max + 1)}
 
     # Catalan series self-consistency
     s = catalan_series(x_order)
@@ -155,7 +156,7 @@ def run_verify(g_max: int, k_max: int) -> dict:
     # Reference coefficient table
     for g in range(1, min(g_max, 4) + 1):
         _check(checks, f"theta table row g={g}",
-               REFERENCE_THETA[g], forms[g].theta)
+               REFERENCE_THETA[g], thetas[g])
 
     # Three-way moment agreement
     phi_series = {g: expand_in_x(phis[g], x_order) for g in range(g_max + 1)}
@@ -173,9 +174,9 @@ def run_verify(g_max: int, k_max: int) -> dict:
                chain_shape_violations(iterates[g], g))
         lo, hi = theta_support_window(g)
         _check(checks, f"support window g={g}", True,
-               all(lo <= key <= hi for key in forms[g].theta))
+               all(lo <= key <= hi for key in thetas[g]))
         _check(checks, f"normal form round trip g={g}", phis[g],
-               fine_structure_to_rational(forms[g]))
+               fine_structure_to_rational(thetas[g], g))
 
     # Generating functions against path counts
     imax = min(x_order, 12)
@@ -274,8 +275,9 @@ def _write_atomic(path: str, text: str) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppmoments",
-        description="Exact moment expansions of random-partition transition "
-                    "measures, with combinatorial and Monte Carlo checks.")
+        description="Exact Poissonized Plancherel moment expansions of the "
+                    "size-only measure (uniform on the roots of He_(N+1)), "
+                    "with combinatorial and Monte Carlo checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

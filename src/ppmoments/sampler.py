@@ -19,8 +19,9 @@ fractions of
 over upper corner contents a_i and lower corner contents b_j.  Corner
 arithmetic is exact; positions are rescaled by 1/sqrt(n), so even scaled
 moments stay rational.  The corner measure has the same mass, mean and
-variance as the transformed measure of a partition of the same size,
-but larger sixth and higher moments (see the tests).
+variance as the transformed measure of a partition of the same size.
+Averaged over Poissonized Plancherel, its sixth and eighth moments are
+larger; tests/test_sampler.py pins both rows.
 
 Randomness comes from a counter-based 64-bit generator that derives an
 independent stream per trial index, so results are identical no matter
@@ -121,12 +122,13 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts if p)
+        ps = tuple(int(p) for p in parts)
         if any(p < 0 for p in ps):
             raise ValueError("parts must be positive")
         if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
             raise ValueError("parts must be weakly decreasing")
-        object.__setattr__(self, "parts", ps)
+        # weakly decreasing, so the zero parts are the trailing ones
+        object.__setattr__(self, "parts", tuple(p for p in ps if p))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")

@@ -14,8 +14,9 @@ cut out above a path (path_to_partition), and rook placements on
 partition diagrams (RookPlacement, iter_rook_placements,
 rook_polynomial) summed over every staircase shape
 (staircase_partitions, rook_counts_exhaustive), the Dyck words
-(dyck_words) each rewritten on its own (normal_order), and every
-partition of a size (partitions_of).
+(dyck_words) each rewritten on its own (normal_order), every
+partition of a size (partitions_of), and the Plancherel average of the
+corner transition measure's moments (corner_moment_rows).
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from random import Random
 from typing import Iterable, Iterator
 
-from ppmoments import AnsatzSum, Partition, PolyC, ansatz_to_series, g_series
+from ppmoments import (AnsatzSum, Partition, PolyC, ansatz_to_series,
+                       g_series, transition_measure)
 
 
 def euler_grid(r, grid):
@@ -355,6 +358,38 @@ def partitions_of(total: int) -> Iterator[Partition]:
             acc.pop()
 
     yield from rec(total, total, [])
+
+
+def tableau_count(shape: Partition) -> int:
+    """f^lambda, the number of standard tableaux, by the hook length formula."""
+    cols = conjugate(shape).parts
+    hooks = 1
+    for i, j in cells(shape):
+        hooks *= shape.parts[i - 1] - j + cols[j - 1] - i + 1
+    return factorial(shape.size) // hooks
+
+
+def corner_moment_rows(k: int) -> dict[int, Fraction]:
+    """1/n^g -> coefficient of the Poissonized Plancherel average of the
+    2k-th moment of Kerov's corner transition measure, by enumeration.
+
+    The average over Plancherel(N), weights (f^lambda)^2/N!, is a
+    polynomial of degree k in N.  Its forward differences at N = 0 give
+    the coefficients a_j of the falling factorials N^(j); Poissonization
+    sends N^(j) to n^j, so after scaling by n^k the 1/n^g row is a_(k-g).
+    One point past degree k checks the fit.
+    """
+    values = [sum(Fraction(tableau_count(lam) ** 2, factorial(size))
+                  * transition_measure(lam, 1).unscaled_moment(2 * k)
+                  for lam in partitions_of(size))
+              for size in range(k + 2)]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    if diffs[k + 1]:
+        raise ValueError(f"the k={k} average is not of degree k in N")
+    return {k - j: diffs[j] / factorial(j) for j in range(k + 1) if diffs[j]}
 
 
 @lru_cache(maxsize=None)

@@ -60,8 +60,8 @@ def criterion(number, name):
 def test_criterion_1_theta_table():
     with criterion(1, "theta table reproduction"):
         for g, row in THETA_TABLE.items():
-            form = fine_structure_form(phi(g), g)
-            assert form.theta == {k: Fraction(v) for k, v in row.items()}
+            theta = fine_structure_form(phi(g), g)
+            assert theta == {k: Fraction(v) for k, v in row.items()}
 
 
 def test_criterion_2_first_correction_closed_form():
@@ -95,10 +95,10 @@ def test_criterion_5_structural_invariants():
         for g in range(1, 7):
             chain = operator_chain(g)
             assert chain_shape_violations(chain, g) == []
-            form = fine_structure_form(y0_coefficient(chain), g)
+            theta = fine_structure_form(y0_coefficient(chain), g)
             lo, hi = theta_support_window(g)
-            assert form.theta  # nonempty
-            assert all(lo <= k <= hi for k in form.theta)
+            assert theta  # nonempty
+            assert all(lo <= k <= hi for k in theta)
 
 
 def test_criterion_6_operator_series_equivalence():

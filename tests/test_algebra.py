@@ -3,7 +3,6 @@ from random import Random
 import pytest
 
 from ppmoments import (
-    FineStructureForm,
     NotFineStructure,
     Partition,
     PolyC,
@@ -26,7 +25,6 @@ from ppmoments.algebra import (
     POLY_ONE,
     TWO_MINUS_C,
     divide_out_root,
-    strip_two_minus_c,
     sum_over_two_minus_c,
 )
 from ppmoments.cli import run_sample
@@ -107,8 +105,8 @@ def test_pipeline_coefficients_are_ints():
             values += num.coeffs
         if g:
             f = y0_coefficient(s)
-            values += f.num.coeffs + f.den.coeffs
-            values += fine_structure_form(f, g).theta.values()
+            values += f.num.coeffs
+            values += fine_structure_form(f, g).values()
             values += expand_in_x(f, 20).coeffs
     assert values and all(type(v) is int for v in values)
 
@@ -126,14 +124,17 @@ def test_two_minus_c_reduction_is_canonical():
             continue
         j, a = rng.randint(0, 3), rng.randint(0, 5)
         num = core * TWO_MINUS_C ** j
-        stripped, left = strip_two_minus_c(num, a)
-        assert stripped * TWO_MINUS_C ** (a - left) == num
-        assert left == 0 or divide_out_root(stripped, 2, 1)[1] == 0
         f = RationalFnC(num, a)
-        assert f.num * TWO_MINUS_C ** a == num * f.den  # the same function
-        assert f.den.coeffs[-1] == 1
-        # c - 2 is the only factor of den, so this is coprimality
-        assert f.den.degree == 0 or divide_out_root(f.num, 2, 1)[1] == 0
+        assert f.a <= a
+        assert f.num * TWO_MINUS_C ** (a - f.a) == num  # the same function
+        # c - 2 is the only factor of (2-c)^a, so this is coprimality
+        assert f.a == 0 or divide_out_root(f.num, 2, 1)[1] == 0
+        assert f == RationalFnC(f.num, f.a)
+        # reports render it over the monic (c-2)^a
+        shown = f.to_json()
+        rn, rd = PolyC(map(int, shown["num"])), PolyC(map(int, shown["den"]))
+        assert rd.coeffs[-1] == 1 and rd.degree == f.a
+        assert rn * TWO_MINUS_C ** f.a == f.num * rd
     assert RationalFnC(PolyC(()), 3) == RationalFnC(PolyC(()))
 
 
@@ -165,9 +166,16 @@ def test_poly_derivative_and_eval():
 def test_rational_fn_canonical_form():
     f = RationalFnC(C * TWO_MINUS_C, 2)
     assert f == RationalFnC(C, 1)
-    assert f.den.coeffs[-1] == 1
-    assert RationalFnC(PolyC(()), 2).num == PolyC(())
-    assert RationalFnC(PolyC(()), 2).den == POLY_ONE
+    assert (f.num, f.a) == (C, 1)
+    zero = RationalFnC(PolyC(()), 2)
+    assert (zero.num, zero.a) == (PolyC(()), 0)
+    # reports render over the monic (c-2)^a, flipping num's sign for odd a
+    for h in (f, RationalFnC(C, 1)):
+        assert h.to_json() == {"num": ["0", "-1"], "den": ["-2", "1"]}
+        assert repr(h) == "(-c) / (-2 + c)"
+    assert RationalFnC(C, 2).to_json() == {"num": ["0", "1"],
+                                           "den": ["4", "-4", "1"]}
+    assert repr(RationalFnC(C, 0)) == "c"
     with pytest.raises(ValueError):
         RationalFnC(C, -1)
 
@@ -245,9 +253,8 @@ def test_expand_in_x_is_ring_homomorphism():
 
 def test_fine_structure_form_basics():
     f = RationalFnC(C * C_MINUS_ONE ** 2, 3)
-    form = fine_structure_form(f, 1)
-    assert form.theta == {2: 1}
-    assert fine_structure_form(RationalFnC(PolyC(())), 3).theta == {}
+    assert fine_structure_form(f, 1) == {2: 1}
+    assert fine_structure_form(RationalFnC(PolyC(())), 3) == {}
     with pytest.raises(ValueError):
         fine_structure_form(f, 0)
 
@@ -265,17 +272,16 @@ def test_fine_structure_round_trip_randomized():
         g = rng.randint(1, 4)
         lo, hi = theta_support_window(g)
         theta = {k: rng.randint(-6, 6) for k in range(lo, hi + 1)}
-        form = FineStructureForm(g, theta)
-        f = fine_structure_to_rational(form)
+        f = fine_structure_to_rational(theta, g)
         back = fine_structure_form(f, g)
-        assert back.theta == form.theta
-        assert fine_structure_to_rational(back) == f
+        assert back == {k: v for k, v in theta.items() if v}
+        assert fine_structure_to_rational(back, g) == f
 
 
-def test_fine_structure_form_drops_zeros_and_serializes():
-    form = FineStructureForm(2, {3: 1, 4: 0, 5: -2})
-    assert form.theta == {3: 1, 5: -2}
-    assert form.to_json() == {"g": 2, "theta": {"3": "1", "5": "-2"}}
+def test_fine_structure_form_drops_zeros():
+    f = fine_structure_to_rational({3: 1, 4: 0, 5: -2}, 2)
+    assert fine_structure_to_rational({3: 1, 5: -2}, 2) == f
+    assert fine_structure_form(f, 2) == {3: 1, 5: -2}
 
 
 def test_theta_support_window():

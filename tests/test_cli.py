@@ -54,6 +54,19 @@ def test_phi_dump_report_digest(capsys, g_max, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# RationalFnC renders over the monic (c-2)^a, flipping num's sign for odd a
+@pytest.mark.parametrize("args, digest", [
+    (("phi", "--g-max", "5"),
+     "d8075590c7309d9916fe15418391f6aea6143394d312edbc0067fedea9dcaaf5"),
+    (("phi", "--g-max", "6", "--format", "tsv"),
+     "d104ac044edfff5a7e44d7f4234d9e56121fb9c90f51261d5b752e3c4ce47673"),
+], ids=["json-g5", "tsv-g6"])
+def test_phi_report_digest(capsys, args, digest):
+    code, out = run_cli(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_gate_report_digest(capsys):
     # sha256 of `verify --g-max 5 --k-max 10` as computed with the gcd field
     code, out = run_cli(capsys, "verify", "--g-max", "5", "--k-max", "10")

@@ -66,6 +66,19 @@ def test_exhaustive_enumerators_stay_out_of_the_package():
             assert "fractions" not in roots, f"{path.name} imports fractions"
 
 
+def test_retired_closed_form_names_stay_gone():
+    # a closed form is stored once, as the reduced pair (num, a) over
+    # (2-c)^a, and a theta table is a plain dict
+    import ppmoments.algebra as algebra
+    for owner, name in ((ppmoments, "FineStructureForm"),
+                        (algebra, "FineStructureForm"),
+                        (algebra, "strip_two_minus_c"),
+                        (ppmoments.AnsatzSum, "scale"),
+                        (ppmoments.AnsatzSum, "__add__"),
+                        (ppmoments.RationalFnC, "den")):
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+
+
 def _imported_roots(path: Path) -> set[str]:
     """Top-level names of every module a source file imports."""
     roots = set()

@@ -40,8 +40,10 @@ P = LatticePath.from_string
 
 def test_partition_validation():
     assert Partition((3, 1, 0)).parts == (3, 1)
-    with pytest.raises(ValueError):
-        Partition((1, 2))
+    assert Partition((3, 1, 0, 0)).parts == (3, 1)
+    for parts in ((1, 2), (3, 0, 2), (0, 1), (2, -1)):
+        with pytest.raises(ValueError):
+            Partition(parts)
     assert Partition(()).size == 0
     assert conjugate(Partition((3, 1))) == Partition((2, 1, 1))
     assert fits_staircase(Partition((2, 1)), 3)

@@ -27,7 +27,8 @@ from ppmoments import (
 )
 from ppmoments.cli import run_sample
 
-from helpers import hermite_coeffs, partitions_of, power_sums
+from helpers import (corner_moment_rows, hermite_coeffs, partitions_of,
+                     power_sums, tableau_count)
 
 
 def test_rng_is_deterministic():
@@ -221,6 +222,34 @@ def test_transition_measure_partial_fractions():
                         term = term * PolyC((-a, 1))
                 rhs = rhs + term
             assert lhs == rhs
+
+
+def test_tableau_count_is_plancherel():
+    assert [tableau_count(lam) for lam in partitions_of(4)] == [1, 3, 2, 3, 1]
+    for size in range(7):
+        assert sum(tableau_count(lam) ** 2 for lam in partitions_of(size)) \
+            == math.factorial(size)
+
+
+# 1/n^g -> coefficient of the corner transition measure's 2k-th moment,
+# averaged over Poissonized Plancherel, for k = 1..4
+CORNER_ROWS = {1: {0: 1}, 2: {0: 2, 1: 1}, 3: {0: 5, 1: 10, 2: 1},
+               4: {0: 14, 1: 70, 2: 42, 3: 1}}
+
+
+def test_corner_measure_rows_differ_from_the_size_only_measure():
+    # the package's tables are moments of the size-only measure (uniform
+    # on the roots of He_(N+1)); the corner measure agrees for k <= 2 only
+    for k, row in CORNER_ROWS.items():
+        assert corner_moment_rows(k) == row
+    for k in (1, 2):
+        assert moment_polynomial(k).counts == CORNER_ROWS[k]
+    assert moment_polynomial(3).counts == {0: 5, 1: 8, 2: 1}
+    assert moment_polynomial(4).counts == {0: 14, 1: 47, 2: 26, 3: 1}
+    for k in (3, 4):
+        size_only = moment_polynomial(k).counts
+        assert all(c >= size_only[g] for g, c in CORNER_ROWS[k].items())
+        assert CORNER_ROWS[k] != size_only
 
 
 def test_transition_measure_scaled_moment_conventions():
