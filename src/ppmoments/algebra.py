@@ -4,13 +4,17 @@ Everything downstream works in the Catalan variable c, the power series
 solving c = 1 + x^2 c^2 with c(0) = 1.  This module supplies the exact
 building blocks:
 
-  PolyC        polynomials in c, dense coefficient tuple, low to high,
-               trailing zeros stripped (canonical degree).
+  PolyC        polynomials in c, trailing zeros stripped (canonical degree).
+  SeriesX      truncated power series in x, padded to order + 1
+               coefficients; a result stops at the smaller order.
   RationalFnC  num / (2-c)^a, the only denominators the pipeline meets,
                stored as the reduced pair (num, a), so equality is
                plain comparison.
-  SeriesX      truncated power series in x with exact coefficients;
-               arithmetic never reports powers beyond the truncation.
+
+PolyC and SeriesX share one core over a dense int tuple, low to high:
+add, subtract, schoolbook multiply, square-and-multiply power, int
+coercion and equality within a class.  They differ only in how many
+coefficients a result keeps.
 
 An order-g moment correction in normal form is c/(2-c)^g times a
 polynomial in t = (c-1)/(2-c); fine_structure_form gives its nonzero
@@ -50,19 +54,101 @@ class NotFineStructure(ValueError):
     """The function is not c/(2-c)^g times a polynomial in t = (c-1)/(2-c)."""
 
 
-class PolyC:
-    """Dense univariate polynomial with int coefficients."""
+class _Dense:
+    """Immutable dense int coefficients, low to high, with the ring
+    operations PolyC and SeriesX share.  An int operand is coerced to a
+    constant; a result keeps _length(other, n) of its n coefficients."""
 
     __slots__ = ("coeffs",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _new(self, cs):
+        return type(self)(cs)
+
+    def _length(self, other, n: int) -> int:
+        return n
+
+    def _coerce(self, other):
+        if type(other) is type(self):
+            return other
+        if isinstance(other, int):
+            return self._new([other] + [0] * (len(self.coeffs) - 1))
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a[: self._length(other, len(a))])
+        for i, y in enumerate(b[: len(out)]):
+            out[i] += y
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        if isinstance(other, (int, type(self))):
+            return self + -other
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._new([c * other for c in self.coeffs])
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        n = self._length(other, len(a) + len(b) - 1)
+        out = [0] * n
+        for i, x in enumerate(a[:n]):
+            if x:
+                for j, y in enumerate(b[: n - i]):
+                    out[i + j] += x * y
+        return self._new(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power; a series needs inverse() first")
+        if not n:
+            return self._coerce(1)
+        result = self
+        for bit in bin(n)[3:]:  # the bits after the leading one
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
+
+
+class PolyC(_Dense):
+    """Dense univariate polynomial with int coefficients."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyC is immutable")
 
     @property
     def degree(self) -> int:
@@ -72,72 +158,8 @@ class PolyC:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PolyC):
-            return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self == PolyC((other,))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def __add__(self, other) -> "PolyC":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        longer, shorter = self.coeffs, other.coeffs
-        if len(longer) < len(shorter):
-            longer, shorter = shorter, longer
-        out = list(longer)
-        for i, c in enumerate(shorter):
-            out[i] += c
-        return PolyC(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PolyC":
-        return PolyC(-c for c in self.coeffs)
-
-    def __sub__(self, other) -> "PolyC":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "PolyC":
-        return -(self - other)
-
-    def __mul__(self, other) -> "PolyC":
-        if isinstance(other, int):
-            return PolyC(c * other for c in self.coeffs)
-        if not isinstance(other, PolyC):
-            return NotImplemented
-        if not self or not other:
-            return POLY_ZERO
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyC(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "PolyC":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result, base = POLY_ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def derivative(self) -> "PolyC":
         return PolyC(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -169,14 +191,6 @@ class PolyC:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
-
-
-def _as_poly(x) -> "PolyC":
-    if isinstance(x, PolyC):
-        return x
-    if isinstance(x, int):
-        return PolyC((x,))
-    return NotImplemented
 
 
 POLY_ZERO = PolyC()
@@ -270,21 +284,30 @@ class RationalFnC:
         return f"({num!r}) / ({den!r})" if self.a else repr(num)
 
 
-class SeriesX:
-    """Power series in x truncated at a fixed order, int coefficients."""
+class SeriesX(_Dense):
+    """Power series in x truncated at a fixed order, int coefficients.
 
-    __slots__ = ("order", "coeffs")
+    The coefficient tuple is padded to order + 1 entries, so a result of
+    two series stops at the smaller order."""
+
+    __slots__ = ()
 
     def __init__(self, order: int, coeffs: Iterable[int] = ()):
         if order < 0:
             raise ValueError("series order must be nonnegative")
         cs = list(coeffs)[: order + 1]
-        cs += [0] * (order + 1 - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs",
+                           tuple(cs + [0] * (order + 1 - len(cs))))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesX is immutable")
+    def _new(self, cs):
+        return SeriesX(len(cs) - 1, cs)
+
+    def _length(self, other, n: int) -> int:
+        return min(len(self.coeffs), len(other.coeffs))
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     def coefficient(self, i: int) -> int:
         if i > self.order:
@@ -293,65 +316,6 @@ class SeriesX:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SeriesX):
-            return self.order == other.order and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __add__(self, other) -> "SeriesX":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = min(self.order, other.order)
-        return SeriesX(n, (self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SeriesX":
-        return SeriesX(self.order, (-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other) -> "SeriesX":
-        if isinstance(other, int):
-            return SeriesX(self.order, (c * other for c in self.coeffs))
-        if not isinstance(other, SeriesX):
-            return NotImplemented
-        n = min(self.order, other.order)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return SeriesX(n, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "SeriesX":
-        if n < 0:
-            raise ValueError("negative series power; use inverse() first")
-        result = SeriesX(self.order, (1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def inverse(self) -> "SeriesX":
         """Multiplicative inverse; requires a constant term of +-1."""
@@ -375,13 +339,6 @@ class SeriesX:
             return SeriesX(0, ())
         return SeriesX(self.order - 1,
                        (i * self.coeffs[i] for i in range(1, self.order + 1)))
-
-    def _coerce(self, other):
-        if isinstance(other, SeriesX):
-            return other
-        if isinstance(other, int):
-            return SeriesX(self.order, (other,))
-        return NotImplemented
 
     def __repr__(self) -> str:
         return f"SeriesX(order={self.order}, {[str(c) for c in self.coeffs]})"

@@ -8,8 +8,9 @@ Commands
   sample   Monte Carlo estimate of one moment against its exact value
 
 Exit codes: 0 success / verification passed, 1 verification mismatch,
-2 usage error or a failed --out write.  Reports are deterministic for a
-fixed configuration, including the seed.
+2 usage error, a failed --out write or a sampled moment beyond double
+precision.  Reports are deterministic for a fixed configuration,
+including the seed.
 """
 
 from __future__ import annotations
@@ -129,6 +130,12 @@ def _check(checks: list, name: str, expected, actual) -> None:
                    "pass": expected == actual})
 
 
+def _grid_check(checks: list, name: str, bad: list) -> None:
+    """Record a grid comparison, naming the first five mismatched indices."""
+    match = "all coefficients match"
+    _check(checks, name, match, f"mismatch at {bad[:5]}" if bad else match)
+
+
 def run_verify(g_max: int, k_max: int) -> dict:
     """Run the oracle agreements and structural invariants; report each."""
     checks: list[dict] = []
@@ -182,21 +189,15 @@ def run_verify(g_max: int, k_max: int) -> dict:
     imax = min(x_order, 12)
     paths = [path_counts(start, imax) for start in range(imax + 1)]
     fgrid = f_series(imax, imax)
-    f_bad = [(i, j) for i in range(imax + 1) for j in range(imax + 1)
-             if fgrid[i][j] != paths[0][i].get(j, 0)]
-    _check(checks, f"return-height series vs path counts (i<={imax})",
-           "all coefficients match",
-           "all coefficients match" if not f_bad
-           else f"mismatch at {f_bad[:5]}")
+    _grid_check(checks, f"return-height series vs path counts (i<={imax})",
+                [(i, j) for i in range(imax + 1) for j in range(imax + 1)
+                 if fgrid[i][j] != paths[0][i].get(j, 0)])
     ggrid = g_series(imax, imax, imax)
-    g_bad = [(i, j1, j2)
-             for i in range(imax + 1) for j1 in range(imax + 1)
-             for j2 in range(imax + 1)
-             if ggrid[i][j1][j2] != paths[j1][i].get(j2, 0)]
-    _check(checks, f"two-height series vs path counts (i<={imax})",
-           "all coefficients match",
-           "all coefficients match" if not g_bad
-           else f"mismatch at {g_bad[:5]}")
+    _grid_check(checks, f"two-height series vs path counts (i<={imax})",
+                [(i, j1, j2)
+                 for i in range(imax + 1) for j1 in range(imax + 1)
+                 for j2 in range(imax + 1)
+                 if ggrid[i][j1][j2] != paths[j1][i].get(j2, 0)])
 
     passed = all(c["pass"] for c in checks)
     return {"command": "verify",
@@ -330,7 +331,12 @@ def main(argv=None) -> int:
     elif args.command == "verify":
         report = run_verify(args.g_max, args.k_max)
     else:
-        report = run_sample(args.n, args.k, args.trials, args.seed)
+        try:
+            report = run_sample(args.n, args.k, args.trials, args.seed)
+        except OverflowError:
+            print(f"ppmoments: --k {args.k} is too large at --n {args.n}: the "
+                  f"moment exceeds the double-precision range", file=sys.stderr)
+            return 2
 
     if args.output_format == "tsv":
         text = _to_tsv(report)

@@ -50,6 +50,13 @@ def test_poly_construction_trims_and_indexes():
     assert p[0] == 1 and p[5] == 0
     assert not PolyC((0, 0))
     assert PolyC(()).degree == -1
+    # equality is within one class, so equal values hash equally
+    assert PolyC((5,)) != 5 and {PolyC((5,)): 1}.get(5) is None
+    assert PolyC((5, 0)) == PolyC((5,))
+    assert hash(PolyC((5, 0))) == hash(PolyC((5,)))
+    assert SeriesX(2, (1,)) != SeriesX(3, (1,))
+    assert SeriesX(2, (1, 0, 0, 0)) == SeriesX(2, (1,))
+    assert hash(SeriesX(2, (1, 0, 0, 0))) == hash(SeriesX(2, (1,)))
 
 
 def test_poly_ring_laws_randomized():
@@ -189,6 +196,25 @@ def test_series_truncation_semantics():
     t = SeriesX(2, (1, 1, 1))
     assert (s * t).order == 2
     assert (s + t).order == 2
+    # each operation is the polynomial one cut at the smaller order
+    rng = Random(13)
+
+    def rand_poly():
+        return PolyC(rng.randint(-5, 5) for _ in range(rng.randint(0, 7)))
+
+    for _ in range(60):
+        p, q, k = rand_poly(), rand_poly(), rng.randint(0, 4)
+        n, m = rng.randint(0, 8), rng.randint(0, 8)
+        sp, sq = SeriesX(n, p.coeffs), SeriesX(n, q.coeffs)
+        assert sp + sq == SeriesX(n, (p + q).coeffs)
+        assert sp - sq == SeriesX(n, (p - q).coeffs)
+        assert sp * sq == SeriesX(n, (p * q).coeffs)
+        assert sp ** k == SeriesX(n, (p ** k).coeffs)
+        assert k - sp * k == SeriesX(n, (k - p * k).coeffs)
+        lo, sm = min(n, m), SeriesX(m, q.coeffs)
+        for got, exact in ((sp + sm, p + q), (sm - sp, q - p),
+                           (sp * sm, p * q), (sm * sp, p * q)):
+            assert got.order == lo and got == SeriesX(lo, exact.coeffs)
 
 
 def test_series_inverse_division_pow():

@@ -180,6 +180,20 @@ def test_verify_exit_one_on_mismatch(capsys, monkeypatch):
     assert report["passed"] is False
     bad = [c for c in report["results"] if not c["pass"]]
     assert any("theta table" in c["check"] for c in bad)
+    # a grid check names the cells that disagree
+    real_g_series = cli.g_series
+
+    def off_by_one(*orders):
+        grid = real_g_series(*orders)
+        grid[2][1][1] += 1
+        return grid
+
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "g_series", off_by_one)
+    bad = [c for c in run_verify(1, 1)["results"] if not c["pass"]]
+    assert bad == [{"check": "two-height series vs path counts (i<=2)",
+                    "expected": "all coefficients match",
+                    "actual": "mismatch at [(2, 1, 1)]", "pass": False}]
 
 
 def test_verify_report_is_structured():
@@ -239,6 +253,19 @@ def test_usage_errors_exit_two(capsys):
     assert "must be at most 2**53" in err
     assert cli._build_parser().parse_args(
         ["sample", "--n", str(2**53)]).n == 2**53
+
+
+def test_sample_moment_beyond_a_double_exits_two(tmp_path, capsys):
+    # at n = 1 a size-3 draw has a 600th moment near 1e220, whose square
+    # overflows the standard error
+    target = tmp_path / "sample.json"
+    code = main(["sample", "--n", "1", "--k", "300", "--trials", "50",
+                 "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ppmoments: ") and err.count("\n") == 1
+    assert "--k 300" in err and "Traceback" not in err
+    assert not target.exists()
 
 
 def test_verify_runs_past_twelve(capsys):
