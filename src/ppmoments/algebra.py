@@ -235,7 +235,7 @@ def sum_over_two_minus_c(pairs: Iterable[tuple]) -> tuple[PolyC, int]:
     top = max((a for _, a in pairs), default=0)
     acc = POLY_ZERO
     for num, a in pairs:
-        acc = acc + num * TWO_MINUS_C ** (top - a)
+        acc = acc + (num * TWO_MINUS_C ** (top - a) if a < top else num)
     q, j = divide_out_root(acc, 2, top)
     return (-q if j % 2 else q), top - j
 

@@ -300,7 +300,8 @@ def chain_shape_violations(s: AnsatzSum, r: int) -> list[str]:
         if i < 0 or i > 2 * r - 1 or a > 4 * r - 1 - i:
             problems.append(f"term exponents (a={a}, b={b}) outside shape")
             continue
-        lifted = num * TWO_MINUS_C ** (4 * r - 1 - i - a)
+        lift = 4 * r - 1 - i - a
+        lifted = num * TWO_MINUS_C ** lift if lift else num
         q, j = divide_out_root(lifted, 1, r)  # then c divides q iff q(0) = 0
         if j < r or q[0]:
             problems.append(f"numerator at b={b} not divisible by c(c-1)^{r}")

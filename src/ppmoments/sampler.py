@@ -25,13 +25,17 @@ larger; tests/test_sampler.py pins both rows.
 
 Randomness comes from a counter-based 64-bit generator that derives an
 independent stream per trial index, so results are identical no matter
-how trials are scheduled.
+how trials are scheduled.  At means up to 30 a size is drawn by
+inversion from the first output of its trial's stream alone, so
+mc_moments makes those outputs 256 trials at a time, as the 128-bit
+lanes of one int, and maps each to its size with integer thresholds;
+the tally is the one that per-trial poisson_sample calls give.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -56,15 +60,27 @@ DEFAULT_SEED = 8675309  # documented default; override with --seed / seed=
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INVERSION_LIMIT = 30  # Poisson mean up to which plain inversion is used
+_LANES = 256  # trials per block of the inversion kernel
+_LANE_BITS = 128  # a 64-bit value and 64 zero bits of headroom
+# int.to_bytes order under which memoryview.cast("Q") reads the lanes in
+# the host's byte order, and the position of each lane's low word
+_LANE_ORDER, _LOW_WORD = (
+    ("little", 0) if memoryview(b"\x01" + bytes(7)).cast("Q")[0] == 1
+    else ("big", 1))
 # The draw runs in double precision, which holds every integer up to 2**53.
 POISSON_MEAN_MAX = 2 ** 53
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer: bijective 64-bit avalanche."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
+def _mix64(z: int, mask: int = _MASK64) -> int:
+    """SplitMix64 finalizer: bijective 64-bit avalanche.
+
+    With a mask of 2**64 - 1 in each 128-bit lane, it mixes every lane of
+    z at once: the mask clears what a shift moves into a lane's top half,
+    so a lane times a 64-bit constant stays inside the lane.
+    """
+    z = (z ^ ((z >> 30) & mask)) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ ((z >> 27) & mask)) * 0x94D049BB133111EB & mask
+    return z ^ ((z >> 31) & mask)
 
 
 class RngState:
@@ -175,6 +191,24 @@ class Partition:
         return out
 
 
+def _inversion_cdfs(mean: float) -> Iterator[float]:
+    """The float cdf values P(X <= k), k = 0, 1, ..., that inversion reads.
+
+    The draw at a uniform u is the first k with u <= cdf_k, or the count
+    of values if u exceeds them all.  Rounding can leave the final cdf a
+    few ulps below u, so the sequence stops once the pmf term underflows
+    to 0; otherwise k would count up forever.
+    """
+    p = math.exp(-mean)
+    cdf = p
+    k = 0
+    while p:
+        yield cdf
+        k += 1
+        p *= mean / k
+        cdf += p
+
+
 def poisson_sample(mean: float, rng: RngState) -> int:
     """Draw a Poisson variate: inversion for small means, PTRS above.
 
@@ -189,15 +223,11 @@ def poisson_sample(mean: float, rng: RngState) -> int:
         raise ValueError(f"mean must be at most 2**53 = {POISSON_MEAN_MAX}")
     if mean <= _INVERSION_LIMIT:
         u = rng.random()
-        p = math.exp(-mean)
-        cdf = p
         k = 0
-        # rounding can leave the final cdf a few ulps below u; stop once
-        # the pmf term underflows to 0, else k would count up forever
-        while u > cdf and p:
+        for cdf in _inversion_cdfs(mean):
+            if u <= cdf:
+                break
             k += 1
-            p *= mean / k
-            cdf += p
         return k
     b = 0.931 + 2.53 * math.sqrt(mean)
     a = -0.059 + 0.02483 * b
@@ -341,6 +371,47 @@ def transformed_moment(size: int, k: int) -> int:
     return ways.get(0, 0)
 
 
+def _inversion_sizes(mean: float, seed: int, trials: int) -> dict[int, int]:
+    """Tally {size: count} of the inversion draws of trials 0..trials-1.
+
+    The counts are those of poisson_sample(mean, RngState(seed).split(t))
+    for a mean at most _INVERSION_LIMIT.  An inversion draw reads one
+    output x of its stream, and u > cdf_k with u = (x >> 11) * 2**-53
+    holds exactly when x >= X_k = (floor(cdf_k * 2**53) + 1) << 11, so
+    the size is the count of X_k at most x.  The X_k of 2**64 or more are
+    never reached and are dropped.  The outputs are made _LANES trials at
+    a time: one int holds the trials of a block as 128-bit lanes, each a
+    64-bit value over 64 zero bits, and each step of split(t) and
+    next_u64 runs on every lane at once (see _mix64).
+    """
+    if mean <= 0:
+        raise ValueError("mean must be positive")
+    thresholds = []
+    for cdf in _inversion_cdfs(mean):
+        x = int(cdf * 2.0 ** 53) + 1 << 11
+        if x >> 64:
+            break
+        thresholds.append(x)
+    # ones, ramp and mask hold 1, i and 2**64 - 1 in lane i
+    ones = ((1 << _LANE_BITS * _LANES) - 1) // ((1 << _LANE_BITS) - 1)
+    ramp = int.from_bytes(b"".join(i.to_bytes(_LANE_BITS // 8, "little")
+                                   for i in range(_LANES)), "little")
+    mask = _MASK64 * ones
+    seeds = (seed & _MASK64) * ones
+    golden = _GOLDEN * ones
+    tally = [0] * (len(thresholds) + 1)
+    for start in range(0, trials, _LANES):
+        z = ((start + 1) * ones + ramp) * _GOLDEN & mask  # lane i: t + 1
+        z = _mix64(_mix64(z, mask) ^ seeds, mask)  # the seed of split(t)
+        z = _mix64(z + golden & mask, mask)  # its first next_u64
+        m = min(_LANES, trials - start)
+        z &= (1 << _LANE_BITS * m) - 1
+        words = memoryview(z.to_bytes(_LANE_BITS // 8 * m, _LANE_ORDER))
+        for x in words.cast("Q")[_LOW_WORD::2]:
+            tally[bisect_right(thresholds, x)] += 1
+    return {size: count for size, count in enumerate(tally) if count}
+
+
 def mc_moments(n: int, ks: Sequence[int], trials: int,
                seed: int = DEFAULT_SEED) -> list[tuple[float, float]]:
     """Estimate scaled moments of orders 2k for each k, sharing the samples.
@@ -349,10 +420,15 @@ def mc_moments(n: int, ks: Sequence[int], trials: int,
     exact scaled 2k-th moment of the transformed measure at that size,
     transformed_moment(size, k) / n^k, computed once per distinct size.
     The estimate thus tests the Poisson draw and the exact lookup; no
-    shape is sampled, since the moment does not depend on one.  The
-    integer moments and their squares are summed exactly, and the mean
-    and the variance of the mean are each rounded once, so the spread
-    survives at any n where a float sum of squares would cancel.
+    shape is sampled, since the moment does not depend on one.  For n up
+    to 30 the sizes are tallied by _inversion_sizes, which draws 256
+    trials at a time and gives the counts that
+    poisson_sample(n, RngState(seed).split(t)) gives trial by trial;
+    above 30 the rejection sampler reads a varying number of uniforms,
+    so the trials run one at a time.  The integer moments and their
+    squares are summed exactly, and the mean and the variance of the
+    mean are each rounded once, so the spread survives at any n where a
+    float sum of squares would cancel.
     Returns (mean, standard error) per requested k.
     """
     if trials < 1:
@@ -360,10 +436,13 @@ def mc_moments(n: int, ks: Sequence[int], trials: int,
     if any(k < 0 for k in ks):
         raise ValueError("moment orders must be nonnegative")
     root = RngState(seed)
-    counts: dict[int, int] = {}
-    for t in range(trials):
-        size = poisson_sample(n, root.split(t))
-        counts[size] = counts.get(size, 0) + 1
+    if n <= _INVERSION_LIMIT:
+        counts = _inversion_sizes(n, root.seed, trials)
+    else:
+        counts = {}
+        for t in range(trials):
+            size = poisson_sample(n, root.split(t))
+            counts[size] = counts.get(size, 0) + 1
     sums = [0] * len(ks)
     sq_sums = [0] * len(ks)
     for size, count in counts.items():

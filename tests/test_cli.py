@@ -216,6 +216,23 @@ def test_sample_report(capsys):
     assert row["stderr"] > 0
 
 
+# n = 30 is the last mean drawn by inversion in blocks of trials, n = 31
+# the first drawn trial by trial by PTRS rejection
+@pytest.mark.parametrize("args, digest", [
+    (("--n", "2", "--k", "3", "--trials", "200000"),
+     "a42fe2de6eb36562658990c4f33cc8e9d53b64998336456b4dc2ec7b1a9b2d8f"),
+    (("--n", "30", "--k", "2", "--trials", "5000"),
+     "fd427895e990744ab73f49709f886411a38942c973c4a45c24369719ca65559d"),
+    (("--n", "31", "--k", "2", "--trials", "5000"),
+     "9f66e659f42b9a6df8b82074a4c34311796a479f1fc4f7153c7ea4af01bd0b76"),
+], ids=["n2", "n30", "n31"])
+def test_sample_report_digest(capsys, args, digest):
+    # sha256 of `sample <args>` as computed one poisson_sample per trial
+    code, out = run_cli(capsys, "sample", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sample_predicted_values():
     report = run_sample(2, 3, trials=100, seed=9)
     assert report["results"][0]["predicted"] == "37/4"

@@ -313,6 +313,59 @@ def test_mc_moment_is_reproducible():
         (14.405136668266667, 0.4619811068139281)]
 
 
+@pytest.mark.parametrize("seed", [0, -1, 2 ** 64 + 5, sampler.DEFAULT_SEED])
+def test_inversion_kernel_tallies_the_per_trial_draws(seed):
+    # blocks hold 256 trials: 255, 256 and 257 straddle the first block
+    # edge and 1000 ends in a partial block
+    root = RngState(seed)
+    for mean in range(1, 31):
+        sizes = [poisson_sample(mean, root.split(t)) for t in range(1000)]
+        for trials in (1, 255, 256, 257, 1000):
+            expected = {}
+            for size in sizes[:trials]:
+                expected[size] = expected.get(size, 0) + 1
+            assert sampler._inversion_sizes(mean, seed, trials) == expected
+
+
+def _unmix64(z):
+    # inverse of sampler._mix64: undo each odd multiply and xor-shift
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    mask = 2 ** 64 - 1
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2 ** 64) & mask
+    return unshift(unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64)
+                   & mask, 30)
+
+
+def _seed_whose_trial_zero_draws(x):
+    # RngState(seed).split(0).next_u64() == x
+    child = _unmix64(x) - sampler._GOLDEN & 2 ** 64 - 1
+    return _unmix64(child) ^ sampler._mix64(sampler._GOLDEN)
+
+
+def test_inversion_kernel_at_each_cdf_boundary():
+    # a random output lands next to a boundary with odds near 2**-53, so
+    # seeds are built whose one trial draws each side of each boundary;
+    # at means 4 and 29 the top output exceeds the final cdf
+    assert RngState(_seed_whose_trial_zero_draws(12345)).split(0)\
+        .next_u64() == 12345
+    for mean in range(1, 31):
+        outputs = [0, 2 ** 64 - 1]
+        cdfs = sampler._inversion_cdfs(mean) if mean in (1, 2, 4, 29, 30) \
+            else ()
+        for cdf in cdfs:
+            edge = int(cdf * 2 ** 53) + 1 << 11  # least x with u > cdf
+            outputs += [x for x in (edge - 1, edge) if x < 2 ** 64]
+        for x in outputs:
+            seed = _seed_whose_trial_zero_draws(x)
+            size = poisson_sample(mean, RngState(seed).split(0))
+            assert sampler._inversion_sizes(mean, seed, 1) == {size: 1}
+
+
 def test_mc_moments_never_samples_a_shape(monkeypatch):
     # a trial reads only the Poisson size, so the shape sampler never runs
     def boom(*args, **kwargs):
@@ -366,3 +419,6 @@ def test_mc_moment_argument_validation():
         mc_moment(2, 2, trials=0)
     with pytest.raises(ValueError):
         mc_moments(2, [-1], trials=10)
+    for n in (0, -2):
+        with pytest.raises(ValueError):
+            mc_moments(n, [1], trials=10)
