@@ -42,10 +42,10 @@ from .ansatz import (
     y0_coefficient,
 )
 from .oracles import (
+    _word_rows,
     moment_polynomial,
     moment_polynomials,
     path_counts,
-    word_moment,
 )
 from .sampler import DEFAULT_SEED, POISSON_MEAN_MAX, mc_moment
 
@@ -167,9 +167,9 @@ def run_verify(g_max: int, k_max: int) -> dict:
 
     # Three-way moment agreement
     phi_series = {g: expand_in_x(phis[g], x_order) for g in range(g_max + 1)}
-    for k, rook in enumerate(moment_polynomials(k_max), start=1):
-        _check(checks, f"word vs rook moments k={k}",
-               rook.counts, word_moment(k).counts)
+    for k, (rook, word) in enumerate(zip(moment_polynomials(k_max),
+                                         _word_rows(k_max)), start=1):
+        _check(checks, f"word vs rook moments k={k}", rook.counts, word)
         for g in range(g_max + 1):
             _check(checks, f"pipeline coefficient k={k} g={g}",
                    rook.counts.get(g, 0),

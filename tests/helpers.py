@@ -16,7 +16,9 @@ rook_polynomial) summed over every staircase shape
 (staircase_partitions, rook_counts_exhaustive), the Dyck words
 (dyck_words) each rewritten on its own (normal_order), every
 partition of a size (partitions_of), and the Plancherel average of the
-corner transition measure's moments (corner_moment_rows).
+corner transition measure's moments (corner_moment_rows).  The rook
+transfer matrix with one list of closed-pair counts per state
+(rook_rows_reference) is the reference for the package's packed walk.
 """
 
 from __future__ import annotations
@@ -402,6 +404,42 @@ def rook_counts_exhaustive(k: int) -> tuple[int, ...]:
                 totals.append(0)
             totals[g] += n
     return tuple(totals)
+
+
+def rook_rows_reference(k_max: int) -> list[tuple[int, ...]]:
+    """Rook counts per g for k = 1..k_max, one list of counts per state.
+
+    The same marked-path walk over (height, open pairs) as the package's
+    packed walk, with each tally a list indexed by the number of closed
+    pairs, grown as needed.
+    """
+    states: dict[tuple[int, int], list[int]] = {(0, 0): [1]}
+    rows: list[tuple[int, ...]] = []
+    left = 2 * k_max
+    while left:
+        left -= 1
+        nxt: dict[tuple[int, int], list[int]] = {}
+
+        def add(h, open_, tally, shift, factor):
+            if h + 2 * open_ > left:
+                return
+            slot = nxt.setdefault((h, open_), [])
+            if len(slot) < len(tally) + shift:
+                slot.extend([0] * (len(tally) + shift - len(slot)))
+            for closed, w in enumerate(tally, shift):
+                slot[closed] += factor * w
+
+        for (h, open_), tally in states.items():
+            add(h + 1, open_, tally, 0, 1)
+            if open_:
+                add(h + 1, open_ - 1, tally, 1, open_)
+            if h > 0:
+                add(h - 1, open_, tally, 0, 1)
+                add(h - 1, open_ + 1, tally, 0, 1)
+        states = nxt
+        if left % 2 == 0:
+            rows.append(tuple(states.get((0, 0), ())))
+    return rows
 
 
 def dyck_words(k: int) -> Iterator[str]:

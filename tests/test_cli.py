@@ -76,7 +76,8 @@ def test_verify_gate_report_digest(capsys):
 
 
 def test_moments_deep_report_digest(capsys):
-    # sha256 of `moments --k-max 40` as computed with one walk per k
+    # sha256 of `moments --k-max 40`: every row from one packed rook walk
+    # of horizon 80
     code, out = run_cli(capsys, "moments", "--k-max", "40")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
@@ -95,6 +96,20 @@ def test_reports_walk_the_rook_transfer_matrix_once(monkeypatch):
     assert len(run_moments(40)["results"]) == 40
     assert calls == [40]
     calls.clear()
+    assert run_verify(2, 8)["passed"] is True
+    assert calls == [8]
+
+
+def test_reports_walk_the_word_route_once(monkeypatch):
+    calls = []
+    original = oracles._word_rows
+
+    def counting(k_max):
+        calls.append(k_max)
+        return original(k_max)
+
+    monkeypatch.setattr(oracles, "_word_rows", counting)
+    monkeypatch.setattr(cli, "_word_rows", counting)
     assert run_verify(2, 8)["passed"] is True
     assert calls == [8]
 

@@ -14,6 +14,8 @@ from ppmoments import (
     word_moment,
 )
 
+from ppmoments.oracles import _rook_rows, _slot_width, _word_rows
+
 from helpers import (
     LatticePath,
     RookPlacement,
@@ -32,6 +34,7 @@ from helpers import (
     path_to_partition,
     rook_counts_exhaustive,
     rook_polynomial,
+    rook_rows_reference,
     staircase_partitions,
 )
 
@@ -257,6 +260,34 @@ def test_moment_polynomial_serialization():
     assert moment_polynomial(2).to_json() == {"k": 2, "counts": {"0": 2, "1": 1}}
     mp = MomentPolynomial(3, {0: 5, 1: 0})
     assert mp.counts == {0: 5}
+
+
+def test_packed_rook_walk_matches_the_list_walk():
+    for k_max in (1, 2, 3, 40):
+        assert _rook_rows(k_max) == rook_rows_reference(k_max)
+
+
+def test_packed_rook_counts_fit_their_slots():
+    # the width is a bound proved ahead of the walk, so it is checked on
+    # the unpacked reference: a packed count that overflowed its slot
+    # would come out masked.  At k_max = 40 the largest count has 175
+    # bits against 280 per slot.
+    widest = {}
+    for k_max in (1, 2, 3, 12, 40):
+        widest[k_max] = max(n.bit_length()
+                            for row in rook_rows_reference(k_max)
+                            for n in row)
+        assert widest[k_max] < _slot_width(k_max)
+    assert (widest[40], _slot_width(40)) == (175, 280)
+
+
+def test_rook_and_word_walks_give_the_same_rows():
+    # the two production routes, each in one walk of horizon 80
+    rook = _rook_rows(40)
+    word = _word_rows(40)
+    assert len(rook) == len(word) == 40
+    for k, (counts, tally) in enumerate(zip(rook, word), start=1):
+        assert {g: n for g, n in enumerate(counts) if n} == tally, k
 
 
 def test_word_moment_small_values():
