@@ -26,7 +26,6 @@ from typing import Iterable, Iterator
 from .algebra import (
     C_MINUS_ONE,
     POLY_C,
-    POLY_ONE,
     POLY_ZERO,
     PolyC,
     RationalFnC,
@@ -259,26 +258,20 @@ def g_series(x_order: int, y_order: int, z_order: int) -> list:
     """Closed-form expansion of G(x,y,z) = F(x,y) F(x,z) / (c (1-yz)).
 
     Returns grid[i][j1][j2] = coefficient of x^i y^j1 z^j2, the count of
-    nonnegative paths of length i from height j1 to height j2.  F(x,z)/c
-    is the single term 1/(1-u) with u = xcz, expanded by ansatz_to_series,
-    and 1/(1-yz) pairs y^m with z^m.
+    nonnegative paths of length i from height j1 to height j2.  The
+    y^a z^b coefficient of F(x,y) F(x,z) / c is c (xc)^(a+b), column a+b
+    of F, and 1/(1-yz) pairs y^m with z^m, so each cell sums the columns
+    j1 + j2 - 2m of F over m = 0..min(j1, j2): column j1 + j2 plus the
+    cell at (j1 - 1, j2 - 1).
     """
-    f_grid = f_series(x_order, y_order)
-    fz_over_c = ansatz_to_series(AnsatzSum([(POLY_ONE, 0, 1)]),
-                                 x_order, z_order)
-    out = [[[0] * (z_order + 1) for _ in range(y_order + 1)]
-           for _ in range(x_order + 1)]
-    for j1 in range(y_order + 1):
-        for j2 in range(z_order + 1):
-            for m in range(min(j1, j2) + 1):
-                for i1 in range(x_order + 1):
-                    a = f_grid[i1][j1 - m]
-                    if not a:
-                        continue
-                    for i2 in range(x_order + 1 - i1):
-                        b = fz_over_c[i2][j2 - m]
-                        if b:
-                            out[i1 + i2][j1][j2] += a * b
+    out = []
+    for row in f_series(x_order, y_order + z_order):
+        plane = [row[:z_order + 1]]
+        for j1 in range(1, y_order + 1):
+            above = plane[-1]
+            plane.append([row[j1]] + [row[j1 + j2] + above[j2 - 1]
+                                      for j2 in range(1, z_order + 1)])
+        out.append(plane)
     return out
 
 

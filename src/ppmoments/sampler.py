@@ -26,17 +26,21 @@ larger; tests/test_sampler.py pins both rows.
 Randomness comes from a counter-based 64-bit generator that derives an
 independent stream per trial index, so results are identical no matter
 how trials are scheduled.  At means up to 30 a size is drawn by
-inversion from the first output of its trial's stream alone, so
-mc_moments makes those outputs 256 trials at a time, as the 128-bit
-lanes of one int, and maps each to its size with integer thresholds;
-the tally is the one that per-trial poisson_sample calls give.
+inversion from the first output of its trial's stream alone, by
+bisecting one list of integer thresholds per mean.  mc_moments makes
+those outputs 256 trials at a time, as the 128-bit lanes of one int
+read little-endian on every host, and bisects the same list, so its
+tally is the one that per-trial poisson_sample calls give.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -62,11 +66,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _INVERSION_LIMIT = 30  # Poisson mean up to which plain inversion is used
 _LANES = 256  # trials per block of the inversion kernel
 _LANE_BITS = 128  # a 64-bit value and 64 zero bits of headroom
-# int.to_bytes order under which memoryview.cast("Q") reads the lanes in
-# the host's byte order, and the position of each lane's low word
-_LANE_ORDER, _LOW_WORD = (
-    ("little", 0) if memoryview(b"\x01" + bytes(7)).cast("Q")[0] == 1
-    else ("big", 1))
 # The draw runs in double precision, which holds every integer up to 2**53.
 POISSON_MEAN_MAX = 2 ** 53
 
@@ -191,22 +190,31 @@ class Partition:
         return out
 
 
-def _inversion_cdfs(mean: float) -> Iterator[float]:
-    """The float cdf values P(X <= k), k = 0, 1, ..., that inversion reads.
+@lru_cache(maxsize=64)  # bounded: callers may pass any float mean
+def _inversion_thresholds(mean: float) -> tuple[int, ...]:
+    """Integer thresholds X_k of the Poisson(mean) inversion draw.
 
-    The draw at a uniform u is the first k with u <= cdf_k, or the count
-    of values if u exceeds them all.  Rounding can leave the final cdf a
-    few ulps below u, so the sequence stops once the pmf term underflows
-    to 0; otherwise k would count up forever.
+    Inversion draws the first k with u <= cdf_k = P(X <= k), summed in
+    doubles, or the count of cdf values if u exceeds them all; the sum
+    stops once the pmf term underflows to 0, as rounding can leave the
+    final cdf below u.  A draw reads one output x as u = a * 2**-53 with
+    a = x >> 11; scaling by 2**53 is exact, so u > cdf_k exactly when
+    a > cdf_k * 2**53, i.e. x >= X_k = (floor(cdf_k * 2**53) + 1) << 11,
+    and the draw is the count of X_k at most x.  The X_k of 2**64 or
+    more are never reached and are dropped.
     """
-    p = math.exp(-mean)
-    cdf = p
+    thresholds = []
+    p = cdf = math.exp(-mean)
     k = 0
     while p:
-        yield cdf
+        x = int(cdf * 2.0 ** 53) + 1 << 11
+        if x >> 64:
+            break
+        thresholds.append(x)
         k += 1
         p *= mean / k
         cdf += p
+    return tuple(thresholds)
 
 
 def poisson_sample(mean: float, rng: RngState) -> int:
@@ -222,13 +230,9 @@ def poisson_sample(mean: float, rng: RngState) -> int:
     if mean > POISSON_MEAN_MAX:
         raise ValueError(f"mean must be at most 2**53 = {POISSON_MEAN_MAX}")
     if mean <= _INVERSION_LIMIT:
-        u = rng.random()
-        k = 0
-        for cdf in _inversion_cdfs(mean):
-            if u <= cdf:
-                break
-            k += 1
-        return k
+        # random() is a multiple of 2**-53: this is its output, low bits 0
+        x = int(rng.random() * 2.0 ** 53) << 11
+        return bisect_right(_inversion_thresholds(mean), x)
     b = 0.931 + 2.53 * math.sqrt(mean)
     a = -0.059 + 0.02483 * b
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
@@ -375,23 +379,15 @@ def _inversion_sizes(mean: float, seed: int, trials: int) -> dict[int, int]:
     """Tally {size: count} of the inversion draws of trials 0..trials-1.
 
     The counts are those of poisson_sample(mean, RngState(seed).split(t))
-    for a mean at most _INVERSION_LIMIT.  An inversion draw reads one
-    output x of its stream, and u > cdf_k with u = (x >> 11) * 2**-53
-    holds exactly when x >= X_k = (floor(cdf_k * 2**53) + 1) << 11, so
-    the size is the count of X_k at most x.  The X_k of 2**64 or more are
-    never reached and are dropped.  The outputs are made _LANES trials at
-    a time: one int holds the trials of a block as 128-bit lanes, each a
-    64-bit value over 64 zero bits, and each step of split(t) and
-    next_u64 runs on every lane at once (see _mix64).
+    for a mean at most _INVERSION_LIMIT: each trial's first output is
+    bisected into _inversion_thresholds(mean).  The outputs are made
+    _LANES trials at a time: one int holds the trials of a block as
+    128-bit lanes, each a 64-bit value over 64 zero bits, and each step
+    of split(t) and next_u64 runs on every lane at once (see _mix64).
     """
     if mean <= 0:
         raise ValueError("mean must be positive")
-    thresholds = []
-    for cdf in _inversion_cdfs(mean):
-        x = int(cdf * 2.0 ** 53) + 1 << 11
-        if x >> 64:
-            break
-        thresholds.append(x)
+    thresholds = _inversion_thresholds(mean)
     # ones, ramp and mask hold 1, i and 2**64 - 1 in lane i
     ones = ((1 << _LANE_BITS * _LANES) - 1) // ((1 << _LANE_BITS) - 1)
     ramp = int.from_bytes(b"".join(i.to_bytes(_LANE_BITS // 8, "little")
@@ -399,15 +395,15 @@ def _inversion_sizes(mean: float, seed: int, trials: int) -> dict[int, int]:
     mask = _MASK64 * ones
     seeds = (seed & _MASK64) * ones
     golden = _GOLDEN * ones
+    # a block's little-endian bytes, read as the 64-bit value of each lane
+    lane_values = struct.Struct("<" + "Q8x" * _LANES)
     tally = [0] * (len(thresholds) + 1)
     for start in range(0, trials, _LANES):
         z = ((start + 1) * ones + ramp) * _GOLDEN & mask  # lane i: t + 1
         z = _mix64(_mix64(z, mask) ^ seeds, mask)  # the seed of split(t)
         z = _mix64(z + golden & mask, mask)  # its first next_u64
-        m = min(_LANES, trials - start)
-        z &= (1 << _LANE_BITS * m) - 1
-        words = memoryview(z.to_bytes(_LANE_BITS // 8 * m, _LANE_ORDER))
-        for x in words.cast("Q")[_LOW_WORD::2]:
+        lanes = z.to_bytes(_LANE_BITS // 8 * _LANES, "little")
+        for x in lane_values.unpack(lanes)[:trials - start]:
             tally[bisect_right(thresholds, x)] += 1
     return {size: count for size, count in enumerate(tally) if count}
 
@@ -421,14 +417,12 @@ def mc_moments(n: int, ks: Sequence[int], trials: int,
     transformed_moment(size, k) / n^k, computed once per distinct size.
     The estimate thus tests the Poisson draw and the exact lookup; no
     shape is sampled, since the moment does not depend on one.  For n up
-    to 30 the sizes are tallied by _inversion_sizes, which draws 256
-    trials at a time and gives the counts that
-    poisson_sample(n, RngState(seed).split(t)) gives trial by trial;
-    above 30 the rejection sampler reads a varying number of uniforms,
-    so the trials run one at a time.  The integer moments and their
-    squares are summed exactly, and the mean and the variance of the
-    mean are each rounded once, so the spread survives at any n where a
-    float sum of squares would cancel.
+    to 30 the sizes are tallied by _inversion_sizes, 256 trials at a
+    time; above 30 the rejection sampler reads a varying number of
+    uniforms, so the trials run one at a time.  The integer moments and
+    their squares are summed exactly, and the mean and the variance of
+    the mean are each rounded once, so the spread survives at any n
+    where a float sum of squares would cancel.
     Returns (mean, standard error) per requested k.
     """
     if trials < 1:
@@ -439,10 +433,8 @@ def mc_moments(n: int, ks: Sequence[int], trials: int,
     if n <= _INVERSION_LIMIT:
         counts = _inversion_sizes(n, root.seed, trials)
     else:
-        counts = {}
-        for t in range(trials):
-            size = poisson_sample(n, root.split(t))
-            counts[size] = counts.get(size, 0) + 1
+        counts = Counter(poisson_sample(n, root.split(t))
+                         for t in range(trials))
     sums = [0] * len(ks)
     sq_sums = [0] * len(ks)
     for size, count in counts.items():

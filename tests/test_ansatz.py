@@ -227,9 +227,14 @@ def test_f_series_matches_path_counts():
             assert grid[i][j] == enum_paths(i, 0, j)
 
 
-def test_g_series_matches_path_counts():
-    grid = g_series(8, 8, 8)
-    for i in range(9):
-        for j1 in range(9):
-            for j2 in range(9):
+# the asymmetric case reads F past both the x and the y order
+@pytest.mark.parametrize("x_order, y_order, z_order", [(8, 8, 8), (9, 4, 7)])
+def test_g_series_matches_path_counts(x_order, y_order, z_order):
+    grid = g_series(x_order, y_order, z_order)
+    assert len(grid) == x_order + 1
+    for i in range(x_order + 1):
+        assert len(grid[i]) == y_order + 1
+        for j1 in range(y_order + 1):
+            assert len(grid[i][j1]) == z_order + 1
+            for j2 in range(z_order + 1):
                 assert grid[i][j1][j2] == enum_paths(i, j1, j2)

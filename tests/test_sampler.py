@@ -347,22 +347,51 @@ def _seed_whose_trial_zero_draws(x):
     return _unmix64(child) ^ sampler._mix64(sampler._GOLDEN)
 
 
+def _float_cdfs(mean):
+    # P(X <= k), k = 0, 1, ..., summed in doubles until the pmf term
+    # underflows to 0
+    p = math.exp(-mean)
+    cdf, k = p, 0
+    while p:
+        yield cdf
+        k += 1
+        p *= mean / k
+        cdf += p
+
+
+def _float_inversion(cdfs, u):
+    # the inversion rule in doubles: the first k with u <= cdf_k, or the
+    # count of cdf values when u exceeds them all
+    return next((k for k, cdf in enumerate(cdfs) if u <= cdf), len(cdfs))
+
+
+class _FixedRng:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 def test_inversion_kernel_at_each_cdf_boundary():
     # a random output lands next to a boundary with odds near 2**-53, so
-    # seeds are built whose one trial draws each side of each boundary;
-    # at means 4 and 29 the top output exceeds the final cdf
+    # outputs are placed on each side of each float cdf and seeds are
+    # built whose one trial draws them; the sizes come from the float
+    # rule; at means 4 and 29 the top output exceeds the final cdf
     assert RngState(_seed_whose_trial_zero_draws(12345)).split(0)\
         .next_u64() == 12345
     for mean in range(1, 31):
+        cdfs = list(_float_cdfs(mean))
         outputs = [0, 2 ** 64 - 1]
-        cdfs = sampler._inversion_cdfs(mean) if mean in (1, 2, 4, 29, 30) \
-            else ()
         for cdf in cdfs:
             edge = int(cdf * 2 ** 53) + 1 << 11  # least x with u > cdf
             outputs += [x for x in (edge - 1, edge) if x < 2 ** 64]
         for x in outputs:
+            u = (x >> 11) * 2.0 ** -53  # RngState.random of output x
+            size = _float_inversion(cdfs, u)
+            assert poisson_sample(mean, _FixedRng(u)) == size
             seed = _seed_whose_trial_zero_draws(x)
-            size = poisson_sample(mean, RngState(seed).split(0))
+            assert poisson_sample(mean, RngState(seed).split(0)) == size
             assert sampler._inversion_sizes(mean, seed, 1) == {size: 1}
 
 
