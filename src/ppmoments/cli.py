@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -47,7 +48,12 @@ from .oracles import (
     moment_polynomials,
     path_counts,
 )
-from .sampler import DEFAULT_SEED, POISSON_MEAN_MAX, mc_moment
+from .sampler import (
+    DEFAULT_SEED,
+    POISSON_MEAN_MAX,
+    mc_moment,
+    transformed_moment,
+)
 
 __all__ = ["REFERENCE_THETA", "main", "run_moments", "run_phi", "run_sample",
            "run_theta", "run_verify"]
@@ -94,6 +100,37 @@ def run_moments(k_max: int) -> dict:
     return {"command": "moments", "params": {"k_max": k_max}, "results": rows}
 
 
+def _target_overflows(n: int, k: int) -> bool:
+    """True only if the exact target of run_sample is at least 2**1024.
+
+    The target is the Poisson(n) average of transformed_moment(N, k) / n**k,
+    a sum with no negative term: the moment is an even power sum of the
+    real roots of He_(N+1).  So each term is a lower bound, and so is the
+    g = 0 coefficient Catalan(k) of moment_polynomial(k), whose
+    coefficients are counts.  As log2(e) < 1.4426950408889635,
+    e**-n >= 2**-c with c = ceil(n * 1.4426950408889635), and the term at
+    N is at least 2**1024 when n**N * m >= N! * n**k * 2**(1024 + c),
+    m = transformed_moment(N, k), compared exactly in integers.  The
+    terms peak near the N with N ln(N/n) = k; the test takes that N and
+    N = n, each only up to 64 k, which bounds its work by the k of the
+    run, not by n.  A False answer proves nothing, and the caller goes on
+    to compute the target.
+    """
+    if catalan_number(k) >> 1024:
+        return True
+    lo, hi = n, n + k  # N ln(N/n) - k is < 0 at lo and >= 0 at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * math.log(mid / n) < k:
+            lo = mid
+        else:
+            hi = mid
+    c = -(-n * 14426950408889635 // 10 ** 16)
+    return any(n ** size * transformed_moment(size, k)
+               >= math.factorial(size) * n ** k << 1024 + c
+               for size in {n, hi} if size <= 64 * k)
+
+
 def run_sample(n: int, k: int, trials: int, seed: int = DEFAULT_SEED) -> dict:
     """Monte Carlo estimate of the 2k-th moment with its exact target.
 
@@ -102,6 +139,8 @@ def run_sample(n: int, k: int, trials: int, seed: int = DEFAULT_SEED) -> dict:
     null) otherwise, since no finite z-score describes that mismatch.
     """
     estimate, stderr = mc_moment(n, k, trials, seed)
+    if stderr > 0 and _target_overflows(n, k):
+        raise OverflowError("the exact target exceeds the double range")
     predicted = moment_polynomial(k).evaluate(n) if k >= 1 else Fraction(1)
     if stderr > 0:
         z = (estimate - float(predicted)) / stderr

@@ -29,14 +29,15 @@ how trials are scheduled.  At means up to 30 a size is drawn by
 inversion from the first output of its trial's stream alone, by
 bisecting one list of integer thresholds per mean.  mc_moments makes
 those outputs 256 trials at a time, as the 128-bit lanes of one int
-read little-endian on every host, and bisects the same list, so its
-tally is the one that per-trial poisson_sample calls give.
+read little-endian on every host.  It maps each lane's top byte through
+a 256-byte table of draws and counts them per block, and bisects the
+same list only for the lanes whose top-byte bucket holds a threshold,
+so its tally is the one that per-trial poisson_sample calls give.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -66,6 +67,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _INVERSION_LIMIT = 30  # Poisson mean up to which plain inversion is used
 _LANES = 256  # trials per block of the inversion kernel
 _LANE_BITS = 128  # a 64-bit value and 64 zero bits of headroom
+_MARKER = 255  # top-byte table entry of a lane that is bisected in full
 # The draw runs in double precision, which holds every integer up to 2**53.
 POISSON_MEAN_MAX = 2 ** 53
 
@@ -379,32 +381,61 @@ def _inversion_sizes(mean: float, seed: int, trials: int) -> dict[int, int]:
     """Tally {size: count} of the inversion draws of trials 0..trials-1.
 
     The counts are those of poisson_sample(mean, RngState(seed).split(t))
-    for a mean at most _INVERSION_LIMIT: each trial's first output is
-    bisected into _inversion_thresholds(mean).  The outputs are made
-    _LANES trials at a time: one int holds the trials of a block as
-    128-bit lanes, each a 64-bit value over 64 zero bits, and each step
-    of split(t) and next_u64 runs on every lane at once (see _mix64).
+    for a mean at most _INVERSION_LIMIT: each trial's first output x
+    draws the count of thresholds X_k of _inversion_thresholds(mean) at
+    most x.  The outputs are made _LANES trials at a time: one int holds
+    the trials of a block as 128-bit lanes, each a 64-bit value over 64
+    zero bits, and each step of split(t) and next_u64 runs on every lane
+    at once (see _mix64).
+
+    The draw is tallied from the top byte of x.  The x with top byte b
+    form the bucket [b << 56, (b + 1) << 56), and on a bucket that holds
+    no X_k the count of X_k at most x is constant: it is the count of
+    X_k below b << 56.  So a 256-byte table maps each such bucket to that
+    draw, and the lanes' top bytes, one slice of the block's bytes, are
+    translated through it and counted per draw value.  Every other
+    bucket maps to _MARKER, and a lane with that byte reads its full
+    64-bit value and bisects it.  A draw of _MARKER or more would also
+    map to _MARKER, so no lane is ever counted under a draw it did not
+    make; at means up to 30 no threshold-free bucket reaches it (below
+    255 << 56 the draw is at most 46, at mean 30).  At mean 2, 8 of the
+    256 buckets hold an X_k.
     """
     if mean <= 0:
         raise ValueError("mean must be positive")
+    if mean > _INVERSION_LIMIT:
+        raise ValueError(f"mean must be at most {_INVERSION_LIMIT}: above "
+                         f"it poisson_sample draws by rejection")
     thresholds = _inversion_thresholds(mean)
-    # ones, ramp and mask hold 1, i and 2**64 - 1 in lane i
+    edges = [bisect_left(thresholds, b << 56) for b in range(257)]
+    table = bytes(lo if lo == hi and lo < _MARKER else _MARKER
+                  for lo, hi in zip(edges, edges[1:]))
+    draws = set(table) - {_MARKER}
+    width = _LANE_BITS // 8
+    # ones and mask hold 1 and 2**64 - 1 in each lane
     ones = ((1 << _LANE_BITS * _LANES) - 1) // ((1 << _LANE_BITS) - 1)
-    ramp = int.from_bytes(b"".join(i.to_bytes(_LANE_BITS // 8, "little")
-                                   for i in range(_LANES)), "little")
     mask = _MASK64 * ones
     seeds = (seed & _MASK64) * ones
     golden = _GOLDEN * ones
-    # a block's little-endian bytes, read as the 64-bit value of each lane
-    lane_values = struct.Struct("<" + "Q8x" * _LANES)
+    step = _LANES * golden  # under 2**72 per lane: the headroom holds it
+    # lane i holds (t + 1) * golden for the block's trial t = start + i
+    z0 = int.from_bytes(b"".join(((i + 1) * _GOLDEN & _MASK64).to_bytes(
+        width, "little") for i in range(_LANES)), "little")
     tally = [0] * (len(thresholds) + 1)
     for start in range(0, trials, _LANES):
-        z = ((start + 1) * ones + ramp) * _GOLDEN & mask  # lane i: t + 1
-        z = _mix64(_mix64(z, mask) ^ seeds, mask)  # the seed of split(t)
+        z = _mix64(_mix64(z0, mask) ^ seeds, mask)  # the seed of split(t)
         z = _mix64(z + golden & mask, mask)  # its first next_u64
-        lanes = z.to_bytes(_LANE_BITS // 8 * _LANES, "little")
-        for x in lane_values.unpack(lanes)[:trials - start]:
+        z0 = z0 + step & mask
+        lanes = z.to_bytes(width * _LANES, "little")
+        # byte 7 of a lane is the top byte of its 64-bit value
+        tops = lanes[7::width][:trials - start].translate(table)
+        for v in draws:
+            tally[v] += tops.count(v)
+        i = tops.find(_MARKER)
+        while i >= 0:
+            x = int.from_bytes(lanes[i * width:i * width + 8], "little")
             tally[bisect_right(thresholds, x)] += 1
+            i = tops.find(_MARKER, i + 1)
     return {size: count for size, count in enumerate(tally) if count}
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import time
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -298,6 +300,41 @@ def test_sample_moment_beyond_a_double_exits_two(tmp_path, capsys):
     assert err.startswith("ppmoments: ") and err.count("\n") == 1
     assert "--k 300" in err and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("n, k, trials", [(2, 200, 10), (1, 300, 5)])
+def test_sample_fails_fast_when_the_target_overflows(capsys, n, k, trials):
+    # the exact target walks the rook rows to k, which took 17 s at
+    # k = 200 and 165 s at k = 300, before float() overflowed; a lower
+    # bound on the target settles it first
+    start = time.perf_counter()
+    code = main(["sample", "--n", str(n), "--k", str(k),
+                 "--trials", str(trials)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"ppmoments: --k {k} is too large at --n {n}: "
+                            f"the moment exceeds the double-precision "
+                            f"range\n")
+    assert elapsed < 1.0
+
+
+def test_target_overflow_bound_is_sound():
+    # e**-n >= 2**-ceil(n * 1.4426950408889635) needs log2(e) below it
+    with localcontext() as ctx:
+        ctx.prec = 50
+        assert 1 / Decimal(2).ln() < Decimal("1.4426950408889635")
+    for n in (1, 2, 3, 30, 1000, 2 ** 53):
+        for k in (1, 2, 3, 10, 40):
+            assert not cli._target_overflows(n, k)
+    # at n = 1 the exact target, moment_polynomial(k).evaluate(1), is
+    # 1.768e308 at k = 167 and overflows a double at k = 168 (about 10 s
+    # to compute each), so the bound is tight there
+    assert not cli._target_overflows(1, 167)
+    assert cli._target_overflows(1, 168)
+    # Catalan(k) is at least 2**1024 from k = 520 at any n
+    assert cli._target_overflows(2 ** 53, 520)
+    assert not cli._target_overflows(2 ** 53, 519)
 
 
 def test_verify_runs_past_twelve(capsys):

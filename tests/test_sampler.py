@@ -341,10 +341,11 @@ def _unmix64(z):
                    & mask, 30)
 
 
-def _seed_whose_trial_zero_draws(x):
-    # RngState(seed).split(0).next_u64() == x
+def _seed_whose_trial_draws(x, t=0):
+    # RngState(seed).split(t).next_u64() == x
     child = _unmix64(x) - sampler._GOLDEN & 2 ** 64 - 1
-    return _unmix64(child) ^ sampler._mix64(sampler._GOLDEN)
+    return _unmix64(child) ^ sampler._mix64((t + 1) * sampler._GOLDEN
+                                            & 2 ** 64 - 1)
 
 
 def _float_cdfs(mean):
@@ -378,7 +379,7 @@ def test_inversion_kernel_at_each_cdf_boundary():
     # outputs are placed on each side of each float cdf and seeds are
     # built whose one trial draws them; the sizes come from the float
     # rule; at means 4 and 29 the top output exceeds the final cdf
-    assert RngState(_seed_whose_trial_zero_draws(12345)).split(0)\
+    assert RngState(_seed_whose_trial_draws(12345)).split(0)\
         .next_u64() == 12345
     for mean in range(1, 31):
         cdfs = list(_float_cdfs(mean))
@@ -390,9 +391,56 @@ def test_inversion_kernel_at_each_cdf_boundary():
             u = (x >> 11) * 2.0 ** -53  # RngState.random of output x
             size = _float_inversion(cdfs, u)
             assert poisson_sample(mean, _FixedRng(u)) == size
-            seed = _seed_whose_trial_zero_draws(x)
+            seed = _seed_whose_trial_draws(x)
             assert poisson_sample(mean, RngState(seed).split(0)) == size
             assert sampler._inversion_sizes(mean, seed, 1) == {size: 1}
+
+
+@pytest.mark.parametrize("mean", [1, 2, 17, 29, 30])
+def test_inversion_kernel_at_each_top_byte_edge_away_from_lane_zero(mean):
+    # the kernel tallies a lane by its top byte unless that byte's bucket
+    # holds a threshold: each bucket edge and each threshold's neighbours
+    # are placed at lane 1, at the last lane of the first block and in a
+    # partial second block, the other lanes being whatever the seed draws
+    thresholds = sampler._inversion_thresholds(mean)
+    outputs = {b << 56 for b in range(256)}
+    outputs |= {(b << 56) - 1 for b in range(1, 257)}
+    outputs |= {x + d for x in thresholds for d in (-1, 1)}
+    for t in (1, 255, 256 + 7):
+        assert RngState(_seed_whose_trial_draws(12345, t)).split(t)\
+            .next_u64() == 12345
+        for x in sorted(outputs):
+            seed = _seed_whose_trial_draws(x, t)
+            root = RngState(seed)
+            expected = {}
+            for i in range(t + 1):
+                size = poisson_sample(mean, root.split(i))
+                expected[size] = expected.get(size, 0) + 1
+            assert sampler._inversion_sizes(mean, seed, t + 1) == expected
+
+
+def test_inversion_kernel_rejects_a_rejection_mean():
+    # above the inversion limit poisson_sample draws by PTRS, whose
+    # tally the kernel cannot give
+    for mean in (30.5, 31, 50):
+        with pytest.raises(ValueError):
+            sampler._inversion_sizes(mean, 1, 10)
+
+
+def test_inversion_kernel_holds_a_few_blocks():
+    # the tally is counted per block: no buffer grows with the trials
+    sampler._inversion_sizes(2, 5, 1)  # fill the threshold cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sizes = sampler._inversion_sizes(2, 5, 200_000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes.values()) == 200_000
+    # about 16 ints of one block's 4096 bytes are alive at once; a byte
+    # per trial would add 200,000
+    assert peak < 100_000
 
 
 def test_mc_moments_never_samples_a_shape(monkeypatch):
