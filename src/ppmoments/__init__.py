@@ -13,6 +13,7 @@ from .algebra import (
     expand_in_x,
     fine_structure_form,
     fine_structure_to_rational,
+    theta_from_rows,
     theta_support_window,
 )
 from .ansatz import (

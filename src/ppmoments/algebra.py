@@ -18,7 +18,9 @@ coefficients a result keeps.
 
 An order-g moment correction in normal form is c/(2-c)^g times a
 polynomial in t = (c-1)/(2-c); fine_structure_form gives its nonzero
-coefficients as a dict theta[k].
+coefficients as a dict theta[k] from a closed form, and theta_from_rows
+gives the same dict from the correction's rook rows alone, by one
+triangular solve over plain int lists in y = x^2.
 
 Every coefficient is a plain int.  The two divisions stay integral:
 divide_out_root divides by the monic c - root, and SeriesX.inverse needs
@@ -27,8 +29,9 @@ a constant term of +-1; any other constant term raises ValueError.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "NotFineStructure",
@@ -47,6 +50,7 @@ __all__ = [
     "fine_structure_form",
     "fine_structure_to_rational",
     "sum_over_two_minus_c",
+    "theta_from_rows",
     "theta_support_window",
 ]
 
@@ -198,7 +202,6 @@ POLY_ONE = PolyC((1,))
 POLY_C = PolyC((0, 1))
 C_MINUS_ONE = PolyC((-1, 1))
 TWO_MINUS_C = PolyC((2, -1))
-C_MINUS_TWO = PolyC((-2, 1))
 
 
 def divide_out_root(p: PolyC, root: int, most: int) -> tuple[PolyC, int]:
@@ -272,8 +275,11 @@ class RationalFnC:
         return hash((self.num, self.a))
 
     def _over_monic(self) -> tuple[PolyC, PolyC]:
-        """(numerator, denominator) over the monic (c-2)^a."""
-        return (-self.num if self.a % 2 else self.num), C_MINUS_TWO ** self.a
+        """(numerator, denominator) over the monic (c-2)^a, expanded by
+        the binomial theorem."""
+        a = self.a
+        den = PolyC(comb(a, i) * (-2) ** (a - i) for i in range(a + 1))
+        return (-self.num if a % 2 else self.num), den
 
     def to_json(self) -> dict:
         num, den = self._over_monic()
@@ -398,12 +404,71 @@ def fine_structure_form(f: RationalFnC, g: int) -> dict[int, int]:
     return {k: v for k, v in theta.items() if v}
 
 
+def theta_from_rows(column: Sequence[int], g: int) -> dict[int, int]:
+    """Solve the order-g rook rows for their normal-form coefficient table.
+
+    column[k] = R(k, g) is the 1/n^g coefficient of the 2k-th moment, for
+    k = 0..3g+2 at least; later rows are not read.  Their series
+    Phi_g(y) = sum_k R(k, g) y^k in y = x^2 is c/(2-c)^g sum_j theta[j] t^j
+    with c = 1 + y c^2 and t = (c-1)/(2-c).  Each basis function
+    c t^j/(2-c)^g starts at y^j, so the rows fix theta by one triangular
+    solve.  It is done by inverting t in closed form: c = (1+2t)/(1+t),
+    so 2-c = 1/(1+t), y = (c-1)/c^2 = t(1+t)/(1+2t)^2 and
+    c/(2-c)^g = (1+2t)(1+t)^(g-1).  Hence
+
+        sum_j theta[j] t^j = Phi_g(w) / ((1+2t) (1+t)^(g-1)),
+        w = t(1+t)/(1+2t)^2,
+
+    taken to t^(3g+2) by Horner's rule in w.  Multiplying by t(1+t) and
+    dividing by 1+2t or 1+t are recurrences on int lists that stay
+    integral, since each divisor has constant term 1.  The table lies at
+    j <= 3g-1 (theta_support_window), so the coefficients at t^(3g)..
+    t^(3g+2) are a residual that must vanish; as t = y + O(y^2), they do
+    exactly when rows 3g..3g+2 agree with the table the lower rows fix.
+    A nonzero residual raises NotFineStructure.
+    """
+    if g < 1:
+        raise ValueError("order g must be >= 1")
+    n = 3 * g + 2
+    if len(column) <= n:
+        raise ValueError(f"order g={g} needs the rows k = 0..{n}")
+    # Horner: acc <- acc * w + R(k, g), kept to t^(n-k) since w^k = O(t^k)
+    acc = [column[n]]
+    for k in range(n - 1, -1, -1):
+        nxt = [0, acc[0]]
+        for i in range(2, n - k + 1):
+            nxt.append(acc[i - 1] + acc[i - 2] - 4 * (nxt[i - 1] + nxt[i - 2]))
+        nxt[0] = column[k]
+        acc = nxt
+    acc = list(accumulate(acc, lambda prev, x: x - 2 * prev))  # / (1+2t)
+    for _ in range(g - 1):
+        acc = list(accumulate(acc, lambda prev, x: x - prev))  # / (1+t)
+    if any(acc[3 * g:]):
+        raise NotFineStructure(f"rows {3 * g}..{n} leave a nonzero residual "
+                               f"at order g={g}")
+    return {j: v for j, v in enumerate(acc[:3 * g]) if v}
+
+
 def fine_structure_to_rational(theta: Mapping[int, int], g: int) -> RationalFnC:
     """Re-expand a coefficient table of order g into one rational function.
 
-    Inverse of fine_structure_form: sums the t-polynomial as fractions
-    (c-1)^k/(2-c)^k and multiplies by c/(2-c)^g.
+    Inverse of fine_structure_form.  With top the largest k of a nonzero
+    theta[k], c/(2-c)^g * sum_k theta[k] t^k is c A/(2-c)^(g+top) with
+    A = sum_k theta[k] (c-1)^k (2-c)^(top-k), built on int lists by
+    Horner's rule A_m = (2-c) A_(m-1) + theta[m] (c-1)^m.  At c = 2 the
+    numerator c A is 2 theta[top], not 0, so (2-c) does not divide it.
     """
-    num, a = sum_over_two_minus_c((v * C_MINUS_ONE ** k, k)
-                                  for k, v in theta.items())
-    return RationalFnC(POLY_C * num, g + a)
+    terms = {k: v for k, v in theta.items() if v}
+    if not terms:
+        return RationalFnC(POLY_ZERO)
+    if min(terms) < 0:
+        raise ValueError("theta is indexed by nonnegative powers of t")
+    top = max(terms)
+    acc, power = [0], [1]  # A_m and (c-1)^m, low to high, of one length
+    for m in range(top + 1):
+        if m:
+            acc = [2 * a - b for a, b in zip(acc + [0], [0] + acc)]
+            power = [b - a for a, b in zip(power + [0], [0] + power)]
+        if m in terms:
+            acc = [a + terms[m] * p for a, p in zip(acc, power)]
+    return RationalFnC(PolyC([0] + acc), g + top)

@@ -1,10 +1,14 @@
 """Command-line interface: exact tables, oracle verification, sampling runs.
 
 Commands
-  theta    coefficient tables and closed forms for orders 1..g_max
+  theta    coefficient tables and closed forms for orders 1..g_max, solved
+           from one rook walk (theta_from_rows); the operator chain,
+           which phi and verify walk, does not run
   phi      closed forms only (optionally with the raw term-sum dump)
   moments  exact moment polynomials in 1/n for orders up to k_max
-  verify   cross-check pipeline, combinatorial oracles and invariants
+  verify   cross-check pipeline, combinatorial oracles and invariants,
+           among them the theta tables of both routes: the chain's and
+           the rook rows' (rows to k = max(k_max, 3 g_max + 2), one walk)
   sample   Monte Carlo estimate of one moment against its exact value
 
 Exit codes: 0 success / verification passed, 1 verification mismatch,
@@ -25,6 +29,7 @@ from fractions import Fraction
 
 from .algebra import (
     POLY_C,
+    NotFineStructure,
     PolyC,
     RationalFnC,
     SeriesX,
@@ -33,6 +38,7 @@ from .algebra import (
     expand_in_x,
     fine_structure_form,
     fine_structure_to_rational,
+    theta_from_rows,
     theta_support_window,
 )
 from .ansatz import (
@@ -68,19 +74,28 @@ REFERENCE_THETA = {
 }
 
 
+def _rook_column(rows: list, g: int) -> list[int]:
+    """R(k, g) for k = 0..len(rows), from moment_polynomials rows 1.."""
+    return [0] + [mp.counts.get(g, 0) for mp in rows]
+
+
 def run_theta(g_max: int) -> dict:
-    """Coefficient table rows and closed forms for g = 1..g_max."""
-    rows = []
-    for g, s in enumerate(chain_iterates(g_max)):
-        if g == 0:
-            continue
-        fn = y0_coefficient(s)
-        theta = fine_structure_form(fn, g)
-        rows.append({"g": g,
-                     "theta": {str(k): str(v)
-                               for k, v in sorted(theta.items())},
-                     "phi": fn.to_json()})
-    return {"command": "theta", "params": {"g_max": g_max}, "results": rows}
+    """Coefficient table rows and closed forms for g = 1..g_max.
+
+    One rook walk gives the rows k <= 3 g_max + 2 that theta_from_rows
+    needs; each closed form re-expands its table.  verify checks both
+    against the operator chain.
+    """
+    rows = moment_polynomials(3 * g_max + 2)
+    results = []
+    for g in range(1, g_max + 1):
+        theta = theta_from_rows(_rook_column(rows, g), g)
+        results.append({"g": g,
+                        "theta": {str(k): str(v)
+                                  for k, v in sorted(theta.items())},
+                        "phi": fine_structure_to_rational(theta, g).to_json()})
+    return {"command": "theta", "params": {"g_max": g_max},
+            "results": results}
 
 
 def run_phi(g_max: int, dump_ansatz: bool = False) -> dict:
@@ -100,21 +115,25 @@ def run_moments(k_max: int) -> dict:
     return {"command": "moments", "params": {"k_max": k_max}, "results": rows}
 
 
+_WINDOW = 5  # sizes summed on either side of the peak by _target_overflows
+
+
 def _target_overflows(n: int, k: int) -> bool:
     """True only if the exact target of run_sample is at least 2**1024.
 
     The target is the Poisson(n) average of transformed_moment(N, k) / n**k,
     a sum with no negative term: the moment is an even power sum of the
-    real roots of He_(N+1).  So each term is a lower bound, and so is the
-    g = 0 coefficient Catalan(k) of moment_polynomial(k), whose
+    real roots of He_(N+1).  So any partial sum is a lower bound, and so
+    is the g = 0 coefficient Catalan(k) of moment_polynomial(k), whose
     coefficients are counts.  As log2(e) < 1.4426950408889635,
-    e**-n >= 2**-c with c = ceil(n * 1.4426950408889635), and the term at
-    N is at least 2**1024 when n**N * m >= N! * n**k * 2**(1024 + c),
-    m = transformed_moment(N, k), compared exactly in integers.  The
-    terms peak near the N with N ln(N/n) = k; the test takes that N and
-    N = n, each only up to 64 k, which bounds its work by the k of the
-    run, not by n.  A False answer proves nothing, and the caller goes on
-    to compute the target.
+    e**-n >= 2**-c with c = ceil(n * 1.4426950408889635), and the terms
+    at the sizes N of a set S sum to at least 2**1024 when
+    sum_N n**N * m_N * M! / N! >= M! * n**k * 2**(1024 + c),
+    m_N = transformed_moment(N, k) and M = max S, compared exactly in
+    integers.  The terms peak near the N with N ln(N/n) = k; S is that N
+    with the _WINDOW sizes on either side, and N = n, each only up to
+    64 k, which bounds the work by the k of the run, not by n.  A False
+    answer proves nothing, and the caller goes on to compute the target.
     """
     if catalan_number(k) >> 1024:
         return True
@@ -125,10 +144,16 @@ def _target_overflows(n: int, k: int) -> bool:
             lo = mid
         else:
             hi = mid
+    sizes = [size for size in {n, *range(max(hi - _WINDOW, 0),
+                                         hi + _WINDOW + 1)}
+             if size <= 64 * k]
+    if not sizes:
+        return False
+    top = math.factorial(max(sizes))
     c = -(-n * 14426950408889635 // 10 ** 16)
-    return any(n ** size * transformed_moment(size, k)
-               >= math.factorial(size) * n ** k << 1024 + c
-               for size in {n, hi} if size <= 64 * k)
+    return (sum(n ** size * transformed_moment(size, k)
+                * (top // math.factorial(size)) for size in sizes)
+            >= top * n ** k << 1024 + c)
 
 
 def run_sample(n: int, k: int, trials: int, seed: int = DEFAULT_SEED) -> dict:
@@ -204,17 +229,20 @@ def run_verify(g_max: int, k_max: int) -> dict:
         _check(checks, f"theta table row g={g}",
                REFERENCE_THETA[g], thetas[g])
 
-    # Three-way moment agreement
+    # Three-way moment agreement; the rook rows past k_max feed the
+    # rows route to theta below
+    rook_rows = moment_polynomials(max(k_max, 3 * g_max + 2))
     phi_series = {g: expand_in_x(phis[g], x_order) for g in range(g_max + 1)}
-    for k, (rook, word) in enumerate(zip(moment_polynomials(k_max),
-                                         _word_rows(k_max)), start=1):
+    for k, (rook, word) in enumerate(zip(rook_rows, _word_rows(k_max)),
+                                     start=1):
         _check(checks, f"word vs rook moments k={k}", rook.counts, word)
         for g in range(g_max + 1):
             _check(checks, f"pipeline coefficient k={k} g={g}",
                    rook.counts.get(g, 0),
                    phi_series[g].coefficient(2 * k))
 
-    # Closed operator-chain shape, support window, round trip
+    # Closed operator-chain shape, support window, round trip, and the
+    # table solved from the rook rows alone
     for g in range(1, g_max + 1):
         _check(checks, f"chain shape g={g}", [],
                chain_shape_violations(iterates[g], g))
@@ -223,6 +251,11 @@ def run_verify(g_max: int, k_max: int) -> dict:
                all(lo <= key <= hi for key in thetas[g]))
         _check(checks, f"normal form round trip g={g}", phis[g],
                fine_structure_to_rational(thetas[g], g))
+        try:
+            from_rows = theta_from_rows(_rook_column(rook_rows, g), g)
+        except NotFineStructure as exc:
+            from_rows = str(exc)
+        _check(checks, f"theta rows route g={g}", thetas[g], from_rows)
 
     # Generating functions against path counts
     imax = min(x_order, 12)

@@ -361,20 +361,26 @@ def transformed_moment(size: int, k: int) -> int:
     probabilists' Hermite polynomial, i.e. the measure is uniform on
     those roots.  Its mass, mean and variance agree with the corner
     transition measure of any partition of the same size.
+
+    The walk keeps one weight per height and drops every state that adds
+    nothing: one higher than the steps left cannot return to 0, and one
+    above `size` must step down from size + 1 to size, weight 0.
     """
     if size < 0 or k < 0:
         raise ValueError("arguments must be nonnegative")
-    ways = {0: 1}
-    for _ in range(2 * k):
-        nxt: dict[int, int] = {}
-        for h, w in ways.items():
-            nxt[h + 1] = nxt.get(h + 1, 0) + w
-            if h > 0:
-                f = size - (h - 1)
-                if f:
-                    nxt[h - 1] = nxt.get(h - 1, 0) + w * f
+    ways = [1]  # ways[h]: weight of the paths so far that end at height h
+    for left in reversed(range(2 * k)):
+        top = min(len(ways), left, size)  # highest height kept
+        nxt = [0] * (top + 1)
+        # after an even number of steps only even heights are reached
+        for h in range((left + 1) % 2, len(ways), 2):
+            w = ways[h]
+            if h < top:
+                nxt[h + 1] += w
+            if h:
+                nxt[h - 1] += w * (size - h + 1)
         ways = nxt
-    return ways.get(0, 0)
+    return ways[0]
 
 
 def _inversion_sizes(mean: float, seed: int, trials: int) -> dict[int, int]:

@@ -18,7 +18,9 @@ rook_polynomial) summed over every staircase shape
 partition of a size (partitions_of), and the Plancherel average of the
 corner transition measure's moments (corner_moment_rows).  The rook
 transfer matrix with one list of closed-pair counts per state
-(rook_rows_reference) is the reference for the package's packed walk.
+(rook_rows_reference) is the reference for the package's packed walk,
+and the path walk that keeps every height (transformed_moment_reference)
+is the one for the package's pruned transformed_moment.
 """
 
 from __future__ import annotations
@@ -486,6 +488,23 @@ def normal_order(word: str, memo: dict[str, dict[int, int]]) -> dict[int, int]:
             result[g + 1] = result.get(g + 1, 0) + n
     memo[word] = result
     return result
+
+
+def transformed_moment_reference(size: int, k: int) -> int:
+    """transformed_moment by the path walk that prunes no state.
+
+    Every height a path reaches is kept; a down step ending at h weighs
+    size - h, and a zero weight is skipped.
+    """
+    ways = {0: 1}
+    for _ in range(2 * k):
+        nxt: dict[int, int] = {}
+        for h, w in ways.items():
+            nxt[h + 1] = nxt.get(h + 1, 0) + w
+            if h > 0 and size - (h - 1):
+                nxt[h - 1] = nxt.get(h - 1, 0) + w * (size - (h - 1))
+        ways = nxt
+    return ways.get(0, 0)
 
 
 def hermite_coeffs(n: int) -> list[int]:

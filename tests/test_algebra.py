@@ -26,8 +26,9 @@ from ppmoments.algebra import (
     TWO_MINUS_C,
     divide_out_root,
     sum_over_two_minus_c,
+    theta_from_rows,
 )
-from ppmoments.cli import run_sample
+from ppmoments.cli import REFERENCE_THETA, _rook_column, run_sample
 
 C = POLY_C
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -308,6 +309,51 @@ def test_fine_structure_form_drops_zeros():
     f = fine_structure_to_rational({3: 1, 4: 0, 5: -2}, 2)
     assert fine_structure_to_rational({3: 1, 5: -2}, 2) == f
     assert fine_structure_form(f, 2) == {3: 1, 5: -2}
+
+
+def test_fine_structure_to_rational_rejects_negative_powers():
+    with pytest.raises(ValueError):
+        fine_structure_to_rational({-1: 1, 2: 1}, 1)
+    assert fine_structure_to_rational({2: 0}, 1) == RationalFnC(PolyC(()))
+
+
+def test_theta_from_rows_matches_the_operator_chain():
+    # the rows route and the chain's closed forms give the same table
+    rows = moment_polynomials(3 * 15 + 2)
+    for g, s in enumerate(chain_iterates(15)):
+        if g:
+            want = fine_structure_form(y0_coefficient(s), g)
+            assert theta_from_rows(_rook_column(rows, g), g) == want, g
+
+
+def test_theta_from_rows_round_trip_randomized():
+    # any table in the window, expanded in y = x^2, solves back to itself
+    rng = Random(29)
+    for _ in range(12):
+        g = rng.randint(1, 5)
+        lo, hi = theta_support_window(g)
+        theta = {k: rng.randint(-9, 9) for k in range(lo, hi + 1)}
+        series = expand_in_x(fine_structure_to_rational(theta, g), 6 * g + 4)
+        column = [series.coefficient(2 * k) for k in range(3 * g + 3)]
+        assert theta_from_rows(column, g) == {k: v for k, v in theta.items()
+                                              if v}
+
+
+def test_theta_from_rows_checks_the_residual_rows():
+    rows = moment_polynomials(3 * 6 + 2)
+    for g in range(1, 7):
+        column = _rook_column(rows, g)
+        if g in REFERENCE_THETA:  # rows past 3g+2 are not read
+            assert theta_from_rows(column + [1, 2, 3], g) == REFERENCE_THETA[g]
+        for k in range(3 * g, 3 * g + 3):
+            bad = list(column)
+            bad[k] += 1
+            with pytest.raises(NotFineStructure):
+                theta_from_rows(bad, g)
+    with pytest.raises(ValueError):
+        theta_from_rows(_rook_column(rows, 2)[:8], 2)  # rows k <= 8 needed
+    with pytest.raises(ValueError):
+        theta_from_rows([0] * 10, 0)
 
 
 def test_theta_support_window():

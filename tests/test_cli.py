@@ -28,6 +28,14 @@ def test_theta_report(capsys):
     assert rows[0]["phi"]["den"] == ["-8", "12", "-6", "1"]
 
 
+def test_theta_small_tsv_report_digest(capsys):
+    # sha256 of `theta --g-max 4 --format tsv`, the reference table rows
+    code, out = run_cli(capsys, "theta", "--g-max", "4", "--format", "tsv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "30272da5d4029d7d8658cf97f88fccc43c211014585b1ecb04672652b72d7000"
+
+
 def test_theta_deep_report_digest(capsys):
     # sha256 of `theta --g-max 7` as computed by the all-Fraction algebra
     code, out = run_cli(capsys, "theta", "--g-max", "7")
@@ -70,11 +78,12 @@ def test_phi_report_digest(capsys, args, digest):
 
 
 def test_verify_gate_report_digest(capsys):
-    # sha256 of `verify --g-max 5 --k-max 10` as computed with the gcd field
+    # sha256 of `verify --g-max 5 --k-max 10`, with one `theta rows route`
+    # check per g after each round trip
     code, out = run_cli(capsys, "verify", "--g-max", "5", "--k-max", "10")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "82cafbf035bca12476895c334d1e3f832ba3d2cba4a329180627e8cf3432eb3a"
+        "1aae280e0bac9670036bfa48de6e5fff7f15fc8c172bf210de8acee0cbaee2fd"
 
 
 def test_moments_deep_report_digest(capsys):
@@ -100,6 +109,13 @@ def test_reports_walk_the_rook_transfer_matrix_once(monkeypatch):
     calls.clear()
     assert run_verify(2, 8)["passed"] is True
     assert calls == [8]
+    # theta and the rows route read k <= 3 g_max + 2 off the same one walk
+    calls.clear()
+    run_theta(4)
+    assert calls == [14]
+    calls.clear()
+    assert run_verify(5, 10)["passed"] is True
+    assert calls == [17]
 
 
 def test_reports_walk_the_word_route_once(monkeypatch):
@@ -125,9 +141,9 @@ def test_reports_walk_the_operator_chain_once(monkeypatch):
         return original(k, s)
 
     monkeypatch.setattr(ansatz, "g_apply", counting)
+    # theta solves its tables from the rook rows, off the chain
     run_theta(4)
-    assert calls == [0, 1, 2, 3]
-    calls.clear()
+    assert calls == []
     assert run_verify(3, 4)["passed"] is True
     assert calls == [0, 1, 2]
     calls.clear()
@@ -211,6 +227,28 @@ def test_verify_exit_one_on_mismatch(capsys, monkeypatch):
     assert bad == [{"check": "two-height series vs path counts (i<=2)",
                     "expected": "all coefficients match",
                     "actual": "mismatch at [(2, 1, 1)]", "pass": False}]
+
+
+def test_verify_reports_a_rows_route_residual(monkeypatch):
+    # a rook row the solver's residual rejects is a failed check, not a
+    # traceback
+    real_rows = oracles.moment_polynomials
+
+    def off_at_k5(k_max):
+        rows = real_rows(k_max)
+        counts = dict(rows[4].counts)
+        counts[1] += 1
+        rows[4] = oracles.MomentPolynomial(5, counts)
+        return rows
+
+    monkeypatch.setattr(cli, "moment_polynomials", off_at_k5)
+    report = run_verify(1, 2)
+    bad = [c for c in report["results"] if not c["pass"]]
+    assert report["passed"] is False
+    assert bad == [{"check": "theta rows route g=1", "expected": "{2: 1}",
+                    "actual": "rows 3..5 leave a nonzero residual at "
+                              "order g=1",
+                    "pass": False}]
 
 
 def test_verify_report_is_structured():
@@ -302,7 +340,8 @@ def test_sample_moment_beyond_a_double_exits_two(tmp_path, capsys):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("n, k, trials", [(2, 200, 10), (1, 300, 5)])
+@pytest.mark.parametrize("n, k, trials", [(2, 200, 10), (1, 300, 5),
+                                          (2, 185, 10)])
 def test_sample_fails_fast_when_the_target_overflows(capsys, n, k, trials):
     # the exact target walks the rook rows to k, which took 17 s at
     # k = 200 and 165 s at k = 300, before float() overflowed; a lower
@@ -332,6 +371,10 @@ def test_target_overflow_bound_is_sound():
     # to compute each), so the bound is tight there
     assert not cli._target_overflows(1, 167)
     assert cli._target_overflows(1, 168)
+    # at n = 2 the target overflows from k = 185; the terms summed around
+    # the peak size reach 2**1025.2 there and 2**1018.5 at k = 184
+    assert not cli._target_overflows(2, 184)
+    assert cli._target_overflows(2, 185)
     # Catalan(k) is at least 2**1024 from k = 520 at any n
     assert cli._target_overflows(2 ** 53, 520)
     assert not cli._target_overflows(2 ** 53, 519)

@@ -28,7 +28,7 @@ from ppmoments import (
 from ppmoments.cli import run_sample
 
 from helpers import (corner_moment_rows, hermite_coeffs, partitions_of,
-                     power_sums, tableau_count)
+                     power_sums, tableau_count, transformed_moment_reference)
 
 
 def test_rng_is_deterministic():
@@ -284,6 +284,18 @@ def test_transformed_moment_matches_rook_counts_via_falling_factorials():
             want = sum(rows[k - 1].counts.get(g, 0) * falling(size, k - g)
                        for g in range(k + 1))
             assert transformed_moment(size, k) == want
+
+
+def test_transformed_moment_pruned_walk_matches_the_full_walk():
+    # the package drops states above the size or the steps left; the
+    # reference keeps every height a path reaches
+    for size in range(0, 24):
+        for k in range(0, 26):
+            assert transformed_moment(size, k) == \
+                transformed_moment_reference(size, k), (size, k)
+    for size, k in ((70, 120), (130, 90), (3, 150)):
+        assert transformed_moment(size, k) == \
+            transformed_moment_reference(size, k), (size, k)
 
 
 def test_transformed_moment_is_uniform_on_hermite_roots():
