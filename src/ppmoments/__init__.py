@@ -31,7 +31,6 @@ from .ansatz import (
     y0_coefficient,
 )
 from .oracles import (
-    MomentPolynomial,
     enum_paths,
     moment_polynomial,
     moment_polynomials,

@@ -44,7 +44,6 @@ from .algebra import (
 from .ansatz import (
     chain_iterates,
     chain_shape_violations,
-    f_series,
     g_series,
     y0_coefficient,
 )
@@ -74,9 +73,9 @@ REFERENCE_THETA = {
 }
 
 
-def _rook_column(rows: list, g: int) -> list[int]:
+def _rook_column(rows: list[dict[int, int]], g: int) -> list[int]:
     """R(k, g) for k = 0..len(rows), from moment_polynomials rows 1.."""
-    return [0] + [mp.counts.get(g, 0) for mp in rows]
+    return [0] + [row.get(g, 0) for row in rows]
 
 
 def run_theta(g_max: int) -> dict:
@@ -111,7 +110,8 @@ def run_phi(g_max: int, dump_ansatz: bool = False) -> dict:
 
 def run_moments(k_max: int) -> dict:
     """Exact moment polynomials for k = 1..k_max."""
-    rows = [mp.to_json() for mp in moment_polynomials(k_max)]
+    rows = [{"k": k, "counts": {str(g): c for g, c in sorted(row.items())}}
+            for k, row in enumerate(moment_polynomials(k_max), start=1)]
     return {"command": "moments", "params": {"k_max": k_max}, "results": rows}
 
 
@@ -125,17 +125,22 @@ def _target_overflows(n: int, k: int) -> bool:
     a sum with no negative term: the moment is an even power sum of the
     real roots of He_(N+1).  So any partial sum is a lower bound, and so
     is the g = 0 coefficient Catalan(k) of moment_polynomial(k), whose
-    coefficients are counts.  As log2(e) < 1.4426950408889635,
+    coefficients are counts.  Catalan(520) is the first Catalan number
+    of 2**1024 or more and the sequence grows, so only
+    Catalan(min(k, 520)) is computed, in time bounded whatever k is.
+    As log2(e) < 1.4426950408889635,
     e**-n >= 2**-c with c = ceil(n * 1.4426950408889635), and the terms
     at the sizes N of a set S sum to at least 2**1024 when
     sum_N n**N * m_N * M! / N! >= M! * n**k * 2**(1024 + c),
     m_N = transformed_moment(N, k) and M = max S, compared exactly in
     integers.  The terms peak near the N with N ln(N/n) = k; S is that N
     with the _WINDOW sizes on either side, and N = n, each only up to
-    64 k, which bounds the work by the k of the run, not by n.  A False
-    answer proves nothing, and the caller goes on to compute the target.
+    64 k, which bounds the work by the k of the run, not by n; past the
+    Catalan test k is below 520.  A False answer proves nothing.
+    run_sample asks before it samples, so an overflowing run exits
+    without drawing a trial or walking the rook rows.
     """
-    if catalan_number(k) >> 1024:
+    if catalan_number(min(k, 520)) >> 1024:
         return True
     lo, hi = n, n + k  # N ln(N/n) - k is < 0 at lo and >= 0 at hi
     while hi - lo > 1:
@@ -159,14 +164,20 @@ def _target_overflows(n: int, k: int) -> bool:
 def run_sample(n: int, k: int, trials: int, seed: int = DEFAULT_SEED) -> dict:
     """Monte Carlo estimate of the 2k-th moment with its exact target.
 
-    With a zero standard error (every trial gave the same value) z is
-    0.0 when the estimate equals the prediction exactly and None (JSON
-    null) otherwise, since no finite z-score describes that mismatch.
+    A target that _target_overflows proves at least 2**1024 raises
+    OverflowError before any trial is drawn, whatever the trial count.
+    The target is the rook row of order 2k summed over 1/n**g as one
+    exact Fraction.  With a zero standard error (every trial gave the
+    same value) z is 0.0 when the estimate equals the prediction exactly
+    and None (JSON null) otherwise, since no finite z-score describes
+    that mismatch.
     """
-    estimate, stderr = mc_moment(n, k, trials, seed)
-    if stderr > 0 and _target_overflows(n, k):
+    if _target_overflows(n, k):
         raise OverflowError("the exact target exceeds the double range")
-    predicted = moment_polynomial(k).evaluate(n) if k >= 1 else Fraction(1)
+    estimate, stderr = mc_moment(n, k, trials, seed)
+    row = moment_polynomial(k) if k >= 1 else {0: 1}
+    predicted = Fraction(sum(c * n ** (k - g) for g, c in row.items()),
+                         n ** k)
     if stderr > 0:
         z = (estimate - float(predicted)) / stderr
     else:
@@ -235,10 +246,10 @@ def run_verify(g_max: int, k_max: int) -> dict:
     phi_series = {g: expand_in_x(phis[g], x_order) for g in range(g_max + 1)}
     for k, (rook, word) in enumerate(zip(rook_rows, _word_rows(k_max)),
                                      start=1):
-        _check(checks, f"word vs rook moments k={k}", rook.counts, word)
+        _check(checks, f"word vs rook moments k={k}", rook, word)
         for g in range(g_max + 1):
             _check(checks, f"pipeline coefficient k={k} g={g}",
-                   rook.counts.get(g, 0),
+                   rook.get(g, 0),
                    phi_series[g].coefficient(2 * k))
 
     # Closed operator-chain shape, support window, round trip, and the
@@ -260,11 +271,11 @@ def run_verify(g_max: int, k_max: int) -> dict:
     # Generating functions against path counts
     imax = min(x_order, 12)
     paths = [path_counts(start, imax) for start in range(imax + 1)]
-    fgrid = f_series(imax, imax)
+    # G at y = 0 is F: its plane j1 = 0 is F's grid, so F is expanded once
+    ggrid = g_series(imax, imax, imax)
     _grid_check(checks, f"return-height series vs path counts (i<={imax})",
                 [(i, j) for i in range(imax + 1) for j in range(imax + 1)
-                 if fgrid[i][j] != paths[0][i].get(j, 0)])
-    ggrid = g_series(imax, imax, imax)
+                 if ggrid[i][0][j] != paths[0][i].get(j, 0)])
     _grid_check(checks, f"two-height series vs path counts (i<={imax})",
                 [(i, j1, j2)
                  for i in range(imax + 1) for j1 in range(imax + 1)

@@ -15,8 +15,9 @@ Three production routes feed the reports:
   * path_counts and enum_paths: nonnegative lattice paths between two
     heights.
 
-The first two give the same moment polynomials independently, and the
-closed forms are checked against them.  They are different recurrences
+The first two give the same moment polynomials independently, each
+row a plain {g: count} dict with the count at 1/n**g, and the closed
+forms are checked against them.  They are different recurrences
 and share no code: the rook walk decides at a down step whether it opens
 a pair and reads only state (0, 0), while the word walk keeps every
 lowering step pending, contracts one at a raising step, and sums every
@@ -28,12 +29,9 @@ ordering) live in tests/helpers.py, outside the package.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
-from typing import Mapping
 
 __all__ = [
-    "MomentPolynomial",
     "enum_paths",
     "moment_polynomial",
     "moment_polynomials",
@@ -136,52 +134,18 @@ def _rook_rows(k_max: int) -> list[tuple[int, ...]]:
     return rows
 
 
-class MomentPolynomial:
-    """Exact moment of order 2k as a polynomial in 1/n: g -> count."""
+def moment_polynomials(k_max: int) -> list[dict[int, int]]:
+    """Moments of orders 2, 4, ..., 2k_max from one rook transfer-matrix walk.
 
-    __slots__ = ("k", "counts")
-
-    def __init__(self, k: int, counts: Mapping[int, int]):
-        if k < 1:
-            raise ValueError("k must be positive")
-        clean = {int(g): int(n) for g, n in counts.items() if n}
-        if any(g < 0 or n < 0 for g, n in clean.items()):
-            raise ValueError("counts must be nonnegative at nonnegative g")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "counts", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MomentPolynomial is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MomentPolynomial):
-            return self.k == other.k and self.counts == other.counts
-        return NotImplemented
-
-    def evaluate(self, n: int) -> Fraction:
-        """Exact value at a concrete expansion parameter n."""
-        return sum((Fraction(c, n ** g) for g, c in self.counts.items()),
-                   Fraction(0))
-
-    def to_json(self) -> dict:
-        return {"k": self.k,
-                "counts": {str(g): c for g, c in sorted(self.counts.items())}}
-
-    def __repr__(self) -> str:
-        terms = [f"{c}" if g == 0 else f"{c}/n^{g}" if g > 1 else f"{c}/n"
-                 for g, c in sorted(self.counts.items())]
-        return f"MomentPolynomial(k={self.k}: {' + '.join(terms) or '0'})"
-
-
-def moment_polynomials(k_max: int) -> list[MomentPolynomial]:
-    """Moments of orders 2, 4, ..., 2k_max from one rook transfer-matrix walk."""
+    Row k - 1 is the moment of order 2k as {g: count}, the count at
+    1/n**g; it holds the k positive counts at g = 0..k-1.
+    """
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    return [MomentPolynomial(k, dict(enumerate(row)))
-            for k, row in enumerate(_rook_rows(k_max), start=1)]
+    return [dict(enumerate(row)) for row in _rook_rows(k_max)]
 
 
-def moment_polynomial(k: int) -> MomentPolynomial:
+def moment_polynomial(k: int) -> dict[int, int]:
     """Moment of order 2k via rook counts on staircase shapes."""
     if k < 1:
         raise ValueError("k must be positive")
@@ -230,11 +194,11 @@ def _word_rows(k_max: int) -> list[dict[int, int]]:
     return rows
 
 
-def word_moment(k: int) -> MomentPolynomial:
+def word_moment(k: int) -> dict[int, int]:
     """Moment of order 2k by normal-ordering the sum of all operator words.
 
     The last row of one word walk (_word_rows) up to horizon 2k.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    return MomentPolynomial(k, _word_rows(k)[-1])
+    return _word_rows(k)[-1]

@@ -27,7 +27,9 @@ Randomness comes from a counter-based 64-bit generator that derives an
 independent stream per trial index, so results are identical no matter
 how trials are scheduled.  At means up to 30 a size is drawn by
 inversion from the first output of its trial's stream alone, by
-bisecting one list of integer thresholds per mean.  mc_moments makes
+bisecting one list of integer thresholds per mean with that 64-bit
+output; poisson_sample and every lane of the block kernel use this one
+rule.  mc_moments makes
 those outputs 256 trials at a time, as the 128-bit lanes of one int
 read little-endian on every host.  It maps each lane's top byte through
 a 256-byte table of draws and counts them per block, and bisects the
@@ -232,9 +234,7 @@ def poisson_sample(mean: float, rng: RngState) -> int:
     if mean > POISSON_MEAN_MAX:
         raise ValueError(f"mean must be at most 2**53 = {POISSON_MEAN_MAX}")
     if mean <= _INVERSION_LIMIT:
-        # random() is a multiple of 2**-53: this is its output, low bits 0
-        x = int(rng.random() * 2.0 ** 53) << 11
-        return bisect_right(_inversion_thresholds(mean), x)
+        return bisect_right(_inversion_thresholds(mean), rng.next_u64())
     b = 0.931 + 2.53 * math.sqrt(mean)
     a = -0.059 + 0.02483 * b
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
@@ -459,7 +459,9 @@ def mc_moments(n: int, ks: Sequence[int], trials: int,
     uniforms, so the trials run one at a time.  The integer moments and
     their squares are summed exactly, and the mean and the variance of
     the mean are each rounded once, so the spread survives at any n
-    where a float sum of squares would cancel.
+    where a float sum of squares would cancel.  A variance of the mean
+    of 2**1024 or more has its root taken in integers, as its square
+    root can still fit a double.
     Returns (mean, standard error) per requested k.
     """
     if trials < 1:
@@ -486,8 +488,12 @@ def mc_moments(n: int, ks: Sequence[int], trials: int,
         if trials == 1:
             se = 0.0
         else:
-            se = math.sqrt((trials * s2 - s1 * s1)
-                           / (trials * trials * (trials - 1) * scale * scale))
+            var = trials * s2 - s1 * s1
+            den = trials * trials * (trials - 1) * scale * scale
+            try:
+                se = math.sqrt(var / den)
+            except OverflowError:  # the variance alone exceeds a double
+                se = float(math.isqrt(var // den))
         out.append((mean, se))
     return out
 

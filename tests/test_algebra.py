@@ -259,7 +259,7 @@ def test_expand_in_x_first_correction_matches_rook_counts():
     f = RationalFnC(C * C_MINUS_ONE ** 2, 3)
     # frozen from the rook oracle: one placement at semilength 2, eight at 3
     rows = moment_polynomials(3)
-    assert rows[1].counts.get(1, 0) == 1 and rows[2].counts.get(1, 0) == 8
+    assert rows[1].get(1, 0) == 1 and rows[2].get(1, 0) == 8
     assert list(expand_in_x(f, 6)) == [0, 0, 0, 0, 1, 0, 8]
 
 

@@ -236,9 +236,7 @@ def test_verify_reports_a_rows_route_residual(monkeypatch):
 
     def off_at_k5(k_max):
         rows = real_rows(k_max)
-        counts = dict(rows[4].counts)
-        counts[1] += 1
-        rows[4] = oracles.MomentPolynomial(5, counts)
+        rows[4][1] += 1
         return rows
 
     monkeypatch.setattr(cli, "moment_polynomials", off_at_k5)
@@ -328,8 +326,8 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_sample_moment_beyond_a_double_exits_two(tmp_path, capsys):
-    # at n = 1 a size-3 draw has a 600th moment near 1e220, whose square
-    # overflows the standard error
+    # at n = 1 the exact 600th moment is far beyond 2**1024; the target
+    # bound settles that before a single trial is drawn
     target = tmp_path / "sample.json"
     code = main(["sample", "--n", "1", "--k", "300", "--trials", "50",
                  "--out", str(target)])
@@ -341,11 +339,14 @@ def test_sample_moment_beyond_a_double_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("n, k, trials", [(2, 200, 10), (1, 300, 5),
-                                          (2, 185, 10)])
+                                          (2, 185, 10), (2, 200000, 10),
+                                          (1, 170, 1)])
 def test_sample_fails_fast_when_the_target_overflows(capsys, n, k, trials):
     # the exact target walks the rook rows to k, which took 17 s at
     # k = 200 and 165 s at k = 300, before float() overflowed; a lower
-    # bound on the target settles it first
+    # bound on the target settles it first.  It is asked before sampling
+    # (k = 200000 sampled for 54 s) and with one trial too, where a zero
+    # standard error once skipped it (8.3 s of rook walk at k = 170)
     start = time.perf_counter()
     code = main(["sample", "--n", str(n), "--k", str(k),
                  "--trials", str(trials)])
@@ -366,9 +367,10 @@ def test_target_overflow_bound_is_sound():
     for n in (1, 2, 3, 30, 1000, 2 ** 53):
         for k in (1, 2, 3, 10, 40):
             assert not cli._target_overflows(n, k)
-    # at n = 1 the exact target, moment_polynomial(k).evaluate(1), is
-    # 1.768e308 at k = 167 and overflows a double at k = 168 (about 10 s
-    # to compute each), so the bound is tight there
+    # at n = 1 the exact target, the sum of the counts of
+    # moment_polynomial(k), is 1.768e308 at k = 167 and overflows a
+    # double at k = 168 (about 10 s to compute each), so the bound is
+    # tight there
     assert not cli._target_overflows(1, 167)
     assert cli._target_overflows(1, 168)
     # at n = 2 the target overflows from k = 185; the terms summed around

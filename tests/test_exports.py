@@ -61,16 +61,18 @@ def test_exhaustive_enumerators_stay_out_of_the_package():
     for path in Path(ppmoments.__file__).parent.glob("*.py"):
         roots = _imported_roots(path)
         assert "helpers" not in roots, f"{path.name} imports helpers"
-        # the closed-form algebra runs on ints alone
-        if path.name in ("algebra.py", "ansatz.py"):
+        # the closed-form algebra and the moment rows run on ints alone
+        if path.name in ("algebra.py", "ansatz.py", "oracles.py"):
             assert "fractions" not in roots, f"{path.name} imports fractions"
 
 
 def test_retired_closed_form_names_stay_gone():
     # a closed form is stored once, as the reduced pair (num, a) over
-    # (2-c)^a, and a theta table is a plain dict
+    # (2-c)^a, a theta table is a plain dict, and so is a moment row
     import ppmoments.algebra as algebra
     for owner, name in ((ppmoments, "FineStructureForm"),
+                        (ppmoments, "MomentPolynomial"),
+                        (oracles, "MomentPolynomial"),
                         (algebra, "FineStructureForm"),
                         (algebra, "strip_two_minus_c"),
                         (ppmoments.AnsatzSum, "scale"),

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 
 import ppmoments.sampler as sampler
 from ppmoments import (
+    DEFAULT_SEED,
     DuplicateEntries,
     Partition,
     PolyC,
@@ -99,8 +102,8 @@ _TOP_UNIFORM_DRAWS = """
 import ppmoments.sampler as sampler
 
 class TopRng(sampler.RngState):
-    def random(self):
-        return 1 - 2 ** -53  # the largest value RngState.random yields
+    def next_u64(self):
+        return 2 ** 64 - 1  # the largest value RngState.next_u64 yields
 
 print(*(sampler.poisson_sample(m, TopRng(0)) for m in range(1, 31)))
 """
@@ -144,8 +147,8 @@ def test_rsk_first_row_is_longest_increasing_subsequence():
 
 
 class _ZeroRng:
-    def random(self):
-        return 0.0
+    def next_u64(self):
+        return 0
 
     def shuffle(self, xs):
         pass
@@ -243,11 +246,11 @@ def test_corner_measure_rows_differ_from_the_size_only_measure():
     for k, row in CORNER_ROWS.items():
         assert corner_moment_rows(k) == row
     for k in (1, 2):
-        assert moment_polynomial(k).counts == CORNER_ROWS[k]
-    assert moment_polynomial(3).counts == {0: 5, 1: 8, 2: 1}
-    assert moment_polynomial(4).counts == {0: 14, 1: 47, 2: 26, 3: 1}
+        assert moment_polynomial(k) == CORNER_ROWS[k]
+    assert moment_polynomial(3) == {0: 5, 1: 8, 2: 1}
+    assert moment_polynomial(4) == {0: 14, 1: 47, 2: 26, 3: 1}
     for k in (3, 4):
-        size_only = moment_polynomial(k).counts
+        size_only = moment_polynomial(k)
         assert all(c >= size_only[g] for g, c in CORNER_ROWS[k].items())
         assert CORNER_ROWS[k] != size_only
 
@@ -281,7 +284,7 @@ def test_transformed_moment_matches_rook_counts_via_falling_factorials():
     rows = moment_polynomials(6)
     for size in range(11):
         for k in range(1, 7):
-            want = sum(rows[k - 1].counts.get(g, 0) * falling(size, k - g)
+            want = sum(rows[k - 1].get(g, 0) * falling(size, k - g)
                        for g in range(k + 1))
             assert transformed_moment(size, k) == want
 
@@ -379,11 +382,11 @@ def _float_inversion(cdfs, u):
 
 
 class _FixedRng:
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, x):
+        self.x = x
 
-    def random(self):
-        return self.u
+    def next_u64(self):
+        return self.x
 
 
 def test_inversion_kernel_at_each_cdf_boundary():
@@ -402,7 +405,7 @@ def test_inversion_kernel_at_each_cdf_boundary():
         for x in outputs:
             u = (x >> 11) * 2.0 ** -53  # RngState.random of output x
             size = _float_inversion(cdfs, u)
-            assert poisson_sample(mean, _FixedRng(u)) == size
+            assert poisson_sample(mean, _FixedRng(x)) == size
             seed = _seed_whose_trial_draws(x)
             assert poisson_sample(mean, RngState(seed).split(0)) == size
             assert sampler._inversion_sizes(mean, seed, 1) == {size: 1}
@@ -469,7 +472,9 @@ def test_mc_moments_never_samples_a_shape(monkeypatch):
 
 def test_mc_moments_consistency_with_exact_values():
     for n in (2, 3):
-        targets = [moment_polynomial(k).evaluate(n) for k in (1, 2, 3)]
+        targets = [sum(Fraction(c, n ** g)
+                       for g, c in moment_polynomial(k).items())
+                   for k in (1, 2, 3)]
         results = mc_moments(n, [1, 2, 3], trials=40000, seed=97)
         for (est, err), target in zip(results, targets):
             assert err > 0
@@ -484,6 +489,25 @@ def test_mc_standard_error_survives_large_n():
     n, trials = 10 ** 15, 200
     (_, err), = mc_moments(n, [1], trials)
     assert abs(err / math.sqrt(1 / (n * trials)) - 1) < 0.1
+
+
+def test_mc_standard_error_whose_square_exceeds_a_double():
+    # at n = 1, k = 140 the variance of the mean is about 2.5e314, past a
+    # double, while the standard error itself is about 1.58e157
+    k, trials = 140, 2000
+    (_, err), = mc_moments(1, [k], trials)
+    root = RngState(DEFAULT_SEED)
+    sizes = Counter(poisson_sample(1, root.split(t)) for t in range(trials))
+    s1 = sum(c * transformed_moment(size, k) for size, c in sizes.items())
+    s2 = sum(c * transformed_moment(size, k) ** 2
+             for size, c in sizes.items())
+    var, den = trials * s2 - s1 * s1, trials * trials * (trials - 1)
+    assert var // den >> 1024
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = float((Decimal(var) / Decimal(den)).sqrt())
+    assert math.isfinite(err)
+    assert abs(err - exact) <= 1e-12 * exact
 
 
 def test_mc_moments_releases_its_size_tally():
