@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .algebra import (
     POLY_C,
@@ -166,27 +165,33 @@ def run_sample(n: int, k: int, trials: int, seed: int = DEFAULT_SEED) -> dict:
 
     A target that _target_overflows proves at least 2**1024 raises
     OverflowError before any trial is drawn, whatever the trial count.
-    The target is the rook row of order 2k summed over 1/n**g as one
-    exact Fraction.  With a zero standard error (every trial gave the
-    same value) z is 0.0 when the estimate equals the prediction exactly
-    and None (JSON null) otherwise, since no finite z-score describes
-    that mismatch.
+    The target is the rook row of order 2k summed over 1/n**g, carried
+    as the reduced int pair num/den and printed as str(Fraction) would
+    print it; the int true division num / den rounds it correctly to a
+    double, as float(Fraction) does.  With a zero standard error (every
+    trial gave the same value) z is 0.0 when the estimate equals the
+    target exactly, that is when its as_integer_ratio() is the reduced
+    pair, and None (JSON null) otherwise, since no finite z-score
+    describes that mismatch.
     """
     if _target_overflows(n, k):
         raise OverflowError("the exact target exceeds the double range")
     estimate, stderr = mc_moment(n, k, trials, seed)
     row = moment_polynomial(k) if k >= 1 else {0: 1}
-    predicted = Fraction(sum(c * n ** (k - g) for g, c in row.items()),
-                         n ** k)
+    num = sum(c * n ** (k - g) for g, c in row.items())
+    den = n ** k
+    common = math.gcd(num, den)
+    num, den = num // common, den // common
     if stderr > 0:
-        z = (estimate - float(predicted)) / stderr
+        z = (estimate - num / den) / stderr
     else:
-        z = 0.0 if estimate == predicted else None
+        z = 0.0 if estimate.as_integer_ratio() == (num, den) else None
     return {"command": "sample",
             "params": {"n": n, "k": k, "trials": trials, "seed": seed},
             "results": [{"n": n, "k": k, "trials": trials,
                          "estimate": estimate, "stderr": stderr,
-                         "predicted": str(predicted), "z": z}]}
+                         "predicted": f"{num}/{den}" if den > 1 else str(num),
+                         "z": z}]}
 
 
 def _render(v) -> str:

@@ -42,9 +42,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DEFAULT_SEED",
@@ -295,12 +297,15 @@ class TransitionMeasure:
 
     def __init__(self, atoms: Iterable[int], weights: Iterable[Fraction],
                  lower: Iterable[int], n: int):
+        from fractions import Fraction  # deferred: see transition_measure
         object.__setattr__(self, "atoms", tuple(int(a) for a in atoms))
         object.__setattr__(self, "weights", tuple(Fraction(w) for w in weights))
         object.__setattr__(self, "lower", tuple(int(b) for b in lower))
         object.__setattr__(self, "n", int(n))
         if len(self.atoms) != len(self.weights):
             raise ValueError("one weight per atom required")
+        if not self.atoms:  # every sum below is then a Fraction
+            raise ValueError("at least one atom required")
         if n < 1:
             raise ValueError("n must be positive")
 
@@ -308,19 +313,18 @@ class TransitionMeasure:
         raise AttributeError("TransitionMeasure is immutable")
 
     def total_mass(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        return sum(self.weights)
 
     def unscaled_moment(self, order: int) -> Fraction:
         """Moment of the integer-content measure, before rescaling."""
-        return sum((w * a ** order for a, w in zip(self.atoms, self.weights)),
-                   Fraction(0))
+        return sum(w * a ** order for a, w in zip(self.atoms, self.weights))
 
     def moment(self, order: int) -> Fraction:
         """Exact scaled moment; defined for even orders (and zero)."""
         if order % 2:
             raise ValueError("scaled odd moments are irrational; "
                              "use unscaled_moment")
-        return self.unscaled_moment(order) / Fraction(self.n) ** (order // 2)
+        return self.unscaled_moment(order) / self.n ** (order // 2)
 
     def to_json(self) -> dict:
         return {"n": self.n,
@@ -333,8 +337,12 @@ def transition_measure(shape: Partition, n: int) -> TransitionMeasure:
 
     Upper (addable) corner contents a_i carry the weights
     prod_j (a_i - b_j) / prod_{j != i} (a_i - a_j) over the lower
-    (removable) corner contents b_j.
+    (removable) corner contents b_j.  The weights are Fractions, and
+    fractions is imported here rather than at the top of the module: it
+    loads decimal and numbers, and no command builds a corner measure,
+    so a command that imports this module does not pay for them.
     """
+    from fractions import Fraction
     uppers = shape.addable_contents()
     lowers = shape.removable_contents()
     weights = []

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import subprocess
+import sys
 import time
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -299,6 +303,77 @@ def test_sample_zero_stderr_does_not_hide_a_mismatch(capsys):
     assert row["stderr"] == 0 and row["predicted"] == "37/4"
     assert row["estimate"] != 37 / 4
     assert row["z"] is None
+
+
+def test_sample_target_pair_matches_the_fraction_route():
+    # the target is carried as a reduced int pair; its string, its
+    # rounding and its equality test must be those of one exact Fraction
+    for n in range(1, 7):
+        for k in range(1, 9):
+            row = run_sample(n, k, trials=50)["results"][0]
+            target = Fraction(sum(c * n ** (k - g) for g, c in
+                                  oracles.moment_polynomial(k).items()),
+                              n ** k)
+            assert row["predicted"] == str(target)
+            if row["stderr"] > 0:
+                z = (row["estimate"] - float(target)) / row["stderr"]
+            else:
+                z = 0.0 if row["estimate"] == target else None
+            assert row["z"] == z
+
+
+@pytest.mark.parametrize("n, k, estimate, predicted, z", [
+    (2, 3, 9.25, "37/4", 0.0),
+    (2, 3, 9.25 + 2 ** -49, "37/4", None),
+    (3, 2, 7 / 3, "7/3", None),
+], ids=["equal", "next-double", "rounded"])
+def test_sample_zero_stderr_compares_the_estimate_exactly(
+        monkeypatch, n, k, estimate, predicted, z):
+    # 37/4 = 9.25 is a double, and the next double up is a mismatch that
+    # no finite z-score describes; 7/3 is no double, so even the double
+    # nearest to it is a mismatch
+    monkeypatch.setattr(cli, "mc_moment", lambda *args: (estimate, 0.0))
+    row = run_sample(n, k, trials=10)["results"][0]
+    assert row["predicted"] == predicted
+    assert row["z"] == z
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+# runs one command, or with no arguments imports the sampler alone, and
+# prints the rational-arithmetic modules the process has loaded
+_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2:]:
+    import ppmoments.cli
+    code = ppmoments.cli.main(sys.argv[2:])
+    assert code == 0, code
+else:
+    import ppmoments.sampler
+print(sorted({"fractions", "decimal", "numbers"} & set(sys.modules)),
+      file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ("theta", "--g-max", "2"),
+    ("phi", "--g-max", "2"),
+    ("moments", "--k-max", "3"),
+    ("verify", "--g-max", "2", "--k-max", "3"),
+    ("sample", "--n", "2", "--k", "2", "--trials", "300"),
+    ("sample", "--n", "31", "--k", "2", "--trials", "50"),
+    (),
+], ids=["theta", "phi", "moments", "verify", "sample", "sample-ptrs",
+        "import-sampler"])
+def test_no_command_loads_rational_arithmetic(args):
+    # fractions pulls in decimal and numbers at every process start; the
+    # reports run on ints, and only the corner measure, which no command
+    # builds, imports it.  A fresh isolated interpreter sees what a
+    # command loads, whatever this test process has imported already
+    done = subprocess.run([sys.executable, "-I", "-c", _PROBE, _SRC, *args],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "[]"
 
 
 def test_sample_tsv_renders_a_missing_z_as_null(capsys):

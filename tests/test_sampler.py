@@ -18,6 +18,7 @@ from ppmoments import (
     Partition,
     PolyC,
     RngState,
+    TransitionMeasure,
     mc_moment,
     mc_moments,
     moment_polynomial,
@@ -190,6 +191,18 @@ def test_transition_measure_examples():
     tm = transition_measure(Partition((2,)), 1)
     assert set(zip(tm.atoms, tm.weights)) == {(2, Fraction(1, 3)),
                                               (-1, Fraction(2, 3))}
+
+
+def test_transition_measure_stays_exact_from_int_weights():
+    # the weights become Fractions, so no moment turns into a float
+    tm = TransitionMeasure((1, -1), (1, 1), (0,), 2)
+    assert tm.weights == (Fraction(1), Fraction(1))
+    for value in (tm.total_mass(), tm.unscaled_moment(1), tm.moment(0),
+                  tm.moment(2)):
+        assert isinstance(value, Fraction)
+    assert tm.moment(2) == 1
+    with pytest.raises(ValueError):
+        TransitionMeasure((), (), (), 1)
 
 
 def test_transition_measure_exact_invariants():
