@@ -2,13 +2,15 @@
 
 Commands
   theta    coefficient tables and closed forms for orders 1..g_max, solved
-           from one rook walk (theta_from_rows); the operator chain,
-           which phi and verify walk, does not run
+           (theta_from_rows) from the moment rows of the size walk's
+           Newton differences; the operator chain, which phi and verify
+           walk, does not run
   phi      closed forms only (optionally with the raw term-sum dump)
   moments  exact moment polynomials in 1/n for orders up to k_max
-  verify   cross-check pipeline, combinatorial oracles and invariants,
-           among them the theta tables of both routes: the chain's and
-           the rook rows' (rows to k = max(k_max, 3 g_max + 2), one walk)
+  verify   cross-check pipeline, combinatorial oracles and invariants:
+           the size walk's rows against the word walk's and the chain's,
+           and the theta tables of both routes, the chain's and the
+           size rows' (rows to k = max(k_max, 3 g_max + 2), one pass)
   sample   Monte Carlo estimate of one moment against its exact value
 
 Exit codes: 0 success / verification passed, 1 verification mismatch,
@@ -51,12 +53,12 @@ from .oracles import (
     moment_polynomial,
     moment_polynomials,
     path_counts,
+    transformed_moment,
 )
 from .sampler import (
     DEFAULT_SEED,
     POISSON_MEAN_MAX,
     mc_moment,
-    transformed_moment,
 )
 
 __all__ = ["REFERENCE_THETA", "main", "run_moments", "run_phi", "run_sample",
@@ -80,9 +82,10 @@ def _rook_column(rows: list[dict[int, int]], g: int) -> list[int]:
 def run_theta(g_max: int) -> dict:
     """Coefficient table rows and closed forms for g = 1..g_max.
 
-    One rook walk gives the rows k <= 3 g_max + 2 that theta_from_rows
-    needs; each closed form re-expands its table.  verify checks both
-    against the operator chain.
+    moment_polynomials gives the rows k <= 3 g_max + 2 that
+    theta_from_rows needs, in one pass of size walks and Newton
+    differences; each closed form re-expands its table.  verify checks
+    both against the operator chain.
     """
     rows = moment_polynomials(3 * g_max + 2)
     results = []
@@ -114,33 +117,25 @@ def run_moments(k_max: int) -> dict:
     return {"command": "moments", "params": {"k_max": k_max}, "results": rows}
 
 
-_WINDOW = 5  # sizes summed on either side of the peak by _target_overflows
+_WINDOW = 5  # sizes summed on either side of the peak by _peak_terms
 
 
-def _target_overflows(n: int, k: int) -> bool:
-    """True only if the exact target of run_sample is at least 2**1024.
+def _peak_terms(n: int, k: int, unseen_by: int = 0) -> tuple[int, int]:
+    """(total, scale): a lower bound total / scale on terms of a target.
 
-    The target is the Poisson(n) average of transformed_moment(N, k) / n**k,
-    a sum with no negative term: the moment is an even power sum of the
-    real roots of He_(N+1).  So any partial sum is a lower bound, and so
-    is the g = 0 coefficient Catalan(k) of moment_polynomial(k), whose
-    coefficients are counts.  Catalan(520) is the first Catalan number
-    of 2**1024 or more and the sequence grows, so only
-    Catalan(min(k, 520)) is computed, in time bounded whatever k is.
-    As log2(e) < 1.4426950408889635,
-    e**-n >= 2**-c with c = ceil(n * 1.4426950408889635), and the terms
-    at the sizes N of a set S sum to at least 2**1024 when
-    sum_N n**N * m_N * M! / N! >= M! * n**k * 2**(1024 + c),
-    m_N = transformed_moment(N, k) and M = max S, compared exactly in
-    integers.  The terms peak near the N with N ln(N/n) = k; S is that N
-    with the _WINDOW sizes on either side, and N = n, each only up to
-    64 k, which bounds the work by the k of the run, not by n; past the
-    Catalan test k is below 520.  A False answer proves nothing.
-    run_sample asks before it samples, so an overflowing run exits
-    without drawing a trial or walking the rook rows.
+    run_sample's target is the Poisson(n) average of
+    m_N = transformed_moment(N, k) over the sizes N, divided by n**k:
+    the sum of the terms P(N) m_N, P(N) = e**-n n**N / N!, none of them
+    negative.  They peak near the N with N ln(N/n) = k; the sizes summed
+    are that N with the _WINDOW sizes on either side, and N = n, each
+    only up to 64 k, which bounds the work by the k of the run, not by
+    n.  As 1.4426950408889634 < log2(e) < 1.4426950408889635,
+    2**-c <= e**-n <= 2**-f for c and f, n times these constants rounded
+    up and down.  So with M the largest size summed, the terms sum to at
+    least sum_N n**N m_N (M! / N!) / (M! 2**c), in integers.  Given
+    unseen_by = trials, only the sizes that the trials cannot see,
+    trials * P(N) < 1, are summed, as trials * n**N < N! 2**f proves.
     """
-    if catalan_number(min(k, 520)) >> 1024:
-        return True
     lo, hi = n, n + k  # N ln(N/n) - k is < 0 at lo and >= 0 at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -148,16 +143,52 @@ def _target_overflows(n: int, k: int) -> bool:
             lo = mid
         else:
             hi = mid
+    f = n * 14426950408889634 // 10 ** 16
     sizes = [size for size in {n, *range(max(hi - _WINDOW, 0),
                                          hi + _WINDOW + 1)}
-             if size <= 64 * k]
+             if size <= 64 * k
+             and unseen_by * n ** size < math.factorial(size) << f]
     if not sizes:
-        return False
+        return 0, 1
     top = math.factorial(max(sizes))
     c = -(-n * 14426950408889635 // 10 ** 16)
     return (sum(n ** size * transformed_moment(size, k)
-                * (top // math.factorial(size)) for size in sizes)
-            >= top * n ** k << 1024 + c)
+                * (top // math.factorial(size)) for size in sizes),
+            top << c)
+
+
+def _target_overflows(n: int, k: int) -> bool:
+    """True only if the exact target of run_sample is at least 2**1024.
+
+    The target is a sum with no negative term: the moment is an even
+    power sum of the real roots of He_(N+1).  So any partial sum is a
+    lower bound, and so is the g = 0 coefficient Catalan(k) of
+    moment_polynomial(k), whose coefficients are counts.  Catalan(520)
+    is the first Catalan number of 2**1024 or more and the sequence
+    grows, so only Catalan(min(k, 520)) is computed, in time bounded
+    whatever k is.  Past that test k is below 520, and the terms near
+    the peak (_peak_terms) are compared with 2**1024 exactly.  A False
+    answer proves nothing.  run_sample asks before it samples, so an
+    overflowing run exits without drawing a trial or computing the
+    moment row.
+    """
+    if catalan_number(min(k, 520)) >> 1024:
+        return True
+    total, scale = _peak_terms(n, k)
+    return total >= scale * n ** k << 1024
+
+
+def _z_unsupported(n: int, k: int, trials: int, scaled_target: int) -> bool:
+    """True only if half the target or more sits at sizes trials cannot see.
+
+    scaled_target is n**k times the target.  At the sizes N with
+    trials * P(N) < 1 the trials are not expected to draw a single
+    value, so their standard error says nothing about the distance to
+    the terms there.  _peak_terms bounds the share of those terms
+    exactly from below, without drawing a trial.
+    """
+    total, scale = _peak_terms(n, k, unseen_by=trials)
+    return 2 * total >= scale * scaled_target
 
 
 def run_sample(n: int, k: int, trials: int, seed: int = DEFAULT_SEED) -> dict:
@@ -165,24 +196,29 @@ def run_sample(n: int, k: int, trials: int, seed: int = DEFAULT_SEED) -> dict:
 
     A target that _target_overflows proves at least 2**1024 raises
     OverflowError before any trial is drawn, whatever the trial count.
-    The target is the rook row of order 2k summed over 1/n**g, carried
+    The target is the moment row of order 2k summed over 1/n**g, carried
     as the reduced int pair num/den and printed as str(Fraction) would
     print it; the int true division num / den rounds it correctly to a
-    double, as float(Fraction) does.  With a zero standard error (every
-    trial gave the same value) z is 0.0 when the estimate equals the
-    target exactly, that is when its as_integer_ratio() is the reduced
-    pair, and None (JSON null) otherwise, since no finite z-score
-    describes that mismatch.
+    double, as float(Fraction) does.  z is None (JSON null) when
+    _z_unsupported proves that half the target or more sits at sizes the
+    trials cannot see, decided before sampling.  Otherwise, with a zero
+    standard error (every trial gave the same value) z is 0.0 when the
+    estimate equals the target exactly, that is when its
+    as_integer_ratio() is the reduced pair, and None otherwise, since no
+    finite z-score describes that mismatch.
     """
     if _target_overflows(n, k):
         raise OverflowError("the exact target exceeds the double range")
-    estimate, stderr = mc_moment(n, k, trials, seed)
     row = moment_polynomial(k) if k >= 1 else {0: 1}
     num = sum(c * n ** (k - g) for g, c in row.items())
+    unsupported = _z_unsupported(n, k, trials, num)
+    estimate, stderr = mc_moment(n, k, trials, seed)
     den = n ** k
     common = math.gcd(num, den)
     num, den = num // common, den // common
-    if stderr > 0:
+    if unsupported:
+        z = None
+    elif stderr > 0:
         z = (estimate - num / den) / stderr
     else:
         z = 0.0 if estimate.as_integer_ratio() == (num, den) else None
@@ -245,20 +281,20 @@ def run_verify(g_max: int, k_max: int) -> dict:
         _check(checks, f"theta table row g={g}",
                REFERENCE_THETA[g], thetas[g])
 
-    # Three-way moment agreement; the rook rows past k_max feed the
+    # Three-way moment agreement; the size rows past k_max feed the
     # rows route to theta below
-    rook_rows = moment_polynomials(max(k_max, 3 * g_max + 2))
+    size_rows = moment_polynomials(max(k_max, 3 * g_max + 2))
     phi_series = {g: expand_in_x(phis[g], x_order) for g in range(g_max + 1)}
-    for k, (rook, word) in enumerate(zip(rook_rows, _word_rows(k_max)),
+    for k, (size, word) in enumerate(zip(size_rows, _word_rows(k_max)),
                                      start=1):
-        _check(checks, f"word vs rook moments k={k}", rook, word)
+        _check(checks, f"word vs size moments k={k}", size, word)
         for g in range(g_max + 1):
             _check(checks, f"pipeline coefficient k={k} g={g}",
-                   rook.get(g, 0),
+                   size.get(g, 0),
                    phi_series[g].coefficient(2 * k))
 
     # Closed operator-chain shape, support window, round trip, and the
-    # table solved from the rook rows alone
+    # table solved from the size rows alone
     for g in range(1, g_max + 1):
         _check(checks, f"chain shape g={g}", [],
                chain_shape_violations(iterates[g], g))
@@ -268,7 +304,7 @@ def run_verify(g_max: int, k_max: int) -> dict:
         _check(checks, f"normal form round trip g={g}", phis[g],
                fine_structure_to_rational(thetas[g], g))
         try:
-            from_rows = theta_from_rows(_rook_column(rook_rows, g), g)
+            from_rows = theta_from_rows(_rook_column(size_rows, g), g)
         except NotFineStructure as exc:
             from_rows = str(exc)
         _check(checks, f"theta rows route g={g}", thetas[g], from_rows)

@@ -1,13 +1,11 @@
-"""Combinatorial routes to the exact moment polynomials in 1/n.
+"""Routes to the exact moment polynomials in 1/n.
 
 Three production routes feed the reports:
 
-  * the rook transfer matrix (moment_polynomials): rook placements on
-    staircase-bounded partitions, counted by one walk of 2k_max steps
-    over (height, open pairs) that yields every row k = 1..k_max.  Each
-    state's tally of closed pairs is one int with a fixed-width slot per
-    count; the width is a bound on the counts proved ahead of the walk
-    (see _rook_rows), so no slot carries into the next;
+  * the size walk (moment_polynomials): row k is a column of Newton
+    differences at N = 0 of the 2k-th moment at size N
+    (transformed_moment), a polynomial of degree k in N, read off one
+    path walk per size N = 0..k_max (_size_moments);
   * word normal ordering (word_moment, and _word_rows for every row):
     the sum of all raising/lowering operator words of length 2k,
     normal-ordered under [d, u] = 1/n by one walk of 2k_max letters over
@@ -18,24 +16,27 @@ Three production routes feed the reports:
 The first two give the same moment polynomials independently, each
 row a plain {g: count} dict with the count at 1/n**g, and the closed
 forms are checked against them.  They are different recurrences
-and share no code: the rook walk decides at a down step whether it opens
-a pair and reads only state (0, 0), while the word walk keeps every
-lowering step pending, contracts one at a raising step, and sums every
-state at height 0.  The exhaustive references the test suite compares
-these routes with (explicit lattice paths and their marked step pairs,
-explicit rook placements on every staircase shape, per-word normal
-ordering) live in tests/helpers.py, outside the package.
+and share no code: the size walk evaluates the operator word sum at one
+finite size, weighing each down step by size - h, and reads the powers
+of 1/n off its values at the sizes 0..k, while the word walk keeps
+every lowering step pending, contracts one at a raising step, and sums
+every state at height 0.  The exhaustive references the test suite
+compares these routes with (explicit lattice paths and their marked
+step pairs, explicit rook placements on every staircase shape, the rook
+transfer matrix, per-word normal ordering) live in tests/helpers.py,
+outside the package.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import factorial
 
 __all__ = [
     "enum_paths",
     "moment_polynomial",
     "moment_polynomials",
     "path_counts",
+    "transformed_moment",
     "word_moment",
 ]
 
@@ -66,87 +67,79 @@ def enum_paths(length: int, start_height: int, end_height: int) -> int:
     return path_counts(start_height, length)[length].get(end_height, 0)
 
 
-def _slot_width(k_max: int) -> int:
-    """Bits per closed-pair count in a packed tally of _rook_rows(k_max)."""
-    return prod(3 + min(s, 2 * k_max - s) // 2
-                for s in range(2 * k_max)).bit_length() + 1
+def _size_moments(size: int, k_max: int) -> list[int]:
+    """Moments p_0..p_k_max of the size-only measure at one size.
 
-
-def _rook_rows(k_max: int) -> list[tuple[int, ...]]:
-    """Rook counts per g for k = 1..k_max from one marked-path walk.
-
-    State (height, open pairs) holds a tally of closed pairs by their
-    number.  A down step may open a pair; an up step may close one of
-    the open pairs, which multiplies by their number.  Equivalent to the
-    exhaustive count via the marking/rook correspondence, without
-    enumerating paths.  The transitions do not depend on k, so the tally
-    at (0, 0) after step 2k is row k.  A state needs at least
-    height + 2 * open more steps to reach (0, 0); one with fewer steps
-    left before the horizon 2 * k_max is dropped.
-
-    Each tally is one int: the count for c closed pairs sits at bits
-    [c * w, (c + 1) * w), so a plain step adds the parent's int and a
-    closing step adds open times it shifted up one slot.  The width
-    w = _slot_width(k_max) is a proved bound, not a runtime check.  After
-    s steps a state has open <= min(s, 2 * k_max - s) // 2: each open
-    pair took a down step and a path has at most s // 2 of them, and the
-    pruning leaves 2 * open <= 2 * k_max - s.  The weights a state sends
-    out at step s + 1 sum to (3 + open) times its tally, so the sum of
-    all counts of all states grows at most by 3 + min(s, 2 * k_max - s) // 2
-    at that step.  Every count, even mid-step, is therefore at most the
-    product of these factors over the 2 * k_max steps, which is below
-    2 ** (w - 1).  The counts are nonnegative, so no slot ever carries
-    into the next (w = 280 bits at k_max = 40, where the largest count
-    has 175).
+    p_k is the sum over nonnegative balanced paths of length 2k of the
+    product of (size - h) over the down steps ending at height h.  One
+    walk of 2 * k_max steps keeps one weight per height; the transitions
+    do not depend on k, so the weight at height 0 after step 2k is p_k.
+    It drops every state that adds nothing: one higher than the steps
+    left before the horizon cannot return to 0, and one above `size`
+    must step down from size + 1 to size, weight 0.
     """
-    width = _slot_width(k_max)
-    mask = (1 << width) - 1
-    # layers[open][height] is the packed tally of that state, 0 if unreached;
-    # after s steps only heights of the parity of s are reached
-    layers = [[1]]
-    rows: list[tuple[int, ...]] = []
-    for step in range(1, 2 * k_max + 1):
-        left = 2 * k_max - step
-        nxt = [[0] * (min(step, left - 2 * open_) + 1)
-               for open_ in range(min(step, left) // 2 + 1)]
-        for open_, tallies in enumerate(layers):
-            for h in range((step - 1) % 2, len(tallies), 2):
-                tally = tallies[h]
-                if not tally:
-                    continue
-                # closing and plain down steps keep h + 2 * open <= left;
-                # the other two need one step of room
-                if open_:
-                    nxt[open_ - 1][h + 1] += (open_ * tally) << width
-                if h + 2 * open_ < left:
-                    nxt[open_][h + 1] += tally
-                    if h:
-                        nxt[open_ + 1][h - 1] += tally
-                if h:
-                    nxt[open_][h - 1] += tally
-        layers = nxt
+    ways = [1]  # ways[h]: weight of the paths so far that end at height h
+    moments = [1]
+    for left in reversed(range(2 * k_max)):
+        top = min(len(ways), left, size)  # highest height kept
+        nxt = [0] * (top + 1)
+        # after an even number of steps only even heights are reached
+        for h in range((left + 1) % 2, len(ways), 2):
+            w = ways[h]
+            if h < top:
+                nxt[h + 1] += w
+            if h:
+                nxt[h - 1] += w * (size - h + 1)
+        ways = nxt
         if left % 2 == 0:
-            packed, row = layers[0][0], []
-            while packed:
-                row.append(packed & mask)
-                packed >>= width
-            rows.append(tuple(row))
-    return rows
+            moments.append(ways[0])
+    return moments
+
+
+def transformed_moment(size: int, k: int) -> int:
+    """Exact unscaled 2k-th moment of the transformed measure at a size.
+
+    The last entry of _size_moments(size, k): the diagonal matrix element
+    of the 2k-th power of the raising/lowering operator word sum at level
+    `size`.  (size+1) times it is the 2k-th power sum of the roots of the
+    monic degree-(size+1) probabilists' Hermite polynomial, i.e. the
+    measure is uniform on those roots.  Its mass, mean and variance
+    agree with the corner transition measure of any partition of the
+    same size.
+    """
+    if size < 0 or k < 0:
+        raise ValueError("arguments must be nonnegative")
+    return _size_moments(size, k)[-1]
 
 
 def moment_polynomials(k_max: int) -> list[dict[int, int]]:
-    """Moments of orders 2, 4, ..., 2k_max from one rook transfer-matrix walk.
+    """Moments of orders 2, 4, ..., 2k_max by Newton differences in the size.
 
     Row k - 1 is the moment of order 2k as {g: count}, the count at
-    1/n**g; it holds the k positive counts at g = 0..k-1.
+    1/n**g; it holds the k positive counts at g = 0..k-1.  p_k(N), the
+    2k-th moment at size N, is a polynomial of degree k in N, and
+    Poissonization at mean n sends the falling factorial N(N-1)...(N-j+1)
+    to n**j.  So the count at 1/n**(k-j) is the forward difference
+    Delta**j p_k(0) / j!, an exact division.  It needs p_k at the sizes
+    0..k; one size walk per size N = 0..k_max, each to horizon 2k_max,
+    gives every row.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    return [dict(enumerate(row)) for row in _rook_rows(k_max)]
+    values = [_size_moments(size, k_max) for size in range(k_max + 1)]
+    rows = []
+    for k in range(1, k_max + 1):
+        diffs = [moments[k] for moments in values[:k + 1]]
+        counts = []  # counts[j - 1] sits at 1/n**(k - j)
+        for j in range(1, k + 1):
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            counts.append(diffs[0] // factorial(j))
+        rows.append(dict(enumerate(reversed(counts))))
+    return rows
 
 
 def moment_polynomial(k: int) -> dict[int, int]:
-    """Moment of order 2k via rook counts on staircase shapes."""
+    """Moment of order 2k, the last row of moment_polynomials(k)."""
     if k < 1:
         raise ValueError("k must be positive")
     return moment_polynomials(k)[-1]

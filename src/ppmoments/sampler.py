@@ -2,7 +2,7 @@
 
 The moment estimator needs only the size of each sampled partition: the
 2k-th moment of the transformed measure of a partition depends on its
-size alone (transformed_moment below).  So a trial draws a
+size alone (oracles.transformed_moment).  So a trial draws a
 Poisson-distributed size and looks up that exact moment; the estimator
 exercises the Poisson draw and the exact lookup, not the shape sampler.
 
@@ -44,6 +44,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+from .oracles import transformed_moment
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -356,39 +358,6 @@ def transition_measure(shape: Partition, n: int) -> TransitionMeasure:
                 den *= a - a2
         weights.append(Fraction(num, den))
     return TransitionMeasure(uppers, weights, lowers, n)
-
-
-def transformed_moment(size: int, k: int) -> int:
-    """Exact unscaled 2k-th moment of the transformed measure at a size.
-
-    Sum over nonnegative balanced paths of length 2k of the product of
-    (size - h) over down steps ending at height h; this is the diagonal
-    matrix element of the 2k-th power of the raising/lowering operator
-    word sum at level `size`.  Equivalently, (size+1) times this value is
-    the 2k-th power sum of the roots of the monic degree-(size+1)
-    probabilists' Hermite polynomial, i.e. the measure is uniform on
-    those roots.  Its mass, mean and variance agree with the corner
-    transition measure of any partition of the same size.
-
-    The walk keeps one weight per height and drops every state that adds
-    nothing: one higher than the steps left cannot return to 0, and one
-    above `size` must step down from size + 1 to size, weight 0.
-    """
-    if size < 0 or k < 0:
-        raise ValueError("arguments must be nonnegative")
-    ways = [1]  # ways[h]: weight of the paths so far that end at height h
-    for left in reversed(range(2 * k)):
-        top = min(len(ways), left, size)  # highest height kept
-        nxt = [0] * (top + 1)
-        # after an even number of steps only even heights are reached
-        for h in range((left + 1) % 2, len(ways), 2):
-            w = ways[h]
-            if h < top:
-                nxt[h + 1] += w
-            if h:
-                nxt[h - 1] += w * (size - h + 1)
-        ways = nxt
-    return ways[0]
 
 
 def _inversion_sizes(mean: float, seed: int, trials: int) -> dict[int, int]:

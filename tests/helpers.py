@@ -6,8 +6,8 @@ enumeration of marked step pairs, and Newton's identities on Hermite
 coefficients.
 
 The exhaustive enumerators live here, not in the package: no report
-runs them, and they are the references that the package's rook transfer
-matrix and word normal ordering are compared with.  They cover lattice
+runs them, and they are the references that the package's size walk
+and word normal ordering are compared with.  They cover lattice
 paths (LatticePath, iter_paths), their marked step pairs
 (marking_counts, count_markings, brute_marking_count), the partition
 cut out above a path (path_to_partition), and rook placements on
@@ -18,9 +18,11 @@ rook_polynomial) summed over every staircase shape
 partition of a size (partitions_of), and the Plancherel average of the
 corner transition measure's moments (corner_moment_rows).  The rook
 transfer matrix with one list of closed-pair counts per state
-(rook_rows_reference) is the reference for the package's packed walk,
-and the path walk that keeps every height (transformed_moment_reference)
-is the one for the package's pruned transformed_moment.
+(rook_rows_reference) is the reference for the package's moment rows,
+which it reaches by rook placements rather than by Newton differences
+of the size walk, and the path walk that keeps every height
+(transformed_moment_reference) is the one for the package's pruned
+transformed_moment.
 """
 
 from __future__ import annotations
@@ -411,9 +413,14 @@ def rook_counts_exhaustive(k: int) -> tuple[int, ...]:
 def rook_rows_reference(k_max: int) -> list[tuple[int, ...]]:
     """Rook counts per g for k = 1..k_max, one list of counts per state.
 
-    The same marked-path walk over (height, open pairs) as the package's
-    packed walk, with each tally a list indexed by the number of closed
-    pairs, grown as needed.
+    A state (height, open pairs) holds a tally of closed pairs by their
+    number.  A down step may open a pair; an up step may close one of
+    the open pairs, which multiplies by their number.  This counts the
+    rook placements on staircase shapes via the marking/rook
+    correspondence, without enumerating paths.  The transitions do not
+    depend on k, so the tally at (0, 0) after step 2k is row k; a state
+    with fewer steps left than height + 2 * open is dropped.  Each tally
+    is a list indexed by the number of closed pairs, grown as needed.
     """
     states: dict[tuple[int, int], list[int]] = {(0, 0): [1]}
     rows: list[tuple[int, ...]] = []

@@ -83,43 +83,49 @@ def test_phi_report_digest(capsys, args, digest):
 
 def test_verify_gate_report_digest(capsys):
     # sha256 of `verify --g-max 5 --k-max 10`, with one `theta rows route`
-    # check per g after each round trip
+    # check per g after each round trip; the moment checks are labelled
+    # `word vs size moments k=K`
     code, out = run_cli(capsys, "verify", "--g-max", "5", "--k-max", "10")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "1aae280e0bac9670036bfa48de6e5fff7f15fc8c172bf210de8acee0cbaee2fd"
+        "d38b45457e3199ef6b6c0c9da28324a29102b7aaa918cc499fdfc298c5a0f866"
 
 
 def test_moments_deep_report_digest(capsys):
-    # sha256 of `moments --k-max 40`: every row from one packed rook walk
-    # of horizon 80
+    # sha256 of `moments --k-max 40`: every row from the Newton
+    # differences of one size walk of horizon 80 per size 0..40
     code, out = run_cli(capsys, "moments", "--k-max", "40")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "09ad0295e7ae7be9940f5c6e687f1ea5059920974f062f0123c67d857150c5b4"
 
 
-def test_reports_walk_the_rook_transfer_matrix_once(monkeypatch):
+def test_reports_compute_the_moment_rows_once(monkeypatch):
+    # one rows computation is one size walk per size 0..k_max, each to
+    # horizon 2 k_max
     calls = []
-    original = oracles._rook_rows
+    original = oracles._size_moments
 
-    def counting(k_max):
-        calls.append(k_max)
-        return original(k_max)
+    def counting(size, k_max):
+        calls.append((size, k_max))
+        return original(size, k_max)
 
-    monkeypatch.setattr(oracles, "_rook_rows", counting)
+    def one_pass(k_max):
+        return [(size, k_max) for size in range(k_max + 1)]
+
+    monkeypatch.setattr(oracles, "_size_moments", counting)
     assert len(run_moments(40)["results"]) == 40
-    assert calls == [40]
+    assert calls == one_pass(40)
     calls.clear()
     assert run_verify(2, 8)["passed"] is True
-    assert calls == [8]
-    # theta and the rows route read k <= 3 g_max + 2 off the same one walk
+    assert calls == one_pass(8)
+    # theta and the rows route read k <= 3 g_max + 2 off the same one pass
     calls.clear()
     run_theta(4)
-    assert calls == [14]
+    assert calls == one_pass(14)
     calls.clear()
     assert run_verify(5, 10)["passed"] is True
-    assert calls == [17]
+    assert calls == one_pass(17)
 
 
 def test_reports_walk_the_word_route_once(monkeypatch):
@@ -145,7 +151,7 @@ def test_reports_walk_the_operator_chain_once(monkeypatch):
         return original(k, s)
 
     monkeypatch.setattr(ansatz, "g_apply", counting)
-    # theta solves its tables from the rook rows, off the chain
+    # theta solves its tables from the moment rows, off the chain
     run_theta(4)
     assert calls == []
     assert run_verify(3, 4)["passed"] is True
@@ -234,7 +240,7 @@ def test_verify_exit_one_on_mismatch(capsys, monkeypatch):
 
 
 def test_verify_reports_a_rows_route_residual(monkeypatch):
-    # a rook row the solver's residual rejects is a failed check, not a
+    # a moment row the solver's residual rejects is a failed check, not a
     # traceback
     real_rows = oracles.moment_polynomials
 
@@ -307,7 +313,10 @@ def test_sample_zero_stderr_does_not_hide_a_mismatch(capsys):
 
 def test_sample_target_pair_matches_the_fraction_route():
     # the target is carried as a reduced int pair; its string, its
-    # rounding and its equality test must be those of one exact Fraction
+    # rounding and its equality test must be those of one exact Fraction.
+    # At 50 trials these three targets sit for half or more at sizes the
+    # trials cannot see, so their z is null
+    unsupported = {(1, 8), (2, 7), (2, 8)}
     for n in range(1, 7):
         for k in range(1, 9):
             row = run_sample(n, k, trials=50)["results"][0]
@@ -315,7 +324,9 @@ def test_sample_target_pair_matches_the_fraction_route():
                                   oracles.moment_polynomial(k).items()),
                               n ** k)
             assert row["predicted"] == str(target)
-            if row["stderr"] > 0:
+            if (n, k) in unsupported:
+                z = None
+            elif row["stderr"] > 0:
                 z = (row["estimate"] - float(target)) / row["stderr"]
             else:
                 z = 0.0 if row["estimate"] == target else None
@@ -417,11 +428,11 @@ def test_sample_moment_beyond_a_double_exits_two(tmp_path, capsys):
                                           (2, 185, 10), (2, 200000, 10),
                                           (1, 170, 1)])
 def test_sample_fails_fast_when_the_target_overflows(capsys, n, k, trials):
-    # the exact target walks the rook rows to k, which took 17 s at
-    # k = 200 and 165 s at k = 300, before float() overflowed; a lower
-    # bound on the target settles it first.  It is asked before sampling
-    # (k = 200000 sampled for 54 s) and with one trial too, where a zero
-    # standard error once skipped it (8.3 s of rook walk at k = 170)
+    # the exact target's moment row to k is slow to compute at such k,
+    # and float() overflows on it; a lower bound on the target settles
+    # it first.  It is asked before sampling (k = 200000 would sample
+    # for about a minute) and with one trial too, where a zero standard
+    # error could skip it
     start = time.perf_counter()
     code = main(["sample", "--n", str(n), "--k", str(k),
                  "--trials", str(trials)])
@@ -435,26 +446,97 @@ def test_sample_fails_fast_when_the_target_overflows(capsys, n, k, trials):
 
 
 def test_target_overflow_bound_is_sound():
-    # e**-n >= 2**-ceil(n * 1.4426950408889635) needs log2(e) below it
+    # e**-n >= 2**-ceil(n * 1.4426950408889635) needs log2(e) below it,
+    # and the unseen sizes' e**-n <= 2**-floor(n * 1.4426950408889634)
+    # above it
     with localcontext() as ctx:
         ctx.prec = 50
-        assert 1 / Decimal(2).ln() < Decimal("1.4426950408889635")
+        assert (Decimal("1.4426950408889634") < 1 / Decimal(2).ln()
+                < Decimal("1.4426950408889635"))
     for n in (1, 2, 3, 30, 1000, 2 ** 53):
         for k in (1, 2, 3, 10, 40):
             assert not cli._target_overflows(n, k)
-    # at n = 1 the exact target, the sum of the counts of
-    # moment_polynomial(k), is 1.768e308 at k = 167 and overflows a
-    # double at k = 168 (about 10 s to compute each), so the bound is
-    # tight there
+    # the exact targets at the edge: n**k times the target is the row
+    # summed at 1/n**g = n**(k - g) / n**k.  At n = 1 the target, the sum
+    # of row k's counts, is 1.768e308 at k = 167 and overflows a double
+    # at k = 168; at n = 2 it overflows from k = 185.  The bound fires
+    # from the first k at both, so it is tight there; the terms summed
+    # around the peak size at n = 2 reach 2**1025.2 at k = 185 and
+    # 2**1018.5 at k = 184
+    rows = oracles.moment_polynomials(185)
+
+    def scaled_target(n, k):
+        return sum(c * n ** (k - g) for g, c in rows[k - 1].items())
+
+    assert scaled_target(1, 167) < 2 ** 1024 <= scaled_target(1, 168)
     assert not cli._target_overflows(1, 167)
     assert cli._target_overflows(1, 168)
-    # at n = 2 the target overflows from k = 185; the terms summed around
-    # the peak size reach 2**1025.2 there and 2**1018.5 at k = 184
+    assert (scaled_target(2, 184) < 2 ** (1024 + 184)
+            and scaled_target(2, 185) >= 2 ** (1024 + 185))
     assert not cli._target_overflows(2, 184)
     assert cli._target_overflows(2, 185)
     # Catalan(k) is at least 2**1024 from k = 520 at any n
     assert cli._target_overflows(2 ** 53, 520)
     assert not cli._target_overflows(2 ** 53, 519)
+
+
+def _unseen_share(n, k, trials):
+    """Share of the exact target at sizes N with trials * P(N) < 1.
+
+    The seen sizes are finite, so the unseen share is one less the seen
+    one, summed to 60 digits with P(N) = e**-n n**N / N!.
+    """
+    scaled = sum(c * n ** (k - g)
+                 for g, c in oracles.moment_polynomial(k).items())
+    with localcontext() as ctx:
+        ctx.prec = 60
+        weight, seen, size = Decimal(-n).exp(), Decimal(0), 0
+        while size <= n or trials * weight >= 1:
+            if trials * weight >= 1:
+                seen += weight * oracles.transformed_moment(size, k)
+            size += 1
+            weight = weight * n / size
+        return 1 - seen / scaled
+
+
+@pytest.mark.parametrize("n, k, trials", [
+    (1, 140, 2000), (2, 20, 10000), (2, 40, 10000), (1, 30, 10000),
+    (5, 60, 10000)])
+def test_z_guard_fires_where_the_trials_see_little(n, k, trials):
+    # seen shares 2.9e-93, 0.045, 2.5e-8, 8.8e-7 and 9.8e-13
+    scaled = sum(c * n ** (k - g)
+                 for g, c in oracles.moment_polynomial(k).items())
+    assert cli._z_unsupported(n, k, trials, scaled)
+    assert _unseen_share(n, k, trials) > Decimal("0.95")
+
+
+def test_z_guard_is_sound():
+    # a null z needs a proof that half the target or more is unseen; a
+    # target the guard passes may still be mostly unseen, since its bound
+    # sums only the sizes near the peak
+    fired = 0
+    for n in (1, 2, 3, 5, 8):
+        for k in (1, 2, 3, 5, 8, 12, 20):
+            scaled = sum(c * n ** (k - g)
+                         for g, c in oracles.moment_polynomial(k).items())
+            for trials in (1, 10, 100, 1000, 10000):
+                if cli._z_unsupported(n, k, trials, scaled):
+                    fired += 1
+                    assert _unseen_share(n, k, trials) >= Decimal("0.5"), \
+                        (n, k, trials)
+    assert fired > 50
+
+
+def test_sample_nulls_a_z_its_trials_cannot_support(capsys):
+    # 2000 trials at n = 1 practically never draw the sizes near 39 that
+    # carry the 280th moment, so the standard error says nothing about
+    # the distance to the target; the run still exits 0
+    code, out = run_cli(capsys, "sample", "--n", "1", "--k", "140",
+                        "--trials", "2000")
+    assert code == 0
+    row = json.loads(out)["results"][0]
+    assert row["z"] is None
+    assert row["stderr"] > 0 and row["estimate"] > 0
 
 
 def test_verify_runs_past_twelve(capsys):
@@ -464,7 +546,7 @@ def test_verify_runs_past_twelve(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     checks = {c["check"] for c in report["results"]}
-    assert "word vs rook moments k=16" in checks
+    assert "word vs size moments k=16" in checks
 
 
 def test_reports_are_deterministic(capsys):

@@ -13,7 +13,7 @@ from ppmoments import (
     word_moment,
 )
 
-from ppmoments.oracles import _rook_rows, _slot_width, _word_rows
+from ppmoments.oracles import _word_rows
 
 from helpers import (
     LatticePath,
@@ -262,31 +262,21 @@ def test_moment_polynomial_serialization():
                                          {"k": 2, "counts": {"0": 2, "1": 1}}]
 
 
-def test_packed_rook_walk_matches_the_list_walk():
+def test_size_rows_match_the_rook_walk():
+    # the Newton differences of the size walk against the rook transfer
+    # matrix, which stays in tests/helpers.py as the reference
     for k_max in (1, 2, 3, 40):
-        assert _rook_rows(k_max) == rook_rows_reference(k_max)
+        assert moment_polynomials(k_max) == \
+            [dict(enumerate(r)) for r in rook_rows_reference(k_max)]
 
 
-def test_packed_rook_counts_fit_their_slots():
-    # the width is a bound proved ahead of the walk, so it is checked on
-    # the unpacked reference: a packed count that overflowed its slot
-    # would come out masked.  At k_max = 40 the largest count has 175
-    # bits against 280 per slot.
-    widest = {}
-    for k_max in (1, 2, 3, 12, 40):
-        widest[k_max] = max(n.bit_length()
-                            for row in rook_rows_reference(k_max)
-                            for n in row)
-        assert widest[k_max] < _slot_width(k_max)
-    assert (widest[40], _slot_width(40)) == (175, 280)
-
-
-def test_rook_and_word_walks_give_the_same_rows():
-    # the two production routes, each in one walk of horizon 80, hand the
-    # reports one row type: row k holds the k positive counts at g < k
-    rook = moment_polynomials(40)
-    assert rook == _word_rows(40)
-    for k, row in enumerate(rook, start=1):
+def test_size_and_word_walks_give_the_same_rows():
+    # the two production routes, one pass of size walks of horizon 80
+    # and one word walk, hand the reports one row type: row k holds the
+    # k positive counts at g < k
+    size = moment_polynomials(40)
+    assert size == _word_rows(40)
+    for k, row in enumerate(size, start=1):
         assert sorted(row) == list(range(k)), k
         assert all(n > 0 for n in row.values()), k
 

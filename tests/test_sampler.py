@@ -22,7 +22,6 @@ from ppmoments import (
     mc_moment,
     mc_moments,
     moment_polynomial,
-    moment_polynomials,
     poisson_sample,
     rsk_shape,
     sample_pp,
@@ -32,7 +31,8 @@ from ppmoments import (
 from ppmoments.cli import run_sample
 
 from helpers import (corner_moment_rows, hermite_coeffs, partitions_of,
-                     power_sums, tableau_count, transformed_moment_reference)
+                     power_sums, rook_rows_reference, tableau_count,
+                     transformed_moment_reference)
 
 
 def test_rng_is_deterministic():
@@ -294,7 +294,9 @@ def test_transformed_moment_matches_rook_counts_via_falling_factorials():
             out *= m - i
         return out
 
-    rows = moment_polynomials(6)
+    # the rook rows of the reference walk: the package's rows are these
+    # falling-factorial coefficients, so they would make the test circular
+    rows = [dict(enumerate(r)) for r in rook_rows_reference(6)]
     for size in range(11):
         for k in range(1, 7):
             want = sum(rows[k - 1].get(g, 0) * falling(size, k - g)
