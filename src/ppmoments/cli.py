@@ -3,9 +3,10 @@
 Commands
   theta    coefficient tables and closed forms for orders 1..g_max, solved
            (theta_from_rows) from the moment rows of the size walk's
-           Newton differences; the operator chain, which phi and verify
-           walk, does not run
-  phi      closed forms only (optionally with the raw term-sum dump)
+           Newton differences; the operator chain, which verify walks,
+           does not run
+  phi      closed forms only, read off the same rows; the operator chain
+           runs only for the raw term-sum dump (--dump-ansatz)
   moments  exact moment polynomials in 1/n for orders up to k_max
   verify   cross-check pipeline, combinatorial oracles and invariants:
            the size walk's rows against the word walk's and the chain's,
@@ -13,19 +14,20 @@ Commands
            size rows' (rows to k = max(k_max, 3 g_max + 2), one pass)
   sample   Monte Carlo estimate of one moment against its exact value
 
-Exit codes: 0 success / verification passed, 1 verification mismatch,
-2 usage error, a failed --out write or a sampled moment beyond double
-precision.  Reports are deterministic for a fixed configuration,
-including the seed.
+Exit codes: 0 success / verification passed (and -h/--help), 1
+verification mismatch, 2 usage error (the usage line and one
+"ppmoments: error: ..." line on stderr), a failed --out write or a
+sampled moment beyond double precision.  Reports are deterministic for
+a fixed configuration, including the seed.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
 import os
+import re
 import sys
 
 from .algebra import (
@@ -79,8 +81,8 @@ def _rook_column(rows: list[dict[int, int]], g: int) -> list[int]:
     return [0] + [row.get(g, 0) for row in rows]
 
 
-def run_theta(g_max: int) -> dict:
-    """Coefficient table rows and closed forms for g = 1..g_max.
+def _closed_forms(g_max: int) -> list[tuple[dict[int, int], RationalFnC]]:
+    """(theta table, closed form) for g = 1..g_max, from the moment rows.
 
     moment_polynomials gives the rows k <= 3 g_max + 2 that
     theta_from_rows needs, in one pass of size walks and Newton
@@ -88,26 +90,39 @@ def run_theta(g_max: int) -> dict:
     both against the operator chain.
     """
     rows = moment_polynomials(3 * g_max + 2)
-    results = []
+    forms = []
     for g in range(1, g_max + 1):
         theta = theta_from_rows(_rook_column(rows, g), g)
-        results.append({"g": g,
-                        "theta": {str(k): str(v)
-                                  for k, v in sorted(theta.items())},
-                        "phi": fine_structure_to_rational(theta, g).to_json()})
+        forms.append((theta, fine_structure_to_rational(theta, g)))
+    return forms
+
+
+def run_theta(g_max: int) -> dict:
+    """Coefficient table rows and closed forms for g = 1..g_max."""
+    results = [{"g": g,
+                "theta": {str(k): str(v) for k, v in sorted(theta.items())},
+                "phi": form.to_json()}
+               for g, (theta, form) in enumerate(_closed_forms(g_max),
+                                                 start=1)]
     return {"command": "theta", "params": {"g_max": g_max},
             "results": results}
 
 
 def run_phi(g_max: int, dump_ansatz: bool = False) -> dict:
-    """Closed forms for g = 0..g_max, optionally with raw term sums."""
-    rows = []
-    for g, s in enumerate(chain_iterates(g_max)):
-        row = {"g": g, "phi": y0_coefficient(s).to_json()}
-        if dump_ansatz and g >= 1:
+    """Closed forms for g = 0..g_max, optionally with raw term sums.
+
+    The forms are run_theta's, with phi(0) = c; the operator chain runs
+    only for the term sums of dump_ansatz.
+    """
+    results = [{"g": 0, "phi": RationalFnC(POLY_C).to_json()}]
+    results += [{"g": g, "phi": form.to_json()}
+                for g, (_, form) in enumerate(_closed_forms(g_max), start=1)]
+    if dump_ansatz:
+        iterates = chain_iterates(g_max)
+        next(iterates)  # F itself, order 0, has no term sums in the report
+        for row, s in zip(results[1:], iterates):
             row["ansatz"] = s.to_json()
-        rows.append(row)
-    return {"command": "phi", "params": {"g_max": g_max}, "results": rows}
+    return {"command": "phi", "params": {"g_max": g_max}, "results": results}
 
 
 def run_moments(k_max: int) -> dict:
@@ -363,20 +378,34 @@ def _to_tsv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _integer(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"invalid int value: {value!r}") from None
+
+
 def _positive(value: str) -> int:
-    n = int(value)
+    n = _integer(value)
     if n < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise ValueError("must be a positive integer")
     return n
 
 
 def _poisson_mean(value: str) -> int:
     n = _positive(value)
     if n > POISSON_MEAN_MAX:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"must be at most 2**53 = {POISSON_MEAN_MAX}: the Poisson draw "
             f"runs in double precision")
     return n
+
+
+def _report_format(value: str) -> str:
+    if value not in ("json", "tsv"):
+        raise ValueError(f"invalid choice: {value!r} (choose from 'json', "
+                         f"'tsv')")
+    return value
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -397,87 +426,211 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ppmoments",
-        description="Exact Poissonized Plancherel moment expansions of the "
-                    "size-only measure (uniform on the roots of He_(N+1)), "
-                    "with combinatorial and Monte Carlo checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line.  Each option maps to (destination, converter,
+# default, help); a converter of None marks a flag, which takes no value
+# and stores True.  Every command also takes the _COMMON options and
+# -h/--help (_HELP).
+_COMMON = {
+    "--format": ("output_format", _report_format, "json", "json or tsv"),
+    "--out": ("out", str, None, "write the report here instead of stdout"),
+}
+_G_MAX = ("g_max", _positive, 4, "highest order g")
+_K_MAX = ("k_max", _positive, 8, "highest moment index k")
+_COMMANDS = {
+    "theta": ("coefficient tables for g=1..g_max", {"--g-max": _G_MAX}),
+    "phi": ("closed forms for g=0..g_max",
+            {"--g-max": _G_MAX,
+             "--dump-ansatz": ("dump_ansatz", None, False,
+                               "include the operator-chain term sums "
+                               "(JSON only)")}),
+    "moments": ("exact moment polynomials k=1..k_max", {"--k-max": _K_MAX}),
+    "verify": ("run all oracle and invariant checks",
+               {"--g-max": _G_MAX, "--k-max": _K_MAX}),
+    "sample": ("Monte Carlo check of one moment",
+               {"--n": ("n", _poisson_mean, 2, "Poisson mean, at most 2**53"),
+                "--k": ("k", _positive, 2, "the moment of order 2k"),
+                "--trials": ("trials", _positive, 10000, "number of trials"),
+                "--seed": ("seed", _integer, DEFAULT_SEED, "sampler seed")}),
+}
+_HELP = (None, None, None, "show this help and exit")
+_DESCRIPTION = ("Exact Poissonized Plancherel moment expansions of the "
+                "size-only measure\n(uniform on the roots of He_(N+1)), "
+                "with combinatorial and Monte Carlo checks.")
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "tsv"), default="json",
-                       dest="output_format")
-        p.add_argument("--out", default=None, metavar="FILE",
-                       help="write the report here instead of stdout")
 
-    p = sub.add_parser("theta", help="coefficient tables for g=1..g_max")
-    p.add_argument("--g-max", type=_positive, default=4)
-    common(p)
+def _options(command: str | None) -> dict:
+    return {**_COMMANDS[command][1], **_COMMON} if command else {}
 
-    p = sub.add_parser("phi", help="closed forms for g=0..g_max")
-    p.add_argument("--g-max", type=_positive, default=4)
-    p.add_argument("--dump-ansatz", action="store_true",
-                   help="include the operator-chain term sums (JSON only)")
-    common(p)
 
-    p = sub.add_parser("moments", help="exact moment polynomials k=1..k_max")
-    p.add_argument("--k-max", type=_positive, default=8)
-    common(p)
+def _shown(option: str, entry: tuple) -> str:
+    if entry[1] is None:
+        return option
+    return f"{option} {option[2:].upper().replace('-', '_')}"
 
-    p = sub.add_parser("verify", help="run all oracle and invariant checks")
-    p.add_argument("--g-max", type=_positive, default=4)
-    p.add_argument("--k-max", type=_positive, default=8)
-    common(p)
 
-    p = sub.add_parser("sample", help="Monte Carlo check of one moment")
-    p.add_argument("--n", type=_poisson_mean, default=2,
-                   help="at most 2**53")
-    p.add_argument("--k", type=_positive, default=2)
-    p.add_argument("--trials", type=_positive, default=10000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common(p)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: ppmoments {" + ",".join(_COMMANDS) + "} [option ...]"
+    return " ".join(["usage: ppmoments", command,
+                     *(f"[{_shown(option, entry)}]"
+                       for option, entry in _options(command).items())])
 
-    return parser
+
+def _help(command: str | None) -> str:
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += [_DESCRIPTION, ""]
+
+    def option_lines(options):
+        for option, entry in options.items():
+            _, convert, default, text = entry
+            if convert is not None and default is not None:
+                text = f"{text} (default {default})"
+            lines.append(f"  {_shown(option, entry):<22}{text}")
+
+    for name in [command] if command else _COMMANDS:
+        summary, options = _COMMANDS[name]
+        lines.append(f"{name:<9}{summary}")
+        option_lines(options)
+    lines.append("every command:")
+    option_lines({**_COMMON, "-h, --help": _HELP})
+    return "\n".join(lines) + "\n"
+
+
+def _usage_error(command: str | None, message: str):
+    sys.stderr.write(f"{_usage(command)}\nppmoments: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _lookup(arg: str, command: str | None) -> tuple[str, str | None] | None:
+    """(option, inline value) that arg names, or None if it names none.
+
+    --name=value gives its value inline, and a unique prefix of a long
+    option names it, as argparse allows.
+    """
+    if arg == "-h":
+        return "--help", None
+    if not arg.startswith("--") or arg == "--":
+        return None
+    name, eq, value = arg.partition("=")
+    known = [*_options(command), "--help"]
+    found = ([name] if name in known else
+             [option for option in known if option.startswith(name)])
+    if len(found) > 1:
+        _usage_error(command, f"ambiguous option: {name} could match "
+                              f"{', '.join(found)}")
+    return (found[0], value if eq else None) if found else None
+
+
+def _is_value(arg: str, command: str | None) -> bool:
+    """True if arg is read as a value, not as an option, as in argparse.
+
+    A token that names no option is a value if it is not dash-led, is a
+    lone dash, looks like a negative number or holds a space.
+    """
+    return _lookup(arg, command) is None and (
+        not arg.startswith("-") or arg == "-" or " " in arg
+        or _NEGATIVE.fullmatch(arg) is not None)
+
+
+def _parse_args(argv: list[str]) -> dict:
+    """The command and its option values from argv, as argparse read it.
+
+    The command comes first; a repeated option keeps its last value.  A
+    usage error prints the usage line and one `ppmoments: error:` line
+    and exits 2; -h or --help prints the help and exits 0.  Options are
+    converted in order, and an unrecognized argument is reported only
+    after the rest, so -h still answers after one.
+    """
+    command, args, stray = None, {}, []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        found = _lookup(arg, command)
+        if found is None:
+            if command is not None or not _is_value(arg, command):
+                stray.append(arg)
+                continue
+            if arg not in _COMMANDS:
+                _usage_error(None, f"argument command: invalid choice: "
+                                   f"{arg!r} (choose from "
+                                   f"{', '.join(map(repr, _COMMANDS))})")
+            command = arg
+            args = {dest: default
+                    for dest, _, default, _ in _options(command).values()}
+            continue
+        option, value = found
+        dest, convert, _, _ = _options(command).get(option, _HELP)
+        if convert is None and value is not None:
+            _usage_error(command, f"argument {option}: ignored explicit "
+                                  f"argument {value!r}")
+        if option == "--help":
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        if convert is None:
+            args[dest] = True
+            continue
+        if value is None:
+            if i == len(argv) or not _is_value(argv[i], command):
+                _usage_error(command,
+                             f"argument {option}: expected one argument")
+            value = argv[i]
+            i += 1
+        try:
+            args[dest] = convert(value)
+        except ValueError as exc:
+            _usage_error(command, f"argument {option}: {exc}")
+    if command is None:
+        _usage_error(None, "the following arguments are required: command")
+    if stray:
+        _usage_error(command, f"unrecognized arguments: {' '.join(stray)}")
+    args["command"] = command
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "dump_ansatz", False) and args.output_format == "tsv":
-        parser.error("phi --dump-ansatz has no TSV form; use --format json")
-    if args.command == "theta":
-        report = run_theta(args.g_max)
-    elif args.command == "phi":
-        report = run_phi(args.g_max, args.dump_ansatz)
-    elif args.command == "moments":
-        report = run_moments(args.k_max)
-    elif args.command == "verify":
-        report = run_verify(args.g_max, args.k_max)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    command, output_format, out = (args["command"], args["output_format"],
+                                   args["out"])
+    if args.get("dump_ansatz") and output_format == "tsv":
+        _usage_error(command,
+                     "phi --dump-ansatz has no TSV form; use --format json")
+    if command == "theta":
+        report = run_theta(args["g_max"])
+    elif command == "phi":
+        report = run_phi(args["g_max"], args["dump_ansatz"])
+    elif command == "moments":
+        report = run_moments(args["k_max"])
+    elif command == "verify":
+        report = run_verify(args["g_max"], args["k_max"])
     else:
         try:
-            report = run_sample(args.n, args.k, args.trials, args.seed)
+            report = run_sample(args["n"], args["k"], args["trials"],
+                                args["seed"])
         except OverflowError:
-            print(f"ppmoments: --k {args.k} is too large at --n {args.n}: the "
-                  f"moment exceeds the double-precision range", file=sys.stderr)
+            print(f"ppmoments: --k {args['k']} is too large at --n "
+                  f"{args['n']}: the moment exceeds the double-precision "
+                  f"range", file=sys.stderr)
             return 2
 
-    if args.output_format == "tsv":
+    if output_format == "tsv":
         text = _to_tsv(report)
     else:
         text = json.dumps(report, indent=2) + "\n"
 
-    if args.out:
+    if out:
         try:
-            _write_atomic(args.out, text)
+            _write_atomic(out, text)
         except OSError as exc:
-            print(f"ppmoments: cannot write {args.out}: {exc.strerror or exc}",
+            print(f"ppmoments: cannot write {out}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)
 
-    if args.command == "verify" and not report["passed"]:
+    if command == "verify" and not report["passed"]:
         return 1
     return 0
 

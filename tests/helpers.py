@@ -27,6 +27,7 @@ transformed_moment.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +37,8 @@ from typing import Iterable, Iterator
 
 from ppmoments import (AnsatzSum, Partition, PolyC, ansatz_to_series,
                        g_series, transition_measure)
+from ppmoments.cli import _poisson_mean, _positive
+from ppmoments.sampler import DEFAULT_SEED
 
 
 def euler_grid(r, grid):
@@ -540,3 +543,41 @@ def power_sums(coeffs: list[int], upto: int) -> list[int]:
             s += (-1) ** (k - 1) * e[k] * k
         p.append(s)
     return p
+
+
+def argparse_reference_parser() -> argparse.ArgumentParser:
+    """The command line as argparse parsed it, with the same converters."""
+    parser = argparse.ArgumentParser(prog="ppmoments")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--format", choices=("json", "tsv"), default="json",
+                       dest="output_format")
+        p.add_argument("--out", default=None, metavar="FILE")
+
+    p = sub.add_parser("theta")
+    p.add_argument("--g-max", type=_positive, default=4)
+    common(p)
+
+    p = sub.add_parser("phi")
+    p.add_argument("--g-max", type=_positive, default=4)
+    p.add_argument("--dump-ansatz", action="store_true")
+    common(p)
+
+    p = sub.add_parser("moments")
+    p.add_argument("--k-max", type=_positive, default=8)
+    common(p)
+
+    p = sub.add_parser("verify")
+    p.add_argument("--g-max", type=_positive, default=4)
+    p.add_argument("--k-max", type=_positive, default=8)
+    common(p)
+
+    p = sub.add_parser("sample")
+    p.add_argument("--n", type=_poisson_mean, default=2)
+    p.add_argument("--k", type=_positive, default=2)
+    p.add_argument("--trials", type=_positive, default=10000)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    common(p)
+
+    return parser

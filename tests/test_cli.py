@@ -14,6 +14,8 @@ import ppmoments.cli as cli
 import ppmoments.oracles as oracles
 from ppmoments.cli import main, run_moments, run_sample, run_theta, run_verify
 
+from helpers import argparse_reference_parser
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -124,6 +126,9 @@ def test_reports_compute_the_moment_rows_once(monkeypatch):
     run_theta(4)
     assert calls == one_pass(14)
     calls.clear()
+    cli.run_phi(4, dump_ansatz=True)
+    assert calls == one_pass(14)
+    calls.clear()
     assert run_verify(5, 10)["passed"] is True
     assert calls == one_pass(17)
 
@@ -151,8 +156,10 @@ def test_reports_walk_the_operator_chain_once(monkeypatch):
         return original(k, s)
 
     monkeypatch.setattr(ansatz, "g_apply", counting)
-    # theta solves its tables from the moment rows, off the chain
+    # theta and phi solve their tables from the moment rows, off the
+    # chain; phi walks it only for the term sums it dumps
     run_theta(4)
+    cli.run_phi(4)
     assert calls == []
     assert run_verify(3, 4)["passed"] is True
     assert calls == [0, 1, 2]
@@ -351,7 +358,8 @@ def test_sample_zero_stderr_compares_the_estimate_exactly(
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 # runs one command, or with no arguments imports the sampler alone, and
-# prints the rational-arithmetic modules the process has loaded
+# prints the rational-arithmetic and argument-parsing modules the process
+# has loaded
 _PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -361,8 +369,8 @@ if sys.argv[2:]:
     assert code == 0, code
 else:
     import ppmoments.sampler
-print(sorted({"fractions", "decimal", "numbers"} & set(sys.modules)),
-      file=sys.stderr)
+print(sorted({"fractions", "decimal", "numbers", "argparse", "gettext",
+              "locale"} & set(sys.modules)), file=sys.stderr)
 """
 
 
@@ -379,7 +387,9 @@ print(sorted({"fractions", "decimal", "numbers"} & set(sys.modules)),
 def test_no_command_loads_rational_arithmetic(args):
     # fractions pulls in decimal and numbers at every process start; the
     # reports run on ints, and only the corner measure, which no command
-    # builds, imports it.  A fresh isolated interpreter sees what a
+    # builds, imports it.  argparse pulls in gettext, and building a
+    # parser with it loads locale; the command line is read from one
+    # option table instead.  A fresh isolated interpreter sees what a
     # command loads, whatever this test process has imported already
     done = subprocess.run([sys.executable, "-I", "-c", _PROBE, _SRC, *args],
                           capture_output=True, text=True, timeout=60)
@@ -407,8 +417,87 @@ def test_usage_errors_exit_two(capsys):
         assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "must be at most 2**53" in err
-    assert cli._build_parser().parse_args(
-        ["sample", "--n", str(2**53)]).n == 2**53
+    assert cli._parse_args(["sample", "--n", str(2**53)])["n"] == 2**53
+
+
+def _parsed(parse, argv):
+    """The values parse reads from argv, or the code it exits with."""
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# the documented forms, then the spellings argparse accepted and the
+# errors it exited 2 on
+_ARGV_CASES = [
+    ["theta", "--g-max", "4"],
+    ["phi", "--g-max", "4", "--dump-ansatz"],
+    ["moments", "--k-max", "8"],
+    ["verify", "--g-max", "4", "--k-max", "8"],
+    ["sample", "--n", "2", "--k", "2", "--trials", "1000000",
+     "--seed", "8675309"],
+    ["theta", "--g-max", "2", "--format", "tsv"],
+    ["moments", "--k-max", "1", "--out", "report.json"],
+    ["theta"], ["phi"], ["moments"], ["verify"], ["sample"],
+    ["moments", "--k-max=5"],
+    ["verify", "--g=3", "--k=2", "--f=tsv"],
+    ["sample", "--tri", "10"],
+    ["sample", "--seed", "-5"],
+    ["sample", "--seed=-5", "--o", "-"],
+    ["phi", "--d", "--du"],
+    ["theta", "--g-max", "2", "--g-max", "3"],
+    ["sample", "--seed", "1", "--seed=2", "--n", "3"],
+    ["sample", "--n", str(2**53)],
+    ["phi", "--dump-ansatz", "--format", "tsv"],
+    ["theta", "--g-max"],
+    ["sample", "--seed", "--n", "3"],
+    ["sample", "--seed", "-x"],
+    ["theta", "--out", "-h"],
+    ["bogus"], ["theta", "--bogus"], ["theta", "--k-max", "3"],
+    ["theta", "3"], ["--g-max", "3", "theta"], ["th"],
+    ["theta", "--g-max", "x"], ["theta", "--format", "xml"],
+    ["phi", "--dump-ansatz=yes"], ["theta", "--help=x"], ["--he=x"],
+    ["sample", "--k", "-2"],
+    ["moments", "--k-max", "0"], ["sample", "--trials", "-3"],
+    ["verify", "--k-max", "0"], ["sample", "--n", str(2**53 + 1)],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGV_CASES,
+                         ids=[" ".join(argv) or "empty" for argv in _ARGV_CASES])
+def test_option_table_parses_as_argparse_did(capsys, argv):
+    # same values, or exit 2 from both; the table's error ends in one
+    # `ppmoments: error:` line after the usage line
+    reference = argparse_reference_parser()
+    want = _parsed(lambda args: vars(reference.parse_args(args)), argv)
+    capsys.readouterr()
+    got = _parsed(cli._parse_args, argv)
+    assert got == want
+    if got == 2:
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: ppmoments ")
+        assert err[1].startswith("ppmoments: error: ") and len(err) == 2
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["theta", "--he"],
+                                  ["phi", "-h", "--bogus"],
+                                  ["verify", "--bogus", "-h"]],
+                         ids=["h", "help", "prefix", "before-unknown",
+                              "after-unknown"])
+def test_help_names_every_command_and_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli._parse_args(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    command = argv[0] if argv[0] in cli._COMMANDS else None
+    for name in [command] if command else cli._COMMANDS:
+        assert name in out
+        for option in cli._options(name):
+            assert option in out
+    assert "-h, --help" in out
 
 
 def test_sample_moment_beyond_a_double_exits_two(tmp_path, capsys):
