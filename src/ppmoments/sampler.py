@@ -45,6 +45,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from . import DEFAULT_SEED, POISSON_MEAN_MAX
 from .oracles import transformed_moment
 
 if TYPE_CHECKING:
@@ -66,16 +67,12 @@ __all__ = [
     "transition_measure",
 ]
 
-DEFAULT_SEED = 8675309  # documented default; override with --seed / seed=
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INVERSION_LIMIT = 30  # Poisson mean up to which plain inversion is used
 _LANES = 256  # trials per block of the inversion kernel
 _LANE_BITS = 128  # a 64-bit value and 64 zero bits of headroom
 _MARKER = 255  # top-byte table entry of a lane that is bisected in full
-# The draw runs in double precision, which holds every integer up to 2**53.
-POISSON_MEAN_MAX = 2 ** 53
 
 
 def _mix64(z: int, mask: int = _MASK64) -> int:

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import ppmoments.ansatz as ansatz
 import ppmoments.cli as cli
 import ppmoments.oracles as oracles
+import ppmoments.sampler as sampler
 from ppmoments.cli import main, run_moments, run_sample, run_theta, run_verify
 
 from helpers import argparse_reference_parser
@@ -142,7 +144,6 @@ def test_reports_walk_the_word_route_once(monkeypatch):
         return original(k_max)
 
     monkeypatch.setattr(oracles, "_word_rows", counting)
-    monkeypatch.setattr(cli, "_word_rows", counting)
     assert run_verify(2, 8)["passed"] is True
     assert calls == [8]
 
@@ -231,7 +232,7 @@ def test_verify_exit_one_on_mismatch(capsys, monkeypatch):
     bad = [c for c in report["results"] if not c["pass"]]
     assert any("theta table" in c["check"] for c in bad)
     # a grid check names the cells that disagree
-    real_g_series = cli.g_series
+    real_g_series = ansatz.g_series
 
     def off_by_one(*orders):
         grid = real_g_series(*orders)
@@ -239,7 +240,7 @@ def test_verify_exit_one_on_mismatch(capsys, monkeypatch):
         return grid
 
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "g_series", off_by_one)
+    monkeypatch.setattr(ansatz, "g_series", off_by_one)
     bad = [c for c in run_verify(1, 1)["results"] if not c["pass"]]
     assert bad == [{"check": "two-height series vs path counts (i<=2)",
                     "expected": "all coefficients match",
@@ -256,7 +257,7 @@ def test_verify_reports_a_rows_route_residual(monkeypatch):
         rows[4][1] += 1
         return rows
 
-    monkeypatch.setattr(cli, "moment_polynomials", off_at_k5)
+    monkeypatch.setattr(oracles, "moment_polynomials", off_at_k5)
     report = run_verify(1, 2)
     bad = [c for c in report["results"] if not c["pass"]]
     assert report["passed"] is False
@@ -321,9 +322,14 @@ def test_sample_zero_stderr_does_not_hide_a_mismatch(capsys):
 def test_sample_target_pair_matches_the_fraction_route():
     # the target is carried as a reduced int pair; its string, its
     # rounding and its equality test must be those of one exact Fraction.
-    # At 50 trials these three targets sit for half or more at sizes the
-    # trials cannot see, so their z is null
-    unsupported = {(1, 8), (2, 7), (2, 8)}
+    # At 50 trials these targets sit for half or more at sizes the trials
+    # cannot see (from 0.52 at (6, 7) to 0.97 at (1, 8)), so their z is
+    # null
+    unsupported = {(1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 5), (2, 6),
+                   (2, 7), (2, 8), (3, 7), (3, 8), (4, 6), (4, 7), (4, 8),
+                   (5, 6), (5, 7), (5, 8), (6, 7), (6, 8)}
+    for n, k in unsupported:
+        assert _unseen_share(n, k, 50) >= Decimal("0.5")
     for n in range(1, 7):
         for k in range(1, 9):
             row = run_sample(n, k, trials=50)["results"][0]
@@ -349,52 +355,110 @@ def test_sample_zero_stderr_compares_the_estimate_exactly(
         monkeypatch, n, k, estimate, predicted, z):
     # 37/4 = 9.25 is a double, and the next double up is a mismatch that
     # no finite z-score describes; 7/3 is no double, so even the double
-    # nearest to it is a mismatch
-    monkeypatch.setattr(cli, "mc_moment", lambda *args: (estimate, 0.0))
-    row = run_sample(n, k, trials=10)["results"][0]
+    # nearest to it is a mismatch.  At 10 trials (2, 3) is 73% unseen and
+    # its z null whatever the estimate, so 100 trials (10% unseen) are
+    # asked for
+    monkeypatch.setattr(sampler, "mc_moment", lambda *args: (estimate, 0.0))
+    row = run_sample(n, k, trials=100)["results"][0]
     assert row["predicted"] == predicted
     assert row["z"] == z
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
-# runs one command, or with no arguments imports the sampler alone, and
+# imports one module and, given arguments, runs its main on them; then
 # prints the rational-arithmetic and argument-parsing modules the process
-# has loaded
+# has loaded, and on the next line every ppmoments module
 _PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
-if sys.argv[2:]:
-    import ppmoments.cli
-    code = ppmoments.cli.main(sys.argv[2:])
+module = __import__(sys.argv[2], fromlist=["_"])
+if sys.argv[3:]:
+    code = module.main(sys.argv[3:])
     assert code == 0, code
-else:
-    import ppmoments.sampler
 print(sorted({"fractions", "decimal", "numbers", "argparse", "gettext",
               "locale"} & set(sys.modules)), file=sys.stderr)
+print(" ".join(sorted(name for name in sys.modules
+                      if name.split(".")[0] == "ppmoments")),
+      file=sys.stderr)
 """
 
 
-@pytest.mark.parametrize("args", [
-    ("theta", "--g-max", "2"),
-    ("phi", "--g-max", "2"),
-    ("moments", "--k-max", "3"),
-    ("verify", "--g-max", "2", "--k-max", "3"),
-    ("sample", "--n", "2", "--k", "2", "--trials", "300"),
-    ("sample", "--n", "31", "--k", "2", "--trials", "50"),
-    (),
-], ids=["theta", "phi", "moments", "verify", "sample", "sample-ptrs",
-        "import-sampler"])
-def test_no_command_loads_rational_arithmetic(args):
+@pytest.mark.parametrize("module, args, loaded", [
+    ("ppmoments.cli", ("theta", "--g-max", "2"), "algebra oracles"),
+    ("ppmoments.cli", ("phi", "--g-max", "2"), "algebra oracles"),
+    ("ppmoments.cli", ("phi", "--g-max", "2", "--dump-ansatz"),
+     "algebra ansatz oracles"),
+    ("ppmoments.cli", ("moments", "--k-max", "3"), "oracles"),
+    ("ppmoments.cli", ("verify", "--g-max", "2", "--k-max", "3"),
+     "algebra ansatz oracles"),
+    ("ppmoments.cli", ("sample", "--n", "2", "--k", "2", "--trials", "300"),
+     "oracles sampler"),
+    ("ppmoments.cli", ("sample", "--n", "31", "--k", "2", "--trials", "50"),
+     "oracles sampler"),
+    ("ppmoments.cli", (), ""),
+    ("ppmoments.sampler", (), "oracles sampler"),
+], ids=["theta", "phi", "phi-dump", "moments", "verify", "sample",
+        "sample-ptrs", "import-cli", "import-sampler"])
+def test_no_command_loads_rational_arithmetic(module, args, loaded):
     # fractions pulls in decimal and numbers at every process start; the
     # reports run on ints, and only the corner measure, which no command
     # builds, imports it.  argparse pulls in gettext, and building a
     # parser with it loads locale; the command line is read from one
-    # option table instead.  A fresh isolated interpreter sees what a
-    # command loads, whatever this test process has imported already
-    done = subprocess.run([sys.executable, "-I", "-c", _PROBE, _SRC, *args],
-                          capture_output=True, text=True, timeout=60)
+    # option table instead.  Each command imports the package modules it
+    # runs and no other, and the package resolves its names lazily.  A
+    # fresh isolated interpreter sees what a command loads, whatever this
+    # test process has imported already
+    done = subprocess.run([sys.executable, "-I", "-c", _PROBE, _SRC, module,
+                           *args], capture_output=True, text=True,
+                          timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stderr.splitlines()[-1] == "[]"
+    rational, package = done.stderr.splitlines()[-2:]
+    assert rational == "[]"
+    expected = {"ppmoments", module,
+                *(f"ppmoments.{name}" for name in loaded.split())}
+    assert set(package.split()) == expected
+
+
+_STREAMED = {
+    "theta": (("theta", "--g-max", "3"), lambda: run_theta(3)),
+    "phi-dump": (("phi", "--g-max", "2", "--dump-ansatz"),
+                 lambda: cli.run_phi(2, dump_ansatz=True)),
+    "moments": (("moments", "--k-max", "12"), lambda: run_moments(12)),
+    "verify": (("verify", "--g-max", "2", "--k-max", "4"),
+               lambda: run_verify(2, 4)),
+    "sample": (("sample", "--n", "2", "--k", "2", "--trials", "300"),
+               lambda: run_sample(2, 2, 300)),
+}
+
+
+@pytest.mark.parametrize("command", _STREAMED)
+def test_streamed_report_is_the_dumped_text(tmp_path, capsys, command):
+    # main streams each JSON report through json.dump, to stdout or to
+    # the --out file, and writes what json.dumps would have built
+    args, build = _STREAMED[command]
+    text = json.dumps(build(), indent=2) + "\n"
+    code, out = run_cli(capsys, *args)
+    assert code == 0 and out == text
+    target = tmp_path / "report.json"
+    assert main([*args, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == text.encode()
+
+
+def test_report_is_written_without_its_whole_text(tmp_path):
+    # the streamed write of a moments --k-max 60 report (about 110 kB of
+    # JSON) never holds as many bytes as the text has characters
+    report = run_moments(60)
+    text = json.dumps(report, indent=2) + "\n"
+    target = tmp_path / "moments.json"
+    tracemalloc.start()
+    try:
+        cli._write_atomic(str(target), report, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.read_text() == text
+    assert peak < len(text)
 
 
 def test_sample_tsv_renders_a_missing_z_as_null(capsys):
@@ -535,13 +599,14 @@ def test_sample_fails_fast_when_the_target_overflows(capsys, n, k, trials):
 
 
 def test_target_overflow_bound_is_sound():
-    # e**-n >= 2**-ceil(n * 1.4426950408889635) needs log2(e) below it,
-    # and the unseen sizes' e**-n <= 2**-floor(n * 1.4426950408889634)
-    # above it
+    # the bounds on e**-n are n-th powers of two rational bounds on e,
+    # which must hold strictly and be close: their ratio is below
+    # 1 + 2**-66
+    (a, b), (c, d) = cli._E_BELOW, cli._E_ABOVE
     with localcontext() as ctx:
         ctx.prec = 50
-        assert (Decimal("1.4426950408889634") < 1 / Decimal(2).ln()
-                < Decimal("1.4426950408889635"))
+        assert Decimal(a) / b < Decimal(1).exp() < Decimal(c) / d
+    assert (c * b - a * d) << 66 < a * d
     for n in (1, 2, 3, 30, 1000, 2 ** 53):
         for k in (1, 2, 3, 10, 40):
             assert not cli._target_overflows(n, k)
@@ -600,20 +665,33 @@ def test_z_guard_fires_where_the_trials_see_little(n, k, trials):
 
 
 def test_z_guard_is_sound():
-    # a null z needs a proof that half the target or more is unseen; a
-    # target the guard passes may still be mostly unseen, since its bound
-    # sums only the sizes near the peak
-    fired = 0
+    # a null z needs a proof that half the target or more is unseen.  A
+    # target the guard passes may in general still be mostly unseen, since
+    # its bound sums only the sizes near the peak; on this grid the bound
+    # misses none of the 94 such targets
+    fired, missed = 0, []
     for n in (1, 2, 3, 5, 8):
         for k in (1, 2, 3, 5, 8, 12, 20):
             scaled = sum(c * n ** (k - g)
                          for g, c in oracles.moment_polynomial(k).items())
             for trials in (1, 10, 100, 1000, 10000):
+                unseen = _unseen_share(n, k, trials)
                 if cli._z_unsupported(n, k, trials, scaled):
                     fired += 1
-                    assert _unseen_share(n, k, trials) >= Decimal("0.5"), \
-                        (n, k, trials)
-    assert fired > 50
+                    assert unseen >= Decimal("0.5"), (n, k, trials)
+                elif unseen >= Decimal("0.5"):
+                    missed.append((n, k, trials))
+    assert fired == 94 and missed == []
+
+
+@pytest.mark.parametrize("n, k, trials, share", [
+    (8, 5, 10, "0.852"), (5, 20, 10000, "0.807")])
+def test_sample_nulls_the_z_of_a_mostly_unseen_target(n, k, trials, share):
+    # both targets are well past half unseen, but only a bound within a
+    # small factor of e**-n that sums enough sizes near the peak proves it
+    assert round(_unseen_share(n, k, trials), 3) == Decimal(share)
+    row = run_sample(n, k, trials)["results"][0]
+    assert row["z"] is None and row["stderr"] > 0
 
 
 def test_sample_nulls_a_z_its_trials_cannot_support(capsys):

@@ -4,6 +4,8 @@ import importlib.util
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import ppmoments
 import ppmoments.oracles as oracles
 
@@ -19,6 +21,48 @@ def test_every_exported_name_resolves():
         assert len(exported) == len(set(exported)), module.__name__
         missing = [name for name in exported if not hasattr(module, name)]
         assert not missing, f"{module.__name__} exports missing {missing}"
+
+
+# every name the package exported when it imported its modules eagerly
+_PACKAGE_NAMES = [
+    "AnsatzSum", "DEFAULT_SEED", "DuplicateEntries", "NotFineStructure",
+    "Partition", "PolyC", "RationalFnC", "RngState", "SeriesX",
+    "TransitionMeasure", "__version__", "ansatz_to_series",
+    "catalan_number", "catalan_series", "chain_iterates",
+    "chain_shape_violations", "enum_paths", "euler_apply", "expand_in_x",
+    "f_initial", "f_series", "fine_structure_form",
+    "fine_structure_to_rational", "g_apply", "g_series", "mc_moment",
+    "mc_moments", "moment_polynomial", "moment_polynomials",
+    "operator_chain", "path_counts", "phi", "poisson_sample", "rsk_shape",
+    "sample_pp", "theta_from_rows", "theta_support_window",
+    "transformed_moment", "transition_measure", "word_moment",
+    "y0_coefficient"]
+
+
+def test_every_package_name_resolves_lazily():
+    # the package resolves each name from the module that defines it on
+    # first access, as an attribute, by a from-import and in dir()
+    listing = dir(ppmoments)
+    for name in _PACKAGE_NAMES:
+        module = ppmoments._EXPORTS.get(name)
+        owner = (importlib.import_module(f"ppmoments.{module}") if module
+                 else ppmoments)
+        value = getattr(owner, name)
+        assert getattr(ppmoments, name) is value, name
+        namespace: dict = {}
+        exec(f"from ppmoments import {name}", namespace)
+        assert namespace[name] is value, name
+        assert name in listing, name
+        if callable(value):
+            assert value.__module__ == owner.__name__, name
+    assert set(ppmoments.__all__) <= set(listing)
+    assert set(ppmoments.__all__) == set(_PACKAGE_NAMES) - {"__version__"} \
+        | {"POISSON_MEAN_MAX"}
+    import ppmoments.sampler as sampler
+    assert sampler.DEFAULT_SEED is ppmoments.DEFAULT_SEED
+    assert sampler.POISSON_MEAN_MAX is ppmoments.POISSON_MEAN_MAX
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        ppmoments.nope
 
 
 def test_every_benchmark_span_resolves():
