@@ -39,8 +39,8 @@ newline.  Both lower the peak RSS: moments --k-max 40 from 14.0 to
 
 from __future__ import annotations
 
+import bisect
 import contextlib
-import functools
 import json
 import math
 import os
@@ -138,61 +138,40 @@ _E_ABOVE = (_E_BELOW[0] * _E_TERMS + 1, _E_BELOW[1] * _E_TERMS)
 _WINDOW = 5  # sizes summed on either side of the peak, plus 2 isqrt(n)
 
 
-@functools.lru_cache(maxsize=1)
-def _peak_moments(n: int, k: int) -> dict[int, int]:
-    """{N: transformed_moment(N, k)} over the sizes _peak_terms sums.
+def _peak_sizes(n: int, k: int) -> set[int]:
+    """The sizes N near the peak of run_sample's target terms.
 
-    The terms of run_sample's target peak near the N with
-    N ln(N/n) = k, where their spread, like the Poisson one at N = n,
+    The terms of run_sample's target peak near the first N with
+    N ln(N/n) >= k, where their spread, like the Poisson one at N = n,
     grows with sqrt(n).  The sizes are that N with the
     _WINDOW + 2 isqrt(n) sizes on either side, and N = n, each only up
-    to 64 k, which bounds the work by the k of the run, not by n.  The
-    last (n, k) is kept, so that run_sample's overflow and z tests walk
-    each size once.
+    to 64 k, which bounds the work by the k of the run, not by n.  That
+    N lies in n..n + k, since (n + k) ln(1 + k/n) >= k.
     """
-    lo, hi = n, n + k  # N ln(N/n) - k is < 0 at lo and >= 0 at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid * math.log(mid / n) < k:
-            lo = mid
-        else:
-            hi = mid
+    peak = bisect.bisect_left(range(n, n + k + 1), k,
+                              key=lambda size: size * math.log(size / n)) + n
     window = _WINDOW + 2 * math.isqrt(n)
-    sizes = {*range(max(hi - window, 0), min(hi + window, 64 * k) + 1)}
-    if n <= 64 * k:
-        sizes.add(n)
-    from .oracles import transformed_moment
-
-    return {size: transformed_moment(size, k) for size in sizes}
+    sizes = range(max(peak - window, 0), min(peak + window, 64 * k) + 1)
+    return {*sizes, n} if n <= 64 * k else {*sizes}
 
 
-def _peak_terms(n: int, k: int, unseen_by: int = 0) -> tuple[int, int]:
-    """(total, scale): a lower bound total / scale on terms of a target.
+def _peak_terms(n: int, moments: dict[int, int]) -> tuple[int, int]:
+    """(total, scale): a lower bound total / scale on sum P(N) m_N.
 
-    run_sample's target is the Poisson(n) average of
-    m_N = transformed_moment(N, k) over the sizes N, divided by n**k:
-    the sum of the terms P(N) m_N, P(N) = e**-n n**N / N!, none of them
-    negative.  The sizes summed are those of _peak_moments.  With
-    a/b = _E_BELOW < e < c/d = _E_ABOVE, (d/c)**n < e**-n < (b/a)**n,
-    each bound within a factor (1 + 2**-66)**n of e**-n.  So with M the
-    largest size summed, the terms sum to more than
-    sum_N n**N m_N (M! / N!) d**n / (M! c**n), in integers.  Given
-    unseen_by = trials, only the sizes that the trials cannot see,
-    trials * P(N) < 1, are summed, as trials * n**N b**n < N! a**n
-    proves.
+    moments maps sizes N to m_N = transformed_moment(N, k), and the sum
+    runs over them.  n**k times run_sample's target is the sum of the
+    terms P(N) m_N, P(N) = e**-n n**N / N!, over every size, none of
+    them negative, so a sum over some sizes is a lower bound on it.
+    With c/d = _E_ABOVE > e, e**-n > (d/c)**n within a factor
+    (1 + 2**-66)**n.  So with M the largest size, the terms sum to more
+    than sum_N n**N m_N (M! / N!) d**n / (M! c**n), in integers.
     """
-    moments = _peak_moments(n, k)
     if not moments:
         return 0, 1
-    a, b = (v ** n for v in _E_BELOW)
-    sizes = [size for size in moments
-             if unseen_by * n ** size * b < math.factorial(size) * a]
-    if not sizes:
-        return 0, 1
     c, d = (v ** n for v in _E_ABOVE)
-    top = math.factorial(max(sizes))
-    return (d * sum(n ** size * moments[size] * (top // math.factorial(size))
-                    for size in sizes),
+    top = math.factorial(max(moments))
+    return (d * sum(n ** size * m * (top // math.factorial(size))
+                    for size, m in moments.items()),
             c * top)
 
 
@@ -202,46 +181,68 @@ def _target_overflows(n: int, k: int) -> bool:
     The target is a sum with no negative term: the moment is an even
     power sum of the real roots of He_(N+1).  So any partial sum is a
     lower bound, and so is the g = 0 coefficient Catalan(k) of
-    moment_polynomial(k), whose coefficients are counts.  Catalan(520)
-    is the first Catalan number of 2**1024 or more and the sequence
-    grows, so only Catalan(m), m = min(k, 520), is computed, as
-    binom(2m, m) / (m + 1), in time bounded whatever k is.  Past that
-    test k is below 520, and the terms near the peak (_peak_terms) are
-    compared with 2**1024 exactly.  A False answer proves nothing.
-    run_sample asks before it samples, so an overflowing run exits
-    without drawing a trial or computing the moment row.
+    moment_polynomial(k), whose coefficients are counts; Catalan(520)
+    is the first Catalan number of 2**1024 or more, so every k >= 520
+    overflows, at any n.  Row k's counts sit at 1/n**g, so the target
+    is largest at n = 1, where it is their sum, below 2**1024 for every
+    k <= 167.  The test suite checks both edges.  Only for
+    168 <= k < 520 are the sizes near the peak (_peak_sizes) walked and
+    their terms (_peak_terms) compared with 2**1024 exactly; a False
+    answer there proves nothing.  run_sample asks before it samples, so
+    an overflowing run exits without drawing a trial or computing the
+    moment row.
     """
-    m = min(k, 520)
-    if math.comb(2 * m, m) // (m + 1) >> 1024:
+    if k >= 520:
         return True
-    total, scale = _peak_terms(n, k)
+    if k < 168:
+        return False
+    from .oracles import transformed_moment
+
+    total, scale = _peak_terms(n, {size: transformed_moment(size, k)
+                                   for size in _peak_sizes(n, k)})
     return total >= scale * n ** k << 1024
 
 
-def _z_unsupported(n: int, k: int, trials: int, scaled_target: int) -> bool:
+def _z_unsupported(n: int, k: int, trials: int, row: dict[int, int]) -> bool:
     """True only if half the target or more sits at sizes trials cannot see.
 
-    scaled_target is n**k times the target.  At the sizes N with
+    row is moment_polynomial(k), {g: c_g}.  At the sizes N with
     trials * P(N) < 1 the trials are not expected to draw a single
     value, so their standard error says nothing about the distance to
-    the terms there.  _peak_terms bounds the share of those terms
-    exactly from below, without drawing a trial.
+    the terms there.  Of the sizes near the peak (_peak_sizes), those
+    are the N with trials * n**N b**n < N! a**n, a/b = _E_BELOW < e.
+    m_N is read off the row, m_N = sum_g c_g N(N-1)...(N-k+g+1), the
+    falling-factorial identity moment_polynomials is built on, by
+    Horner's rule in O(k) per size; _peak_terms bounds their share of
+    the target exactly from below, without drawing a trial.
     """
-    total, scale = _peak_terms(n, k, unseen_by=trials)
-    return 2 * total >= scale * scaled_target
+    sizes = _peak_sizes(n, k)
+    if not sizes:
+        return False
+    a, b = (v ** n for v in _E_BELOW)
+    unseen = {}
+    for size in sizes:
+        if trials * n ** size * b < math.factorial(size) * a:
+            m = 0
+            for g in range(k + 1):
+                m = m * (size - k + g) + row.get(g, 0)
+            unseen[size] = m
+    total, scale = _peak_terms(n, unseen)
+    return 2 * total >= scale * sum(c * n ** (k - g) for g, c in row.items())
 
 
 def run_sample(n: int, k: int, trials: int, seed: int = DEFAULT_SEED) -> dict:
     """Monte Carlo estimate of the 2k-th moment with its exact target.
 
     A target that _target_overflows proves at least 2**1024 raises
-    OverflowError before any trial is drawn, whatever the trial count.
-    The target is the moment row of order 2k summed over 1/n**g, carried
-    as the reduced int pair num/den and printed as str(Fraction) would
-    print it; the int true division num / den rounds it correctly to a
-    double, as float(Fraction) does.  z is None (JSON null) when
-    _z_unsupported proves that half the target or more sits at sizes the
-    trials cannot see, decided before sampling.  Otherwise, with a zero
+    OverflowError before any trial is drawn or the moment row is
+    computed, whatever the trial count.  The target is the moment row of
+    order 2k summed over 1/n**g, carried as the reduced int pair num/den
+    and printed as str(Fraction) would print it; the int true division
+    num / den rounds it correctly to a double, as float(Fraction) does.
+    z is None (JSON null) when _z_unsupported proves, from the same row
+    and before sampling, that half the target or more sits at sizes the
+    trials cannot see.  Otherwise, with a zero
     standard error (every trial gave the same value) z is 0.0 when the
     estimate equals the target exactly, that is when its
     as_integer_ratio() is the reduced pair, and None otherwise, since no
@@ -253,8 +254,8 @@ def run_sample(n: int, k: int, trials: int, seed: int = DEFAULT_SEED) -> dict:
     if _target_overflows(n, k):
         raise OverflowError("the exact target exceeds the double range")
     row = moment_polynomial(k) if k >= 1 else {0: 1}
+    unsupported = _z_unsupported(n, k, trials, row)
     num = sum(c * n ** (k - g) for g, c in row.items())
-    unsupported = _z_unsupported(n, k, trials, num)
     estimate, stderr = mc_moment(n, k, trials, seed)
     den = n ** k
     common = math.gcd(num, den)

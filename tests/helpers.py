@@ -22,7 +22,10 @@ transfer matrix with one list of closed-pair counts per state
 which it reaches by rook placements rather than by Newton differences
 of the size walk, and the path walk that keeps every height
 (transformed_moment_reference) is the one for the package's pruned
-transformed_moment.
+transformed_moment.  The sample guards' window of sizes found by a
+hand-written bisection (peak_sizes_reference) and their z guard with
+every unseen moment walked (z_unsupported_by_walks) are the references
+for cli._peak_sizes and the row-read cli._z_unsupported.
 """
 
 from __future__ import annotations
@@ -31,13 +34,15 @@ import argparse
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt, log
 from random import Random
 from typing import Iterable, Iterator
 
 from ppmoments import (AnsatzSum, Partition, PolyC, ansatz_to_series,
                        g_series, transition_measure)
+from ppmoments import cli
 from ppmoments.cli import _poisson_mean, _positive
+from ppmoments.oracles import transformed_moment
 from ppmoments.sampler import DEFAULT_SEED
 
 
@@ -581,3 +586,37 @@ def argparse_reference_parser() -> argparse.ArgumentParser:
     common(p)
 
     return parser
+
+
+def peak_sizes_reference(n: int, k: int) -> set[int]:
+    """cli._peak_sizes with the peak size found by a hand-written bisection.
+
+    N ln(N/n) - k is < 0 at lo and taken to be >= 0 at hi throughout.
+    """
+    lo, hi = n, n + k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * log(mid / n) < k:
+            lo = mid
+        else:
+            hi = mid
+    window = cli._WINDOW + 2 * isqrt(n)
+    sizes = {*range(max(hi - window, 0), min(hi + window, 64 * k) + 1)}
+    if n <= 64 * k:
+        sizes.add(n)
+    return sizes
+
+
+def z_unsupported_by_walks(n: int, k: int, trials: int,
+                           scaled_target: int) -> bool:
+    """cli._z_unsupported with each unseen moment walked, not read off a row.
+
+    scaled_target is n**k times the target.  The window and the unseen
+    test are cli's; each m_N is transformed_moment(N, k).
+    """
+    a, b = (v ** n for v in cli._E_BELOW)
+    unseen = {size: transformed_moment(size, k)
+              for size in cli._peak_sizes(n, k)
+              if trials * n ** size * b < factorial(size) * a}
+    total, scale = cli._peak_terms(n, unseen)
+    return 2 * total >= scale * scaled_target

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -16,7 +17,8 @@ import ppmoments.oracles as oracles
 import ppmoments.sampler as sampler
 from ppmoments.cli import main, run_moments, run_sample, run_theta, run_verify
 
-from helpers import argparse_reference_parser
+from helpers import (argparse_reference_parser, peak_sizes_reference,
+                     z_unsupported_by_walks)
 
 
 def run_cli(capsys, *args):
@@ -623,15 +625,66 @@ def test_target_overflow_bound_is_sound():
         return sum(c * n ** (k - g) for g, c in rows[k - 1].items())
 
     assert scaled_target(1, 167) < 2 ** 1024 <= scaled_target(1, 168)
+    # the counts are positive, so every target is largest at n = 1, where
+    # it is the sum of row k's counts: no target with k <= 167 overflows,
+    # and _target_overflows walks no size there
+    assert all(sum(rows[k - 1].values()) < 2 ** 1024 for k in range(1, 168))
     assert not cli._target_overflows(1, 167)
     assert cli._target_overflows(1, 168)
     assert (scaled_target(2, 184) < 2 ** (1024 + 184)
             and scaled_target(2, 185) >= 2 ** (1024 + 185))
     assert not cli._target_overflows(2, 184)
     assert cli._target_overflows(2, 185)
-    # Catalan(k) is at least 2**1024 from k = 520 at any n
+    # Catalan(k), the g = 0 count, is at least 2**1024 from k = 520, so
+    # every target overflows there, at any n
+    assert (math.comb(1038, 519) // 520 < 2 ** 1024
+            <= math.comb(1040, 520) // 521)
     assert cli._target_overflows(2 ** 53, 520)
     assert not cli._target_overflows(2 ** 53, 519)
+
+
+def test_sample_guards_walk_nothing_they_need_not(monkeypatch):
+    # the z guard reads its window off the moment row, and the overflow
+    # bound walks only for 168 <= k < 520
+    rows = {k: oracles.moment_polynomial(k) for k in (5, 20)}
+
+    def walk(size, k_max):
+        raise AssertionError(f"walked size {size} to horizon {2 * k_max}")
+
+    monkeypatch.setattr(oracles, "_size_moments", walk)
+    assert cli._z_unsupported(8, 5, 10, rows[5])
+    assert cli._z_unsupported(5, 20, 10000, rows[20])
+    assert not cli._target_overflows(1000, 150)
+
+
+def test_peak_sizes_match_the_bisection():
+    ks = [*range(1, 60), 100, 167, 168, 185, 300, 519, 520]
+    for n in [*range(1, 3001), 10 ** 4, 10 ** 5, 10 ** 6, 2 ** 40, 2 ** 53]:
+        for k in ks:
+            assert cli._peak_sizes(n, k) == peak_sizes_reference(n, k), (n, k)
+
+
+def test_z_guard_reads_the_walked_moments_off_the_row():
+    fired = 0
+    for n in (1, 2, 7, 30, 31, 100, 1000):
+        for k in (1, 2, 3, 8, 20, 40):
+            row = oracles.moment_polynomial(k)
+            scaled = sum(c * n ** (k - g) for g, c in row.items())
+            for trials in (1, 10, 1000, 100000):
+                unsupported = cli._z_unsupported(n, k, trials, row)
+                assert unsupported == z_unsupported_by_walks(
+                    n, k, trials, scaled), (n, k, trials)
+                fired += unsupported
+    assert fired == 89
+
+
+def test_sample_at_the_largest_mean_walks_no_window():
+    # at n = 2**53 every size near the peak lies past 64 k, so the z
+    # guard builds no power of the e bounds and reads no moment
+    start = time.perf_counter()
+    row = run_sample(2 ** 53, 2, 10)["results"][0]
+    assert time.perf_counter() - start < 0.5
+    assert row["z"] is not None
 
 
 def _unseen_share(n, k, trials):
@@ -658,9 +711,7 @@ def _unseen_share(n, k, trials):
     (5, 60, 10000)])
 def test_z_guard_fires_where_the_trials_see_little(n, k, trials):
     # seen shares 2.9e-93, 0.045, 2.5e-8, 8.8e-7 and 9.8e-13
-    scaled = sum(c * n ** (k - g)
-                 for g, c in oracles.moment_polynomial(k).items())
-    assert cli._z_unsupported(n, k, trials, scaled)
+    assert cli._z_unsupported(n, k, trials, oracles.moment_polynomial(k))
     assert _unseen_share(n, k, trials) > Decimal("0.95")
 
 
@@ -672,11 +723,10 @@ def test_z_guard_is_sound():
     fired, missed = 0, []
     for n in (1, 2, 3, 5, 8):
         for k in (1, 2, 3, 5, 8, 12, 20):
-            scaled = sum(c * n ** (k - g)
-                         for g, c in oracles.moment_polynomial(k).items())
+            row = oracles.moment_polynomial(k)
             for trials in (1, 10, 100, 1000, 10000):
                 unseen = _unseen_share(n, k, trials)
-                if cli._z_unsupported(n, k, trials, scaled):
+                if cli._z_unsupported(n, k, trials, row):
                     fired += 1
                     assert unseen >= Decimal("0.5"), (n, k, trials)
                 elif unseen >= Decimal("0.5"):
