@@ -15,18 +15,21 @@ AnsatzSum stores each term as a plain triple (num, a, b), exactly one
 per power b of (1-u), reduced so that (2-c) does not divide num while
 a > 0.  That form is unique: equal functions compare equal, and the
 r-fold chain iterate is stored in the paper's closed shape.
+
+The splitting kernel needs no table: with w = 2-c and v = 1-u it sums
+in closed form (see g_apply), so each Euler-operator term goes to b+2
+terms whose numerators are num times c, -1 or (c-1)^2, and AnsatzSum
+sums them per b.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
 from .algebra import (
     C_MINUS_ONE,
     POLY_C,
-    POLY_ZERO,
     PolyC,
     RationalFnC,
     SeriesX,
@@ -132,54 +135,39 @@ def euler_apply(r: int, s: AnsatzSum) -> AnsatzSum:
     return AnsatzSum(out)
 
 
-@lru_cache(maxsize=None)
-def _kernel(b: int) -> tuple[PolyC, ...]:
-    """Numerators L_0, L_1, ... of the splitting kernel for (1-u)^-b.
+def g_apply(k: int, s: AnsatzSum) -> AnsatzSum:
+    """Apply the k-th path-splitting operator.
 
-    Pairing a term against the path-splitting weights
+    First the shifted Euler operator of order k, then the closed-form
+    kernel summation per term.  Pairing a term num/((2-c)^a (1-u)^b)
+    against the path-splitting weights
     sum_{j>=0} [z^(j+1)] xG(x,y,z) [z^j] (1-xcz)^(-b) collapses, after
     eliminating x through (xc)^2 = c-1 and summing the inner geometric
     series over the z-return height, to
 
-        K(u) / ((2-c)^b (1-u)^(b+1)),
+        num K(u) / ((2-c)^(a+b) (1-u)^(b+1)),
 
         K(u) = [ (c-1)^2 (1-u)^b - u^2 (2-c)^b ] / (c - 1 - u).
 
     The j >= 0 boundary (a coefficient at a negative z-power is zero) is
     what makes the geometric sums start where they do; it is baked into
-    the bracket.  This is where the rewrite into the basis (1-u)^j
-    happens, once per b: with v = 1-u the bracket is
-    (c-1)^2 v^b - (1-v)^2 (2-c)^b and the divisor is v - (2-c), so
-    K = sum_j L_j v^j.  The division is exact: the bracket vanishes at
-    v = 2-c.
+    the bracket.  With w = 2-c and v = 1-u the bracket is
+    M(v) = (c-1)^2 v^b - (1-v)^2 w^b and the divisor is v - w.  Since
+    c-1 = 1-w, (1-w)^2 - (1-v)^2 = (v-w)(2-v-w) and 2-w = c, the
+    division is exact and sums in closed form:
+
+        M(v) / (v - w) = (c-1)^2 sum_{j<b} v^j w^(b-1-j) + w^b (c - v).
+
+    Each piece reduces against the denominator w^(a+b) v^(b+1), so the
+    term goes to (c num, a, b+1), (-num, a, b) and ((c-1)^2 num,
+    a+j+1, b+1-j) for j = 0..b-1; AnsatzSum sums them per b.
     """
-    two_b = TWO_MINUS_C ** b
-    m: list[PolyC] = [POLY_ZERO] * max(b + 1, 3)
-    m[b] = C_MINUS_ONE * C_MINUS_ONE
-    for j, w in enumerate((-1, 2, -1)):
-        m[j] = m[j] + w * two_b
-    # synthetic division of M(v) by v - (2-c)
-    deg = len(m) - 1
-    k = [POLY_ZERO] * deg
-    k[deg - 1] = m[deg]
-    for j in range(deg - 1, 0, -1):
-        k[j - 1] = m[j] + TWO_MINUS_C * k[j]
-    if m[0] + TWO_MINUS_C * k[0]:
-        raise AssertionError("kernel bracket not divisible by c-1-u")
-    return tuple(k)
-
-
-def g_apply(k: int, s: AnsatzSum) -> AnsatzSum:
-    """Apply the k-th path-splitting operator.
-
-    First the shifted Euler operator of order k, then the closed-form
-    kernel summation per term; _kernel(b) is already over the basis
-    (1-u)^j, so each kernel numerator gives one term of the canonical
-    AnsatzSum.
-    """
-    return AnsatzSum((num * lj, a + b, b + 1 - j)
-                     for num, a, b in euler_apply(k, s)
-                     for j, lj in enumerate(_kernel(b)))
+    out: list[tuple] = []
+    for num, a, b in euler_apply(k, s):
+        sq = C_MINUS_ONE * C_MINUS_ONE * num
+        out += [(POLY_C * num, a, b + 1), (-num, a, b)]
+        out += [(sq, a + j + 1, b + 1 - j) for j in range(b)]
+    return AnsatzSum(out)
 
 
 def y0_coefficient(s: AnsatzSum) -> RationalFnC:

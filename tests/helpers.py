@@ -3,7 +3,10 @@
 These deliberately recompute things along different routes than the
 library code: coefficientwise operators on raw series grids, explicit
 enumeration of marked step pairs, and Newton's identities on Hermite
-coefficients.
+coefficients.  The splitting kernel found by synthetic division
+(kernel_by_division) and the splitting operator that multiplies by its
+whole table (g_apply_by_division) are the references for the
+closed-form ansatz.g_apply.
 
 The exhaustive enumerators live here, not in the package: no report
 runs them, and they are the references that the package's size walk
@@ -39,7 +42,8 @@ from random import Random
 from typing import Iterable, Iterator
 
 from ppmoments import (AnsatzSum, Partition, PolyC, ansatz_to_series,
-                       g_series, transition_measure)
+                       euler_apply, g_series, transition_measure)
+from ppmoments.algebra import C_MINUS_ONE, POLY_ZERO, TWO_MINUS_C
 from ppmoments import cli
 from ppmoments.cli import _poisson_mean, _positive
 from ppmoments.oracles import transformed_moment
@@ -77,15 +81,47 @@ def direct_g_apply_grid(k, s, x_order, y_order, g_grid=None):
     return out
 
 
+@lru_cache(maxsize=None)
+def kernel_by_division(b: int) -> tuple[PolyC, ...]:
+    """Numerators L_0, L_1, ... of the splitting kernel for (1-u)^-b.
+
+    K = sum_j L_j v^j with v = 1-u is M(v) / (v - (2-c)), with
+    M(v) = (c-1)^2 v^b - (1-v)^2 (2-c)^b, found by synthetic division of
+    M's expanded coefficients; the division must leave no remainder.
+    """
+    two_b = TWO_MINUS_C ** b
+    m: list[PolyC] = [POLY_ZERO] * max(b + 1, 3)
+    m[b] = C_MINUS_ONE * C_MINUS_ONE
+    for j, w in enumerate((-1, 2, -1)):
+        m[j] = m[j] + w * two_b
+    deg = len(m) - 1
+    k = [POLY_ZERO] * deg
+    k[deg - 1] = m[deg]
+    for j in range(deg - 1, 0, -1):
+        k[j - 1] = m[j] + TWO_MINUS_C * k[j]
+    if m[0] + TWO_MINUS_C * k[0]:
+        raise AssertionError("kernel bracket not divisible by c-1-u")
+    return tuple(k)
+
+
+def g_apply_by_division(k: int, s: AnsatzSum) -> AnsatzSum:
+    """The k-th splitting operator through the divided kernel table: each
+    Euler-operator term times each L_j, over (2-c)^(a+b) (1-u)^(b+1-j)."""
+    return AnsatzSum((num * lj, a + b, b + 1 - j)
+                     for num, a, b in euler_apply(k, s)
+                     for j, lj in enumerate(kernel_by_division(b)))
+
+
 def random_poly(rng: Random, max_deg: int = 3) -> PolyC:
     deg = rng.randint(0, max_deg)
     return PolyC(rng.randint(-3, 3) for _ in range(deg + 1))
 
 
-def random_ansatz_sum(rng: Random) -> AnsatzSum:
+def random_ansatz_sum(rng: Random, max_b: int = 3) -> AnsatzSum:
     terms = []
     for _ in range(rng.randint(1, 3)):
-        terms.append((random_poly(rng), rng.randint(0, 3), rng.randint(0, 3)))
+        terms.append((random_poly(rng), rng.randint(0, 3),
+                      rng.randint(0, max_b)))
     return AnsatzSum(terms)
 
 

@@ -23,9 +23,9 @@ from ppmoments import (
     y0_coefficient,
 )
 from ppmoments.algebra import C_MINUS_ONE, POLY_C, POLY_ONE, TWO_MINUS_C
-from ppmoments.ansatz import _kernel
 
-from helpers import direct_g_apply_grid, euler_grid, random_ansatz_sum
+from helpers import (direct_g_apply_grid, euler_grid, g_apply_by_division,
+                     kernel_by_division, random_ansatz_sum)
 
 C = POLY_C
 
@@ -119,27 +119,49 @@ def test_g_apply_chained_gives_second_order_table():
     assert theta == {3: Fraction(1), 4: Fraction(14), 5: Fraction(15)}
 
 
-def _u_poly(pairs):
-    """Sum (power of u, coefficient in c) pairs; zero coefficients dropped."""
-    acc = {}
-    for s, p in pairs:
-        acc[s] = acc.get(s, PolyC(())) + p
-    return {s: p for s, p in acc.items() if p}
+def _closed_form_kernel(b):
+    """Numerators L_j of K = sum_j L_j (1-u)^j as g_apply sums them:
+    (c-1)^2 (2-c)^(b-1-j) at j < b, plus c (2-c)^b at j = 0 and
+    -(2-c)^b at j = 1."""
+    w = [TWO_MINUS_C ** i for i in range(b + 1)]
+    kernel = [C_MINUS_ONE ** 2 * w[b - 1 - j] for j in range(b)]
+    kernel += [PolyC(())] * (2 - b)
+    kernel[0] += C * w[b]
+    kernel[1] -= w[b]
+    return kernel
+
+
+def _times_x_minus_u(coeffs, x):
+    """Multiply coefficients in u, low to high, by x - u."""
+    zero = PolyC(())
+    return [x * p - q for p, q in zip(coeffs + [zero], [zero] + coeffs)]
 
 
 def test_kernel_is_in_the_one_minus_u_basis():
     # (c-1-u) sum_j L_j (1-u)^j = (c-1)^2 (1-u)^b - u^2 (2-c)^b,
-    # compared coefficientwise in u; theta --g-max 7 reaches b = 14
-    for b in range(17):
-        kernel = _kernel(b)
-        assert len(kernel) <= b + 2  # g_apply's (1-u) exponent b+1-j >= 0
-        lhs = _u_poly((s + t, f * ((-1) ** s * comb(j, s)) * lj)
-                      for j, lj in enumerate(kernel)
-                      for s in range(j + 1)
-                      for t, f in ((0, C_MINUS_ONE), (1, -POLY_ONE)))
-        rhs = _u_poly([(s, (-1) ** s * comb(b, s) * C_MINUS_ONE ** 2)
-                       for s in range(b + 1)] + [(2, -TWO_MINUS_C ** b)])
-        assert lhs == rhs, b
+    # compared coefficientwise in u
+    for b in range(41):
+        kernel = _closed_form_kernel(b)
+        assert tuple(kernel) == kernel_by_division(b), b
+        in_u = [kernel[-1]]  # Horner's rule in 1-u
+        for lj in reversed(kernel[:-1]):
+            in_u = _times_x_minus_u(in_u, POLY_ONE)
+            in_u[0] += lj
+        rhs = [(-1) ** s * comb(b, s) * C_MINUS_ONE ** 2
+               for s in range(max(b + 1, 3))]
+        rhs[2] -= TWO_MINUS_C ** b
+        assert _times_x_minus_u(in_u, C_MINUS_ONE) == rhs, b
+
+
+def test_g_apply_matches_the_division_reference():
+    rng = Random(26)
+    for _ in range(300):
+        s = random_ansatz_sum(rng, max_b=6)
+        k = rng.randint(0, 5)
+        assert g_apply(k, s) == g_apply_by_division(k, s)
+    iterates = list(chain_iterates(12))
+    for g in range(1, 13):
+        assert g_apply_by_division(g - 1, iterates[g - 1]) == iterates[g], g
 
 
 def test_g_apply_series_equivalence_randomized():

@@ -66,7 +66,8 @@ def test_theta_deeper_report_digest(capsys):
 @pytest.mark.parametrize("g_max, digest", [
     ("4", "590b05ca06214cde5ad972d37161ec779f7681fdadf752a557af8e1e4ca713f9"),
     ("7", "8b33c03d075e46c10f6088438324bebf7b1a2c6c5df99a2f59cef787a738d44b"),
-], ids=["g4", "g7"])
+    ("20", "bab259bb6f577948c01bcea38587366c4ff2a76969be42e07eb719a0ff86a857"),
+], ids=["g4", "g7", "g20"])
 def test_phi_dump_report_digest(capsys, g_max, digest):
     # sha256 of `phi --g-max <g_max> --dump-ansatz`
     code, out = run_cli(capsys, "phi", "--g-max", g_max, "--dump-ansatz")
