@@ -228,17 +228,21 @@ def divide_out_root(p: PolyC, root: int, most: int) -> tuple[PolyC, int]:
 def sum_over_two_minus_c(pairs: Iterable[tuple]) -> tuple[PolyC, int]:
     """Sum the fractions num/(2-c)^a given as pairs (num, a).
 
-    Lifts every fraction to the largest a, adds the numerators and divides
-    (2-c) out as often as it goes, so the result (num, a) has (2-c) not
+    Horner's rule over the pairs sorted by a: the running sum is kept
+    over (2-c)^top, and each step up to a larger a multiplies it by the
+    two-term 2-c once per unit of a before num is added.  A zero running
+    sum is not lifted, so lifting starts at the first a where the sum is
+    nonzero and no power of 2-c is ever formed.  (2-c) is then divided
+    out as often as it goes, so the result (num, a) has (2-c) not
     dividing num while a > 0; a zero sum, the empty one included, is
     (0, 0).  Since 2-c = -(c-2), the quotient by (c-2)^j changes sign
     when j is odd.
     """
-    pairs = list(pairs)
-    top = max((a for _, a in pairs), default=0)
-    acc = POLY_ZERO
-    for num, a in pairs:
-        acc = acc + (num * TWO_MINUS_C ** (top - a) if a < top else num)
+    acc, top = POLY_ZERO, 0
+    for num, a in sorted(pairs, key=lambda pair: pair[1]):
+        while acc and top < a:
+            acc, top = acc * TWO_MINUS_C, top + 1
+        acc, top = acc + num, a
     q, j = divide_out_root(acc, 2, top)
     return (-q if j % 2 else q), top - j
 

@@ -33,7 +33,6 @@ from .algebra import (
     PolyC,
     RationalFnC,
     SeriesX,
-    TWO_MINUS_C,
     catalan_series,
     divide_out_root,
     sum_over_two_minus_c,
@@ -55,6 +54,9 @@ __all__ = [
 ]
 
 Grid = list  # list[list[int]], x index outer, y index inner
+
+_C_TIMES_C_MINUS_ONE = POLY_C * C_MINUS_ONE
+_C_MINUS_ONE_SQUARED = C_MINUS_ONE * C_MINUS_ONE
 
 
 class AnsatzSum:
@@ -123,9 +125,9 @@ def euler_apply(r: int, s: AnsatzSum) -> AnsatzSum:
     for p, a, b in s:
         dp = p.derivative()
         if dp:
-            out.append((POLY_C * C_MINUS_ONE * dp, a + 1, b))
+            out.append((_C_TIMES_C_MINUS_ONE * dp, a + 1, b))
         if a:
-            out.append((a * POLY_C * C_MINUS_ONE * p, a + 2, b))
+            out.append((a * _C_TIMES_C_MINUS_ONE * p, a + 2, b))
         if b:
             q = b * C_MINUS_ONE * p
             out.append((q, a + 1, b + 1))
@@ -164,7 +166,7 @@ def g_apply(k: int, s: AnsatzSum) -> AnsatzSum:
     """
     out: list[tuple] = []
     for num, a, b in euler_apply(k, s):
-        sq = C_MINUS_ONE * C_MINUS_ONE * num
+        sq = _C_MINUS_ONE_SQUARED * num
         out += [(POLY_C * num, a, b + 1), (-num, a, b)]
         out += [(sq, a + j + 1, b + 1 - j) for j in range(b)]
     return AnsatzSum(out)
@@ -269,9 +271,12 @@ def chain_shape_violations(s: AnsatzSum, r: int) -> list[str]:
     After r >= 1 applications the sum must be expressible as terms
     indexed by i = 0..2r-1 with exponents a = 4r-1-i and b = 2+i, and
     numerator c (c-1)^r p_i(c) with deg p_i <= 2r-1-i.  The sum holds one
-    reduced term per b, so each term is lifted to the shape's denominator
-    (2-c)^(4r-1-i) before testing divisibility and degree.  Returns
-    human-readable violation strings; empty means the shape holds.
+    reduced term per b, over (2-c)^a with a <= 4r-1-i; lifting it to the
+    shape's (2-c)^(4r-1-i) multiplies num by (2-c)^lift, lift = 4r-1-i-a.
+    Since (2-c) is prime to c(c-1), the lift leaves divisibility alone
+    and only raises the cofactor degree by lift, so num is tested as it
+    stands.  Returns human-readable violation strings; empty means the
+    shape holds.
     """
     if r < 1:
         raise ValueError("shape check applies to r >= 1 iterates")
@@ -281,12 +286,11 @@ def chain_shape_violations(s: AnsatzSum, r: int) -> list[str]:
         if i < 0 or i > 2 * r - 1 or a > 4 * r - 1 - i:
             problems.append(f"term exponents (a={a}, b={b}) outside shape")
             continue
-        lift = 4 * r - 1 - i - a
-        lifted = num * TWO_MINUS_C ** lift if lift else num
-        q, j = divide_out_root(lifted, 1, r)  # then c divides q iff q(0) = 0
+        q, j = divide_out_root(num, 1, r)  # then c divides q iff q(0) = 0
+        degree = q.degree - 1 + 4 * r - 1 - i - a  # of the lifted cofactor
         if j < r or q[0]:
             problems.append(f"numerator at b={b} not divisible by c(c-1)^{r}")
-        elif q.degree - 1 > 2 * r - 1 - i:
-            problems.append(f"cofactor degree {q.degree - 1} exceeds "
+        elif degree > 2 * r - 1 - i:
+            problems.append(f"cofactor degree {degree} exceeds "
                             f"{2 * r - 1 - i} at b={b}")
     return problems

@@ -6,7 +6,12 @@ enumeration of marked step pairs, and Newton's identities on Hermite
 coefficients.  The splitting kernel found by synthetic division
 (kernel_by_division) and the splitting operator that multiplies by its
 whole table (g_apply_by_division) are the references for the
-closed-form ansatz.g_apply.
+closed-form ansatz.g_apply.  The sum over powers of (2-c) that lifts
+every fraction by a full power of (2-c) (sum_over_two_minus_c_by_lifting)
+and the chain shape check that lifts every term to the shape's
+denominator (chain_shape_violations_by_lifting) are the references for
+the Horner's-rule algebra.sum_over_two_minus_c and the unlifted
+ansatz.chain_shape_violations.
 
 The exhaustive enumerators live here, not in the package: no report
 runs them, and they are the references that the package's size walk
@@ -43,7 +48,8 @@ from typing import Iterable, Iterator
 
 from ppmoments import (AnsatzSum, Partition, PolyC, ansatz_to_series,
                        euler_apply, g_series, transition_measure)
-from ppmoments.algebra import C_MINUS_ONE, POLY_ZERO, TWO_MINUS_C
+from ppmoments.algebra import (C_MINUS_ONE, POLY_ZERO, TWO_MINUS_C,
+                               divide_out_root)
 from ppmoments import cli
 from ppmoments.cli import _poisson_mean, _positive
 from ppmoments.oracles import transformed_moment
@@ -110,6 +116,39 @@ def g_apply_by_division(k: int, s: AnsatzSum) -> AnsatzSum:
     return AnsatzSum((num * lj, a + b, b + 1 - j)
                      for num, a, b in euler_apply(k, s)
                      for j, lj in enumerate(kernel_by_division(b)))
+
+
+def sum_over_two_minus_c_by_lifting(pairs) -> tuple[PolyC, int]:
+    """Sum the fractions num/(2-c)^a by lifting each pair to the largest
+    a with a full power of (2-c), then dividing (2-c) out as often as it
+    goes; the quotient by (c-2)^j changes sign when j is odd."""
+    pairs = list(pairs)
+    top = max((a for _, a in pairs), default=0)
+    acc = POLY_ZERO
+    for num, a in pairs:
+        acc = acc + (num * TWO_MINUS_C ** (top - a) if a < top else num)
+    q, j = divide_out_root(acc, 2, top)
+    return (-q if j % 2 else q), top - j
+
+
+def chain_shape_violations_by_lifting(s: AnsatzSum, r: int) -> list[str]:
+    """The closed-shape check with each term lifted to the shape's
+    denominator (2-c)^(4r-1-i) before divisibility and degree are tested."""
+    problems = []
+    for num, a, b in s:
+        i = b - 2
+        if i < 0 or i > 2 * r - 1 or a > 4 * r - 1 - i:
+            problems.append(f"term exponents (a={a}, b={b}) outside shape")
+            continue
+        lift = 4 * r - 1 - i - a
+        lifted = num * TWO_MINUS_C ** lift if lift else num
+        q, j = divide_out_root(lifted, 1, r)  # then c divides q iff q(0) = 0
+        if j < r or q[0]:
+            problems.append(f"numerator at b={b} not divisible by c(c-1)^{r}")
+        elif q.degree - 1 > 2 * r - 1 - i:
+            problems.append(f"cofactor degree {q.degree - 1} exceeds "
+                            f"{2 * r - 1 - i} at b={b}")
+    return problems
 
 
 def random_poly(rng: Random, max_deg: int = 3) -> PolyC:

@@ -30,6 +30,8 @@ from ppmoments.algebra import (
 )
 from ppmoments.cli import REFERENCE_THETA, _rook_column, run_sample
 
+from helpers import sum_over_two_minus_c_by_lifting
+
 C = POLY_C
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -161,6 +163,46 @@ def test_sum_over_two_minus_c():
     assert sum_over_two_minus_c([]) == (PolyC(()), 0)
     assert sum_over_two_minus_c([(C, 3), (-C, 3)]) == (PolyC(()), 0)
     assert sum_over_two_minus_c([(2 * POLY_ONE, 2), (-C, 2)]) == (POLY_ONE, 1)
+
+
+def _random_pairs(rng, n, a_max=6):
+    # pairs (num, a) in no order, a repeated, some num divisible by 2-c
+    return [(PolyC(rng.randint(-4, 4) for _ in range(rng.randint(0, 4)))
+             * TWO_MINUS_C ** rng.randint(0, 2), rng.randint(0, a_max))
+            for _ in range(n)]
+
+
+def test_sum_over_two_minus_c_matches_lifting():
+    rng = Random(47)
+    for _ in range(60):
+        pairs = _random_pairs(rng, rng.randint(1, 8))
+        negated = [(-num, a) for num, a in pairs]
+        # the same fractions again, one power of 2-c higher up
+        raised = [(-num * TWO_MINUS_C, a + 1) for num, a in pairs]
+        high = [(num, a + 8) for num, a in _random_pairs(rng, 3)]
+        for case in (
+            pairs,
+            pairs + high + negated,  # zero before the first high a
+            high + raised + pairs,  # zero before the high a, each a moved
+            rng.sample(pairs + negated, 2 * len(pairs)),  # zero in full
+            raised + pairs,  # zero in full, at a different a than it began
+        ):
+            assert sum_over_two_minus_c(case) == \
+                sum_over_two_minus_c_by_lifting(case)
+    assert sum_over_two_minus_c([]) == sum_over_two_minus_c_by_lifting([]) \
+        == (PolyC(()), 0)
+
+
+def test_sum_over_two_minus_c_forms_no_power(monkeypatch):
+    # Horner's rule lifts by the two-term 2-c alone, never by a power
+    pairs = [(PolyC((a + 1, -a, 1)), a) for a in (6, 0, 3, 1, 5, 2, 4)]
+    expected = sum_over_two_minus_c_by_lifting(pairs)
+
+    def no_power(self, n):
+        raise AssertionError(f"a polynomial was raised to the power {n}")
+
+    monkeypatch.setattr(PolyC, "__pow__", no_power)
+    assert sum_over_two_minus_c(pairs) == expected
 
 
 def test_poly_derivative_and_eval():

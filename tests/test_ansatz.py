@@ -22,10 +22,13 @@ from ppmoments import (
     phi,
     y0_coefficient,
 )
-from ppmoments.algebra import C_MINUS_ONE, POLY_C, POLY_ONE, TWO_MINUS_C
+from ppmoments.algebra import (C_MINUS_ONE, POLY_C, POLY_ONE, TWO_MINUS_C,
+                               sum_over_two_minus_c)
 
-from helpers import (direct_g_apply_grid, euler_grid, g_apply_by_division,
-                     kernel_by_division, random_ansatz_sum)
+from helpers import (chain_shape_violations_by_lifting, direct_g_apply_grid,
+                     euler_grid, g_apply_by_division, kernel_by_division,
+                     random_ansatz_sum, random_poly,
+                     sum_over_two_minus_c_by_lifting)
 
 C = POLY_C
 
@@ -216,9 +219,41 @@ def test_chain_shape_violations_name_each_break():
         ((C_MINUS_ONE ** 2, 0, 2),  # (c-1)^2 divides, c does not
          "numerator at b=2 not divisible by c(c-1)^2"),
         ((C * C * C_MINUS_ONE ** 2, 4, 5), "cofactor degree 1 exceeds 0 at b=5"),
+        # cancels the stored 3c(c-1)^2 at (a=4, b=5) and leaves
+        # c(c-1)^2/(2-c)^2: within degree as it stands, but the lift by
+        # (2-c)^2 to the shape's a = 4 gives the cofactor (2-c)^2
+        ((C * C_MINUS_ONE ** 2 * (TWO_MINUS_C ** 2 - 3), 4, 5),
+         "cofactor degree 2 exceeds 0 at b=5"),
     ]
     for extra, message in cases:
         assert chain_shape_violations(AnsatzSum((*s, extra)), 2) == [message]
+
+
+def _perturbed(rng, s, g):
+    # s with one term replaced by a lower-a one, or one random term added
+    num, a, b = rng.choice(s.terms)
+    k = rng.randint(1, min(a, 3))
+    lower = C * C_MINUS_ONE ** rng.randint(g - 1, g) * random_poly(rng, 2 * g)
+    yield AnsatzSum((*s, (lower * TWO_MINUS_C ** k - num, a, b)))
+    yield AnsatzSum((*s, (random_poly(rng), rng.randint(0, 4 * g),
+                          rng.randint(0, 2 * g + 2))))
+
+
+def test_sum_and_shape_check_match_lifting_on_the_chain():
+    rng = Random(59)
+    iterates = list(chain_iterates(12))
+    for g, s in enumerate(iterates):
+        pairs = [(num, a) for num, a, _ in (*s, *iterates[min(g + 1, 12)])]
+        assert sum_over_two_minus_c(pairs) == \
+            sum_over_two_minus_c_by_lifting(pairs)
+        if not g:
+            continue
+        assert chain_shape_violations(s, g) == []
+        assert chain_shape_violations_by_lifting(s, g) == []
+        for _ in range(4):
+            for t in _perturbed(rng, s, g):
+                assert chain_shape_violations(t, g) == \
+                    chain_shape_violations_by_lifting(t, g)
 
 
 def test_chain_iterates_apply_each_order_once():
