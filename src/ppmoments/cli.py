@@ -14,11 +14,17 @@ Commands
            size rows' (rows to k = max(k_max, 3 g_max + 2), one pass)
   sample   Monte Carlo estimate of one moment against its exact value
 
-Exit codes: 0 success / verification passed (and -h/--help), 1
-verification mismatch, 2 usage error (the usage line and one
-"ppmoments: error: ..." line on stderr), a failed --out write or a
-sampled moment beyond double precision.  Reports are deterministic for
-a fixed configuration, including the seed.
+A command is one _COMMANDS entry: its summary, its options, whose
+destinations are the parameters of its runner, and its TSV layout.
+main finds the runner, run_<command>, in this module's namespace when
+it runs, so a rebound or monkeypatched run_* takes effect.
+
+Exit codes: 0 success / verification passed (and -h/--help), 1 a
+report with "passed": false (a verification mismatch), 2 usage error
+(the usage line and one "ppmoments: error: ..." line on stderr), a
+failed --out write or a sampled moment beyond double precision.
+Reports are deterministic for a fixed configuration, including the
+seed.
 
 Importing this module loads no other ppmoments module: each command
 imports the ones it runs when it runs, and parses its options with the
@@ -29,12 +35,6 @@ sampler's two constants from the package itself.  Besides this module,
   moments              oracles
   sample               oracles, sampler
   verify               algebra, ansatz, oracles
-
-Each JSON report is streamed by json.dump to stdout or to the --out
-temporary file, the same bytes as json.dumps(report, indent=2) and a
-newline.  Both lower the peak RSS: moments --k-max 40 from 14.0 to
-13.7 MB, moments --k-max 150 (a 1.7 MB report) from 22.2 to 18.1 MB
-(Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 
 from . import DEFAULT_SEED, POISSON_MEAN_MAX
@@ -410,35 +411,13 @@ def run_verify(g_max: int, k_max: int) -> dict:
 
 
 def _to_tsv(report: dict) -> str:
-    cmd = report["command"]
-    lines: list[str] = []
-    if cmd == "theta":
-        lines.append("g\tk\ttheta")
-        for row in report["results"]:
-            for k, v in row["theta"].items():
-                lines.append(f"{row['g']}\t{k}\t{v}")
-    elif cmd == "phi":
-        lines.append("g\tnum\tden")
-        for row in report["results"]:
-            lines.append("{}\t{}\t{}".format(
-                row["g"], ",".join(row["phi"]["num"]),
-                ",".join(row["phi"]["den"])))
-    elif cmd == "moments":
-        lines.append("k\tg\tcount")
-        for row in report["results"]:
-            for g, v in row["counts"].items():
-                lines.append(f"{row['k']}\t{g}\t{v}")
-    elif cmd == "verify":
-        lines.append("check\tpass\texpected\tactual")
-        for row in report["results"]:
-            lines.append("{}\t{}\t{}\t{}".format(
-                row["check"], "pass" if row["pass"] else "FAIL",
-                row["expected"], row["actual"]))
-    else:
-        row = report["results"][0]
-        lines.append("\t".join(row))
-        lines.append("\t".join("null" if v is None else str(v)
-                                for v in row.values()))
+    """The report as its command's TSV layout: the header, then the lines
+    of each result row in turn, None printed as null."""
+    _, _, columns, lines_of = _COMMANDS[report["command"]]
+    lines = ["\t".join(columns)]
+    for row in report["results"]:
+        lines += ["\t".join("null" if v is None else str(v) for v in line)
+                  for line in lines_of(row)]
     return "\n".join(lines) + "\n"
 
 
@@ -487,12 +466,22 @@ def _write_report(fh, report: dict, output_format: str) -> None:
 
 
 def _write_atomic(path: str, report: dict, output_format: str) -> None:
-    """Write the report to path whole or not at all.
+    """Write the report to path, whole or not at all if it is a file.
 
-    The report goes to a temporary file beside the target, which then
-    replaces the target in one rename; a reader never sees a partial
-    report, and an old target survives a failed write.
+    A regular file or a missing path is written through a temporary
+    file beside it, which then replaces it in one rename; a reader never
+    sees a partial report, and an old file survives a failed write.
+    Any other path, such as a device, a FIFO or a symbolic link, is
+    opened and written in place, and a link is written through.
     """
+    try:
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w", encoding="utf-8") as fh:
+            _write_report(fh, report, output_format)
+        return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -504,10 +493,12 @@ def _write_atomic(path: str, report: dict, output_format: str) -> None:
         raise
 
 
-# The command line.  Each option maps to (destination, converter,
-# default, help); a converter of None marks a flag, which takes no value
-# and stores True.  Every command also takes the _COMMON options and
-# -h/--help (_HELP).
+# The command line.  Each command maps to (summary, options, TSV columns,
+# TSV lines of one result row).  Each option maps to (destination,
+# converter, default, help); the destination is the parameter of
+# run_<command> that takes its value.  A converter of None marks a flag,
+# which takes no value and stores True.  Every command also takes the
+# _COMMON options, which main keeps for itself, and -h/--help (_HELP).
 _COMMON = {
     "--format": ("output_format", _report_format, "json", "json or tsv"),
     "--out": ("out", str, None, "write the report here instead of stdout"),
@@ -515,20 +506,33 @@ _COMMON = {
 _G_MAX = ("g_max", _positive, 4, "highest order g")
 _K_MAX = ("k_max", _positive, 8, "highest moment index k")
 _COMMANDS = {
-    "theta": ("coefficient tables for g=1..g_max", {"--g-max": _G_MAX}),
+    "theta": ("coefficient tables for g=1..g_max", {"--g-max": _G_MAX},
+              ("g", "k", "theta"),
+              lambda row: [(row["g"], k, v) for k, v in row["theta"].items()]),
     "phi": ("closed forms for g=0..g_max",
             {"--g-max": _G_MAX,
              "--dump-ansatz": ("dump_ansatz", None, False,
                                "include the operator-chain term sums "
-                               "(JSON only)")}),
-    "moments": ("exact moment polynomials k=1..k_max", {"--k-max": _K_MAX}),
+                               "(JSON only)")},
+            ("g", "num", "den"),
+            lambda row: [(row["g"], ",".join(row["phi"]["num"]),
+                          ",".join(row["phi"]["den"]))]),
+    "moments": ("exact moment polynomials k=1..k_max", {"--k-max": _K_MAX},
+                ("k", "g", "count"),
+                lambda row: [(row["k"], g, v)
+                             for g, v in row["counts"].items()]),
     "verify": ("run all oracle and invariant checks",
-               {"--g-max": _G_MAX, "--k-max": _K_MAX}),
+               {"--g-max": _G_MAX, "--k-max": _K_MAX},
+               ("check", "pass", "expected", "actual"),
+               lambda row: [(row["check"], "pass" if row["pass"] else "FAIL",
+                             row["expected"], row["actual"])]),
     "sample": ("Monte Carlo check of one moment",
                {"--n": ("n", _poisson_mean, 2, "Poisson mean, at most 2**53"),
                 "--k": ("k", _positive, 2, "the moment of order 2k"),
                 "--trials": ("trials", _positive, 10000, "number of trials"),
-                "--seed": ("seed", _integer, DEFAULT_SEED, "sampler seed")}),
+                "--seed": ("seed", _integer, DEFAULT_SEED, "sampler seed")},
+               ("n", "k", "trials", "estimate", "stderr", "predicted", "z"),
+               lambda row: [row.values()]),
 }
 _HELP = (None, None, None, "show this help and exit")
 _DESCRIPTION = ("Exact Poissonized Plancherel moment expansions of the "
@@ -568,7 +572,7 @@ def _help(command: str | None) -> str:
             lines.append(f"  {_shown(option, entry):<22}{text}")
 
     for name in [command] if command else _COMMANDS:
-        summary, options = _COMMANDS[name]
+        summary, options, _, _ = _COMMANDS[name]
         lines.append(f"{name:<9}{summary}")
         option_lines(options)
     lines.append("every command:")
@@ -670,28 +674,20 @@ def _parse_args(argv: list[str]) -> dict:
 
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
-    command, output_format, out = (args["command"], args["output_format"],
-                                   args["out"])
+    command = args.pop("command")
+    output_format, out = args.pop("output_format"), args.pop("out")
     if args.get("dump_ansatz") and output_format == "tsv":
         _usage_error(command,
                      "phi --dump-ansatz has no TSV form; use --format json")
-    if command == "theta":
-        report = run_theta(args["g_max"])
-    elif command == "phi":
-        report = run_phi(args["g_max"], args["dump_ansatz"])
-    elif command == "moments":
-        report = run_moments(args["k_max"])
-    elif command == "verify":
-        report = run_verify(args["g_max"], args["k_max"])
-    else:
-        try:
-            report = run_sample(args["n"], args["k"], args["trials"],
-                                args["seed"])
-        except OverflowError:
-            print(f"ppmoments: --k {args['k']} is too large at --n "
-                  f"{args['n']}: the moment exceeds the double-precision "
-                  f"range", file=sys.stderr)
-            return 2
+    try:
+        report = globals()[f"run_{command}"](**args)
+    except OverflowError:
+        if command != "sample":
+            raise
+        print(f"ppmoments: --k {args['k']} is too large at --n "
+              f"{args['n']}: the moment exceeds the double-precision "
+              f"range", file=sys.stderr)
+        return 2
 
     if out:
         try:
@@ -703,9 +699,7 @@ def main(argv=None) -> int:
     else:
         _write_report(sys.stdout, report, output_format)
 
-    if command == "verify" and not report["passed"]:
-        return 1
-    return 0
+    return 0 if report.get("passed", True) else 1
 
 
 if __name__ == "__main__":

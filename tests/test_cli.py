@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import time
@@ -86,6 +88,38 @@ def test_phi_report_digest(capsys, args, digest):
     code, out = run_cli(capsys, *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the TSV layouts no digest above pins: verify's pass/FAIL column,
+# moments' one line per count and sample's one line of values
+@pytest.mark.parametrize("args, digest", [
+    (("verify", "--g-max", "5", "--k-max", "10"),
+     "b7d4f35553e9de90e64464ad5182f7fd19d0f80b7eaf7251cb3b1e9665d24a5d"),
+    (("moments", "--k-max", "40"),
+     "ffd87f7af27895e7e6d2165f3ec5f603b7a74d38a0c099ab1c3505031ef195c9"),
+    (("sample", "--n", "2", "--k", "3", "--trials", "200000"),
+     "c81eebe87c7d76ec3ec4883d0cfe6c7ae778487831286deb74a981ef372bb536"),
+], ids=["verify", "moments", "sample"])
+def test_tsv_report_digest(capsys, args, digest):
+    code, out = run_cli(capsys, *args, "--format", "tsv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_main_dispatches_through_the_module_binding(capsys, monkeypatch):
+    # main looks run_<command> up when it runs, so a rebound runner (a
+    # test double, or the benchmark's traced wrapper) is the one called
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run_moments(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_moments", counting)
+    code, out = run_cli(capsys, "moments", "--k-max", "1")
+    assert code == 0
+    assert calls == [1]
+    assert json.loads(out) == run_moments(1)
 
 
 def test_verify_gate_report_digest(capsys):
@@ -844,6 +878,36 @@ def test_out_file_into_missing_directory_exits_two(tmp_path, capsys):
         f"ppmoments: cannot write {tmp_path}: ")
     assert list(tmp_path.iterdir()) == []
     assert list(tmp_path.parent.glob(f"{tmp_path.name}.*.tmp")) == []
+
+
+def test_out_file_writes_a_fifo_in_place(tmp_path, capsys):
+    # a target that is not a regular file is opened and written, never
+    # replaced: the reader of a FIFO gets the whole report
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code = main(["theta", "--g-max", "1", "--out", str(fifo)])
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0 and capsys.readouterr().out == ""
+    assert received == (json.dumps(run_theta(1), indent=2) + "\n").encode()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
+
+
+def test_out_file_writes_through_a_symlink(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out = run_cli(capsys, "moments", "--k-max", "1", "--out", str(link))
+    assert code == 0 and out == ""
+    assert link.is_symlink() and link.resolve() == target
+    assert json.loads(target.read_text()) == run_moments(1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json",
+                                                          "report.json"]
 
 
 def test_theta_tsv_rows(capsys):
