@@ -2,16 +2,17 @@
 
 Commands
   theta    coefficient tables and closed forms for orders 1..g_max, solved
-           (theta_from_rows) from the moment rows of the size walk's
-           Newton differences; the operator chain, which verify walks,
-           does not run
+           (theta_from_rows) from the moment rows of the
+           falling-factorial walk; the operator chain, which verify
+           walks, does not run
   phi      closed forms only, read off the same rows; the operator chain
            runs only for the raw term-sum dump (--dump-ansatz)
   moments  exact moment polynomials in 1/n for orders up to k_max
   verify   cross-check pipeline, combinatorial oracles and invariants:
-           the size walk's rows against the word walk's and the chain's,
-           and the theta tables of both routes, the chain's and the
-           size rows' (rows to k = max(k_max, 3 g_max + 2), one pass)
+           the falling-factorial walk's rows against the word walk's
+           and the chain's, and the theta tables of both routes, the
+           chain's and the rows' (rows to k = max(k_max, 3 g_max + 2),
+           one walk)
   sample   Monte Carlo estimate of one moment against its exact value
 
 A command is one _COMMANDS entry: its summary, its options, whose
@@ -22,7 +23,9 @@ it runs, so a rebound or monkeypatched run_* takes effect.
 Exit codes: 0 success / verification passed (and -h/--help), 1 a
 report with "passed": false (a verification mismatch), 2 usage error
 (the usage line and one "ppmoments: error: ..." line on stderr), a
-failed --out write or a sampled moment beyond double precision.
+failed --out write, a failed write to stdout (a pipe whose reader has
+gone, a full device) or a sampled moment beyond double precision; each
+but the usage error prints one "ppmoments: ..." line on stderr.
 Reports are deterministic for a fixed configuration, including the
 seed.
 
@@ -72,9 +75,9 @@ def _closed_forms(g_max: int) -> list[tuple]:
     """(theta table, RationalFnC) for g = 1..g_max, from the moment rows.
 
     moment_polynomials gives the rows k <= 3 g_max + 2 that
-    theta_from_rows needs, in one pass of size walks and Newton
-    differences; each closed form re-expands its table.  verify checks
-    both against the operator chain.
+    theta_from_rows needs, in one falling-factorial walk; each closed
+    form re-expands its table.  verify checks both against the operator
+    chain.
     """
     from .algebra import fine_structure_to_rational, theta_from_rows
     from .oracles import moment_polynomials
@@ -361,20 +364,19 @@ def run_verify(g_max: int, k_max: int) -> dict:
         _check(checks, f"theta table row g={g}",
                REFERENCE_THETA[g], thetas[g])
 
-    # Three-way moment agreement; the size rows past k_max feed the
-    # rows route to theta below
-    size_rows = moment_polynomials(max(k_max, 3 * g_max + 2))
+    # Three-way moment agreement; the rows past k_max feed the rows
+    # route to theta below
+    rows = moment_polynomials(max(k_max, 3 * g_max + 2))
     phi_series = {g: expand_in_x(phis[g], x_order) for g in range(g_max + 1)}
-    for k, (size, word) in enumerate(zip(size_rows, _word_rows(k_max)),
-                                     start=1):
-        _check(checks, f"word vs size moments k={k}", size, word)
+    for k, (row, word) in enumerate(zip(rows, _word_rows(k_max)), start=1):
+        _check(checks, f"word vs size moments k={k}", row, word)
         for g in range(g_max + 1):
             _check(checks, f"pipeline coefficient k={k} g={g}",
-                   size.get(g, 0),
+                   row.get(g, 0),
                    phi_series[g].coefficient(2 * k))
 
     # Closed operator-chain shape, support window, round trip, and the
-    # table solved from the size rows alone
+    # table solved from the moment rows alone
     for g in range(1, g_max + 1):
         _check(checks, f"chain shape g={g}", [],
                chain_shape_violations(iterates[g], g))
@@ -384,7 +386,7 @@ def run_verify(g_max: int, k_max: int) -> dict:
         _check(checks, f"normal form round trip g={g}", phis[g],
                fine_structure_to_rational(thetas[g], g))
         try:
-            from_rows = theta_from_rows(_rook_column(size_rows, g), g)
+            from_rows = theta_from_rows(_rook_column(rows, g), g)
         except NotFineStructure as exc:
             from_rows = str(exc)
         _check(checks, f"theta rows route g={g}", thetas[g], from_rows)
@@ -697,7 +699,19 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     else:
-        _write_report(sys.stdout, report, output_format)
+        try:
+            _write_report(sys.stdout, report, output_format)
+            sys.stdout.flush()
+        except OSError as exc:
+            # a reader that has gone (BrokenPipeError) or a full device;
+            # fd 1 goes to the null device, as the Python docs advise for
+            # a broken pipe, so the flush at exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"ppmoments: cannot write stdout: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
 
     return 0 if report.get("passed", True) else 1
 

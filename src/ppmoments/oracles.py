@@ -2,10 +2,11 @@
 
 Three production routes feed the reports:
 
-  * the size walk (moment_polynomials): row k is a column of Newton
-    differences at N = 0 of the 2k-th moment at size N
-    (transformed_moment), a polynomial of degree k in N, read off one
-    path walk per size N = 0..k_max (_size_moments);
+  * the falling-factorial walk (moment_polynomials): the 2k-th moment
+    at a symbolic size N, a polynomial in N kept at each height over
+    the falling factorials (N)_j = N(N-1)...(N-j+1), whose coefficients
+    are the counts at the powers of 1/n; one walk of 2k_max steps
+    yields every row k = 1..k_max;
   * word normal ordering (word_moment, and _word_rows for every row):
     the sum of all raising/lowering operator words of length 2k,
     normal-ordered under [d, u] = 1/n by one walk of 2k_max letters over
@@ -16,20 +17,20 @@ Three production routes feed the reports:
 The first two give the same moment polynomials independently, each
 row a plain {g: count} dict with the count at 1/n**g, and the closed
 forms are checked against them.  They are different recurrences
-and share no code: the size walk evaluates the operator word sum at one
-finite size, weighing each down step by size - h, and reads the powers
-of 1/n off its values at the sizes 0..k, while the word walk keeps
-every lowering step pending, contracts one at a raising step, and sums
-every state at height 0.  The exhaustive references the test suite
-compares these routes with (explicit lattice paths and their marked
-step pairs, explicit rook placements on every staircase shape, the rook
-transfer matrix, per-word normal ordering) live in tests/helpers.py,
-outside the package.
+and share no code: the falling-factorial walk evaluates the operator
+word sum at a symbolic size, weighing each down step to height h by
+N - h, while the word walk keeps every lowering step pending, contracts
+one at a raising step, and sums every state at height 0.  The size walk
+(_size_moments, transformed_moment) evaluates the same sum at one
+numeric size; the sampler and the sample command's overflow bound read
+it, and the test suite checks the rows against it at fixed sizes.  The
+exhaustive references the test suite compares these routes with
+(explicit lattice paths and their marked step pairs, explicit rook
+placements on every staircase shape, the rook transfer matrix, per-word
+normal ordering) live in tests/helpers.py, outside the package.
 """
 
 from __future__ import annotations
-
-from math import factorial
 
 __all__ = [
     "enum_paths",
@@ -113,28 +114,45 @@ def transformed_moment(size: int, k: int) -> int:
 
 
 def moment_polynomials(k_max: int) -> list[dict[int, int]]:
-    """Moments of orders 2, 4, ..., 2k_max by Newton differences in the size.
+    """Moments of orders 2, 4, ..., 2k_max from one falling-factorial walk.
 
     Row k - 1 is the moment of order 2k as {g: count}, the count at
     1/n**g; it holds the k positive counts at g = 0..k-1.  p_k(N), the
-    2k-th moment at size N, is a polynomial of degree k in N, and
-    Poissonization at mean n sends the falling factorial N(N-1)...(N-j+1)
-    to n**j.  So the count at 1/n**(k-j) is the forward difference
-    Delta**j p_k(0) / j!, an exact division.  It needs p_k at the sizes
-    0..k; one size walk per size N = 0..k_max, each to horizon 2k_max,
-    gives every row.
+    2k-th moment at size N (transformed_moment), sums over the
+    nonnegative balanced paths of length 2k the product of N - h over
+    the down steps ending at height h.  The walk keeps that sum at each
+    height as a polynomial in N over the falling factorials
+    (N)_j = N(N-1)...(N-j+1); since
+    (N)_j (N - h) = (N)_(j+1) + (j - h) (N)_j, a down step is one linear
+    pass over the coefficient list.  A Poisson size of mean n has
+    E[(N)_j] = n**j, so the coefficient c_j of p_k becomes c_j n**j,
+    and the moment, E[p_k(N)] / n**k, holds it at 1/n**(k - j): after
+    step 2k the coefficients at height 0 are row k.  The transitions do
+    not depend on k, so one walk of 2 * k_max steps gives every row.  It
+    reaches only heights of the parity of the steps taken, and drops a
+    height above the steps left, which cannot return to 0.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    values = [_size_moments(size, k_max) for size in range(k_max + 1)]
+    ways = [[1]]  # ways[h][j]: coefficient of (N)_j in the weight at height h
     rows = []
-    for k in range(1, k_max + 1):
-        diffs = [moments[k] for moments in values[:k + 1]]
-        counts = []  # counts[j - 1] sits at 1/n**(k - j)
-        for j in range(1, k + 1):
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-            counts.append(diffs[0] // factorial(j))
-        rows.append(dict(enumerate(reversed(counts))))
+    for left in reversed(range(2 * k_max)):
+        top = min(len(ways), left)  # highest height kept
+        nxt = [[]] * (top + 1)
+        for h in range(left % 2, top + 1, 2):
+            if h + 1 >= len(ways):  # no kept height above h: an up step
+                nxt[h] = ways[h - 1]
+                continue
+            above = ways[h + 1]
+            below = ways[h - 1] if h else [0] * (len(above) + 1)
+            # coefficient j: up from h - 1, plus the down step's
+            # (N)_(j-1) and (j - h) (N)_j terms
+            nxt[h] = [b + x + m * y for b, x, y, m in
+                      zip(below, [0, *above], [*above, 0],
+                          range(-h, len(below)))]
+        ways = nxt
+        if left % 2 == 0:  # the last step down to 0 weighs N: no (N)_0
+            rows.append(dict(enumerate(reversed(ways[0][1:]))))
     return rows
 
 

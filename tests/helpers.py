@@ -14,11 +14,11 @@ the Horner's-rule algebra.sum_over_two_minus_c and the unlifted
 ansatz.chain_shape_violations.
 
 The exhaustive enumerators live here, not in the package: no report
-runs them, and they are the references that the package's size walk
-and word normal ordering are compared with.  They cover lattice
-paths (LatticePath, iter_paths), their marked step pairs
-(marking_counts, count_markings, brute_marking_count), the partition
-cut out above a path (path_to_partition), and rook placements on
+runs them, and they are the references that the package's
+falling-factorial walk and word normal ordering are compared with.
+They cover lattice paths (LatticePath, iter_paths), their marked step
+pairs (marking_counts, count_markings, brute_marking_count), the
+partition cut out above a path (path_to_partition), and rook placements on
 partition diagrams (RookPlacement, iter_rook_placements,
 rook_polynomial) summed over every staircase shape
 (staircase_partitions, rook_counts_exhaustive), the Dyck words
@@ -27,8 +27,8 @@ partition of a size (partitions_of), and the Plancherel average of the
 corner transition measure's moments (corner_moment_rows).  The rook
 transfer matrix with one list of closed-pair counts per state
 (rook_rows_reference) is the reference for the package's moment rows,
-which it reaches by rook placements rather than by Newton differences
-of the size walk, and the path walk that keeps every height
+which it reaches by rook placements rather than by paths weighed over
+the falling factorials, and the path walk that keeps every height
 (transformed_moment_reference) is the one for the package's pruned
 transformed_moment.  The sample guards' window of sizes found by a
 hand-written bisection (peak_sizes_reference) and their z guard with

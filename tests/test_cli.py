@@ -133,43 +133,52 @@ def test_verify_gate_report_digest(capsys):
 
 
 def test_moments_deep_report_digest(capsys):
-    # sha256 of `moments --k-max 40`: every row from the Newton
-    # differences of one size walk of horizon 80 per size 0..40
+    # sha256 of `moments --k-max 40`: every row read off one
+    # falling-factorial walk of 80 steps
     code, out = run_cli(capsys, "moments", "--k-max", "40")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "09ad0295e7ae7be9940f5c6e687f1ea5059920974f062f0123c67d857150c5b4"
 
 
+def test_moments_at_depth_report_digest(capsys):
+    # sha256 of `moments --k-max 150`: 150 rows of one 300-step
+    # falling-factorial walk, with counts of up to about 1000 bits
+    code, out = run_cli(capsys, "moments", "--k-max", "150")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "bb62ce11fc71f2672310010c06d3b751b0ea363db60c10746043b5ddbef7b441"
+
+
 def test_reports_compute_the_moment_rows_once(monkeypatch):
-    # one rows computation is one size walk per size 0..k_max, each to
-    # horizon 2 k_max
+    # one falling-factorial walk per report, to k = max(k_max, 3 g_max + 2)
+    # where theta or the rows route reads them; no report walks a size
     calls = []
-    original = oracles._size_moments
+    original = oracles.moment_polynomials
 
-    def counting(size, k_max):
-        calls.append((size, k_max))
-        return original(size, k_max)
+    def counting(k_max):
+        calls.append(k_max)
+        return original(k_max)
 
-    def one_pass(k_max):
-        return [(size, k_max) for size in range(k_max + 1)]
+    def walk(size, k_max):
+        raise AssertionError(f"walked size {size} to horizon {2 * k_max}")
 
-    monkeypatch.setattr(oracles, "_size_moments", counting)
+    monkeypatch.setattr(oracles, "moment_polynomials", counting)
+    monkeypatch.setattr(oracles, "_size_moments", walk)
     assert len(run_moments(40)["results"]) == 40
-    assert calls == one_pass(40)
+    assert calls == [40]
     calls.clear()
     assert run_verify(2, 8)["passed"] is True
-    assert calls == one_pass(8)
-    # theta and the rows route read k <= 3 g_max + 2 off the same one pass
+    assert calls == [8]
     calls.clear()
     run_theta(4)
-    assert calls == one_pass(14)
+    assert calls == [14]
     calls.clear()
     cli.run_phi(4, dump_ansatz=True)
-    assert calls == one_pass(14)
+    assert calls == [14]
     calls.clear()
     assert run_verify(5, 10)["passed"] is True
-    assert calls == one_pass(17)
+    assert calls == [17]
 
 
 def test_reports_walk_the_word_route_once(monkeypatch):
@@ -827,6 +836,41 @@ def test_reports_are_deterministic(capsys):
     _, third = run_cli(capsys, "theta", "--g-max", "3")
     _, fourth = run_cli(capsys, "theta", "--g-max", "3")
     assert third == fourth
+
+
+_NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                  reason="no /dev/full on this platform")
+
+
+@pytest.mark.parametrize("target, k_max", [
+    ("pipe", "3"), ("pipe", "150"),
+    pytest.param("/dev/full", "3", marks=_NO_DEV_FULL),
+], ids=["closed-pipe-buffered", "closed-pipe-streamed", "full-device"])
+def test_failed_stdout_write_exits_two(target, k_max):
+    # a reader that has gone, or a device that takes no byte, is a failed
+    # write, not a verification mismatch (exit 1): one stderr line and
+    # exit 2, whether the report fits the stdout buffer and fails at the
+    # flush or fails mid-stream, and nothing more from the flush at exit
+    if target == "pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout = os.open(target, os.O_WRONLY)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-I", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); "
+             "import ppmoments.cli; "
+             "sys.exit(ppmoments.cli.main(sys.argv[2:]))",
+             _SRC, "moments", "--k-max", k_max],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(stdout)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("ppmoments: cannot write stdout: ")
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
 
 
 def test_out_file_writing(tmp_path, capsys):

@@ -10,9 +10,11 @@ from ppmoments import (
     moment_polynomial,
     moment_polynomials,
     path_counts,
+    transformed_moment,
     word_moment,
 )
 
+from ppmoments.cli import _row_moment
 from ppmoments.oracles import _word_rows
 
 from helpers import (
@@ -235,6 +237,16 @@ def test_moment_polynomial_small_values():
     assert moment_polynomial(1) == {0: 1}
     assert moment_polynomial(2) == {0: 2, 1: 1}
     assert moment_polynomial(3) == {0: 5, 1: 8, 2: 1}
+    # by hand, over the falling factorials: p_1(N) = (N)_1,
+    # p_2(N) = 2N^2 - N = 2 (N)_2 + (N)_1 and
+    # p_3(N) = 5 (N)_3 + 8 (N)_2 + (N)_1; the walk to each k_max gives
+    # its rows with their keys in increasing g
+    rows = [{0: 1}, {0: 2, 1: 1}, {0: 5, 1: 8, 2: 1}]
+    for k_max in (1, 2, 3):
+        walked = moment_polynomials(k_max)
+        assert walked == rows[:k_max]
+        assert [list(row) for row in walked] == \
+            [list(range(k)) for k in range(1, k_max + 1)]
     with pytest.raises(ValueError):
         moment_polynomial(0)
 
@@ -262,16 +274,26 @@ def test_moment_polynomial_serialization():
                                          {"k": 2, "counts": {"0": 2, "1": 1}}]
 
 
+def test_moment_rows_match_the_size_walk():
+    # each row, evaluated at a size by the falling-factorial identity,
+    # against the per-size path walk, which computes it with N a number
+    rows = moment_polynomials(40)
+    for k, row in enumerate(rows, start=1):
+        for size in (*range(k + 4), 100, 1000):
+            assert _row_moment(row, k, size) == \
+                transformed_moment(size, k), (k, size)
+
+
 def test_size_rows_match_the_rook_walk():
-    # the Newton differences of the size walk against the rook transfer
-    # matrix, which stays in tests/helpers.py as the reference
+    # the falling-factorial walk against the rook transfer matrix, which
+    # stays in tests/helpers.py as the reference
     for k_max in (1, 2, 3, 40):
         assert moment_polynomials(k_max) == \
             [dict(enumerate(r)) for r in rook_rows_reference(k_max)]
 
 
 def test_size_and_word_walks_give_the_same_rows():
-    # the two production routes, one pass of size walks of horizon 80
+    # the two production routes, one falling-factorial walk of 80 steps
     # and one word walk, hand the reports one row type: row k holds the
     # k positive counts at g < k
     size = moment_polynomials(40)
