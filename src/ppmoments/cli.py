@@ -23,15 +23,17 @@ it runs, so a rebound or monkeypatched run_* takes effect.
 Exit codes: 0 success / verification passed (and -h/--help), 1 a
 report with "passed": false (a verification mismatch), 2 usage error
 (the usage line and one "ppmoments: error: ..." line on stderr), a
-failed --out write, a failed write to stdout (a pipe whose reader has
-gone, a full device) or a sampled moment beyond double precision; each
-but the usage error prints one "ppmoments: ..." line on stderr.
-Reports are deterministic for a fixed configuration, including the
-seed.
+failed --out write, a failed write of the report or the help to stdout
+(a pipe whose reader has gone, a full device, fd 1 closed) or a sampled
+moment beyond double precision; each but the usage error prints one
+"ppmoments: ..." line on stderr.  Reports are deterministic for a fixed
+configuration, including the seed.
 
-Importing this module loads no other ppmoments module: each command
-imports the ones it runs when it runs, and parses its options with the
-sampler's two constants from the package itself.  Besides this module,
+No command loads json: the reports are written by this module's own
+encoder (_write_json).  Importing this module loads no other ppmoments
+module: each command imports the ones it runs when it runs, and parses
+its options with the sampler's two constants from the package itself.
+Besides this module,
 
   theta, phi           algebra, oracles
   phi --dump-ansatz    algebra, ansatz, oracles
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import json
+import errno
 import math
 import os
 import re
@@ -453,18 +455,120 @@ def _report_format(value: str) -> str:
     return value
 
 
+# The escapes of json.dumps with ensure_ascii that are not \uXXXX
+_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
+                  "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escaped(ch: str) -> str:
+    """ch as json.dumps writes it with ensure_ascii.
+
+    Printable ASCII stands for itself, but for '"' and a backslash,
+    which take a short escape, as do five control characters.  Any other
+    character is \\uXXXX in lower-case hex: the other control characters,
+    DEL and every character past ASCII, as a surrogate pair above the
+    Basic Multilingual Plane.
+    """
+    if ch in _SHORT_ESCAPES:
+        return _SHORT_ESCAPES[ch]
+    if " " <= ch <= "~":
+        return ch
+    n = ord(ch)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000
+    return f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}"
+
+
+def _quoted(s: str) -> str:
+    """s as a JSON string; printable ASCII is " " to "~"."""
+    if not (s.isascii() and s.isprintable()) or '"' in s or "\\" in s:
+        s = "".join(map(_escaped, s))
+    return f'"{s}"'
+
+
+def _encode(value, indent: str, parts: list[str]) -> None:
+    """Append the JSON text of value to parts, as json.dumps(indent=2).
+
+    indent is the newline and the indentation of the line on which
+    value starts.  value holds only what a report holds: dicts with str
+    keys, lists, tuples, str, bool, None, int and float.  Numbers are
+    written by int.__repr__ and float.__repr__, as json writes them; a
+    bool is tested before int, of which it is a subclass.
+    """
+    if isinstance(value, str):
+        parts.append(_quoted(value))
+    elif isinstance(value, (dict, list, tuple)):
+        if not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = indent + "  "
+        if isinstance(value, dict):
+            sep = "{" + inner
+            for key, item in value.items():
+                parts += sep, _quoted(key), ": "
+                _encode(item, inner, parts)
+                sep = "," + inner
+            parts.append(indent + "}")
+        else:
+            sep = "[" + inner
+            for item in value:
+                parts.append(sep)
+                _encode(item, inner, parts)
+                sep = "," + inner
+            parts.append(indent + "]")
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    else:
+        parts.append(float.__repr__(value))
+
+
+def _write_json(fh, report: dict) -> None:
+    """Write json.dumps(report, indent=2) and a newline to fh, in parts.
+
+    The text up to the results list is one write, each of its rows is
+    one, and the closing brackets are one; so the whole text is never
+    held in memory, and a reader that has gone fails the write of the
+    row it stops at.
+    """
+    parts = []
+    sep = "{\n  "
+    for key, value in report.items():
+        parts += sep, _quoted(key), ": "
+        sep = ",\n  "
+        if key != "results" or not value:
+            _encode(value, "\n  ", parts)
+            continue
+        parts.append("[")
+        fh.write("".join(parts))
+        row_sep = "\n    "
+        for row in value:
+            parts = [row_sep]
+            _encode(row, "\n    ", parts)
+            fh.write("".join(parts))
+            row_sep = ",\n    "
+        parts = ["\n  ]"]
+    parts.append("\n}\n")
+    fh.write("".join(parts))
+
+
 def _write_report(fh, report: dict, output_format: str) -> None:
     """Write report to the text stream fh as JSON or TSV.
 
-    The JSON goes out as json.dump streams it, chunk by chunk, the same
-    bytes as json.dumps(report, indent=2) + "\n", so the whole text is
-    never held in memory.
+    The JSON is the bytes of json.dumps(report, indent=2) + "\n",
+    written by _write_json one results row at a time, so the whole text
+    is never held in memory and no command imports json.
     """
     if output_format == "tsv":
         fh.write(_to_tsv(report))
     else:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        _write_json(fh, report)
 
 
 def _write_atomic(path: str, report: dict, output_format: str) -> None:
@@ -651,8 +755,8 @@ def _parse_args(argv: list[str]) -> dict:
             _usage_error(command, f"argument {option}: ignored explicit "
                                   f"argument {value!r}")
         if option == "--help":
-            sys.stdout.write(_help(command))
-            raise SystemExit(0)
+            text = _help(command)
+            raise SystemExit(_write_stdout(lambda fh: fh.write(text)))
         if convert is None:
             args[dest] = True
             continue
@@ -672,6 +776,31 @@ def _parse_args(argv: list[str]) -> dict:
         _usage_error(command, f"unrecognized arguments: {' '.join(stray)}")
     args["command"] = command
     return args
+
+
+def _write_stdout(write) -> int:
+    """Call write on sys.stdout and flush it: 0, or 2 if that fails.
+
+    A failed write, from a reader that has gone (BrokenPipeError), a
+    full device or no stdout at all (sys.stdout is None when fd 1 was
+    closed at start), prints one "ppmoments: cannot write stdout:" line
+    on stderr.  fd 1 then goes to the null device, as the Python docs
+    advise for a broken pipe, so the flush at exit cannot raise again.
+    """
+    try:
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        write(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"ppmoments: cannot write stdout: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 def main(argv=None) -> int:
@@ -698,20 +827,8 @@ def main(argv=None) -> int:
             print(f"ppmoments: cannot write {out}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 2
-    else:
-        try:
-            _write_report(sys.stdout, report, output_format)
-            sys.stdout.flush()
-        except OSError as exc:
-            # a reader that has gone (BrokenPipeError) or a full device;
-            # fd 1 goes to the null device, as the Python docs advise for
-            # a broken pipe, so the flush at exit cannot raise again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            print(f"ppmoments: cannot write stdout: {exc.strerror}",
-                  file=sys.stderr)
-            return 2
+    elif _write_stdout(lambda fh: _write_report(fh, report, output_format)):
+        return 2
 
     return 0 if report.get("passed", True) else 1
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -466,6 +467,36 @@ def test_no_command_loads_rational_arithmetic(module, args, loaded):
     assert set(package.split()) == expected
 
 
+# runs one command under `python -I -S`, with no site module to preload
+# anything, and prints the json modules the process has loaded
+_JSON_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import ppmoments.cli
+code = ppmoments.cli.main(sys.argv[2:])
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("json", "_json")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ("theta", "--g-max", "2"),
+    ("phi", "--g-max", "2", "--dump-ansatz"),
+    ("moments", "--k-max", "3"),
+    ("verify", "--g-max", "2", "--k-max", "3"),
+    ("sample", "--n", "2", "--k", "2", "--trials", "300"),
+], ids=["theta", "phi-dump", "moments", "verify", "sample"])
+def test_no_command_imports_json(args):
+    # the JSON reports are written by cli's own encoder; json costs about
+    # 1.1 ms of every process start
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", _JSON_PROBE,
+                           _SRC, *args], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "[]"
+
+
 _STREAMED = {
     "theta": (("theta", "--g-max", "3"), lambda: run_theta(3)),
     "phi-dump": (("phi", "--g-max", "2", "--dump-ansatz"),
@@ -480,8 +511,8 @@ _STREAMED = {
 
 @pytest.mark.parametrize("command", _STREAMED)
 def test_streamed_report_is_the_dumped_text(tmp_path, capsys, command):
-    # main streams each JSON report through json.dump, to stdout or to
-    # the --out file, and writes what json.dumps would have built
+    # main streams each JSON report through cli's own encoder, to stdout
+    # or to the --out file, and writes what json.dumps would have built
     args, build = _STREAMED[command]
     text = json.dumps(build(), indent=2) + "\n"
     code, out = run_cli(capsys, *args)
@@ -490,6 +521,66 @@ def test_streamed_report_is_the_dumped_text(tmp_path, capsys, command):
     assert main([*args, "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == text.encode()
+
+
+# every kind of value the encoder handles, and every kind of character
+# ensure_ascii escapes, nested as deep as a report nests
+_SYNTHETIC = {
+    "command": "synthetic",
+    "params": {"empty dict": {}, "empty list": [], "key \"\\\n\u00e9": 0},
+    "passed": False,
+    "results": [
+        {"text": 'quote " backslash \\ newline \n nul \x00 del \x7f',
+         "controls": "".join(map(chr, range(32))),
+         "accented": "\u00e9", "astral": "\U0001d11e", "bmp top": "\uffff",
+         "nested": [[1, [2, (3, ())]], ({}, [])],
+         "flags": (True, False, None),
+         "big": 7 ** 900, "negative": -(10 ** 40),
+         "floats": [-0.0, 5e-324, 1e16, 0.1, 2.5, -1e-7, 1.5e308]},
+        {},
+        [],
+        "",
+    ],
+}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _SYNTHETIC,
+    lambda: {**_SYNTHETIC, "results": []},
+    lambda: run_verify(2, 4),
+    lambda: cli.run_phi(2, dump_ansatz=True),
+], ids=["synthetic", "no-results", "verify", "phi-dump"])
+def test_encoder_writes_the_dumped_text(build):
+    # json.dumps, with its defaults but indent=2, is the reference
+    report = build()
+    fh = io.StringIO()
+    cli._write_report(fh, report, "json")
+    assert fh.getvalue() == json.dumps(report, indent=2) + "\n"
+
+
+def test_encoder_escapes_characters_as_ensure_ascii_does():
+    # all of ASCII and the two-byte range of UTF-8, then the edges of the
+    # surrogates, of the Basic Multilingual Plane and of Unicode
+    edges = [0xd7ff, 0xd800, 0xdbff, 0xdc00, 0xdfff, 0xe000, 0xfffe, 0xffff,
+             0x10000, 0x1d11e, 0x10fc00, 0x10ffff]
+    for code in [*range(0x800), *edges]:
+        assert cli._quoted(chr(code)) == json.dumps(chr(code)), hex(code)
+    text = "".join(map(chr, [*range(0x100), *edges]))
+    assert cli._quoted(text) == json.dumps(text)
+
+
+def test_encoder_writes_one_results_row_at_a_time():
+    # the text before the rows, each row, and the closing brackets
+    writes = []
+
+    class Recorder:
+        write = writes.append
+
+    report = run_moments(4)
+    cli._write_report(Recorder(), report, "json")
+    assert len(writes) == 2 + len(report["results"])
+    assert writes[0] == json.dumps(report, indent=2).partition("[")[0] + "["
+    assert writes[-1] == "\n  ]\n}\n"
 
 
 def test_report_is_written_without_its_whole_text(tmp_path):
@@ -871,6 +962,40 @@ def test_failed_stdout_write_exits_two(target, k_max):
     assert done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
     assert "Exception ignored" not in done.stderr
+
+
+# fd 1 closed, as by `>&-` in a shell: the interpreter starts with
+# sys.stdout None
+_STDOUT_CLOSED = ["/bin/sh", "-c", 'exec "$@" >&-', "sh"]
+
+
+@pytest.mark.parametrize("closed, args", [
+    ("pipe", ("moments", "--help")),
+    ("pipe", ("-h",)),
+    ("fd", ("moments", "--k-max", "3")),
+    ("fd", ("theta", "--help")),
+], ids=["help-closed-pipe", "top-help-closed-pipe", "report-fd-closed",
+        "help-fd-closed"])
+def test_help_and_a_closed_stdout_fail_as_a_write_does(closed, args):
+    # the help goes through the report's stdout handling, and a stdout
+    # that is not there at all is a failed write: one stderr line and
+    # exit 2, not exit 120 with "Exception ignored" or exit 1 with a
+    # traceback
+    command = [sys.executable, "-I", "-c",
+               "import sys; sys.path.insert(0, sys.argv[1]); "
+               "import ppmoments.cli; "
+               "sys.exit(ppmoments.cli.main(sys.argv[2:]))", _SRC, *args]
+    read_end, stdout = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            _STDOUT_CLOSED + command if closed == "fd" else command,
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(stdout)
+    assert done.returncode == 2, done.stderr
+    message = "Bad file descriptor" if closed == "fd" else "Broken pipe"
+    assert done.stderr == f"ppmoments: cannot write stdout: {message}\n"
 
 
 def test_out_file_writing(tmp_path, capsys):
