@@ -31,10 +31,14 @@ bisecting one list of integer thresholds per mean with that 64-bit
 output; poisson_sample and every lane of the block kernel use this one
 rule.  mc_moments makes
 those outputs 256 trials at a time, as the 128-bit lanes of one int
-read little-endian on every host.  It maps each lane's top byte through
-a 256-byte table of draws and counts them per block, and bisects the
-same list only for the lanes whose top-byte bucket holds a threshold,
-so its tally is the one that per-trial poisson_sample calls give.
+read little-endian on every host, and reads each lane's draw off the
+top two bytes of its output.  It maps each lane's top byte through a
+256-byte table of draws and counts them 16 blocks at a time.  A lane
+whose top-byte bucket holds a threshold maps its next byte through
+that bucket's own table, and only a lane whose 2**48-wide sub-bucket
+holds a threshold too bisects the same list (16 of 100,096 trials at
+mean 2), so its tally is the one that per-trial poisson_sample calls
+give.
 
 A tally of 256 blocks or more is split into block-aligned ranges of
 trials, one per CPU the process may run on, but never fewer than
@@ -86,7 +90,20 @@ _LANES = 256  # trials per block of the inversion kernel
 # pipe and reaping it take about 1 ms, some 30 blocks' work
 _MIN_SHARE = 128
 _LANE_BITS = 128  # a 64-bit value and 64 zero bits of headroom
-_MARKER = 255  # top-byte table entry of a lane that is bisected in full
+_MARKER = 255  # draw-table entry of a lane that is looked at more closely
+_COUNTED_BLOCKS = 16  # blocks whose translated top bytes are counted at once
+
+
+def _mix64_product(z: int, mask: int = _MASK64) -> int:
+    """SplitMix64 finalizer up to its last product, which is not masked.
+
+    The finalizer is this value's low 64 bits y, then y ^ (y >> 31); the
+    xor leaves bits 33 to 63 of y alone, so bytes 6 and 7 of y are
+    already the output's.  The product of a 64-bit value and a 64-bit
+    constant is below 2**128, so in 128-bit lanes it stays in its lane.
+    """
+    z = (z ^ ((z >> 30) & mask)) * 0xBF58476D1CE4E5B9 & mask
+    return (z ^ ((z >> 27) & mask)) * 0x94D049BB133111EB
 
 
 def _mix64(z: int, mask: int = _MASK64) -> int:
@@ -96,8 +113,7 @@ def _mix64(z: int, mask: int = _MASK64) -> int:
     z at once: the mask clears what a shift moves into a lane's top half,
     so a lane times a 64-bit constant stays inside the lane.
     """
-    z = (z ^ ((z >> 30) & mask)) * 0xBF58476D1CE4E5B9 & mask
-    z = (z ^ ((z >> 27) & mask)) * 0x94D049BB133111EB & mask
+    z = _mix64_product(z, mask) & mask
     return z ^ ((z >> 31) & mask)
 
 
@@ -243,6 +259,46 @@ def _inversion_thresholds(mean: float) -> tuple[int, ...]:
     return tuple(thresholds)
 
 
+def _draw_row(thresholds: tuple[int, ...], lo: int, hi: int,
+              shift: int) -> bytes:
+    """Draws of the x in one bucket, by the byte of x at bit shift.
+
+    thresholds[lo:hi] are the X_k of the bucket, and the lo before them
+    lie below it.  The bucket is cut into 256 sub-buckets by
+    the byte (x >> shift) & 255, and on a sub-bucket that holds no X_k
+    the draw, the count of X_k at most x, is constant.  Entry s is that
+    draw, or _MARKER where sub-bucket s holds an X_k or the draw is
+    _MARKER or more, so no entry is a draw that some x of it does not
+    make.  One pass over the bucket's X_k fills the row.
+    """
+    row = bytearray()
+    for draw in range(lo, hi):
+        s = thresholds[draw] >> shift & 255
+        row += bytes((min(draw, _MARKER),)) * (s - len(row))
+        if len(row) == s:
+            row.append(_MARKER)
+    row += bytes((min(hi, _MARKER),)) * (256 - len(row))
+    return bytes(row)
+
+
+@lru_cache(maxsize=64)  # bounded, as _inversion_thresholds is
+def _inversion_tables(mean: float) -> tuple[bytes, tuple[bytes | None, ...]]:
+    """Draw tables of the block kernel at a mean up to _INVERSION_LIMIT.
+
+    The first maps the top byte b of an output x, its bucket
+    [b << 56, (b + 1) << 56), to the draw of every x in it (_draw_row).
+    Entry b of the second is, where b maps to _MARKER, the bucket's row
+    over byte 6 of x, whose sub-buckets are 2**48 wide, else None.
+    """
+    thresholds = _inversion_thresholds(mean)
+    top = _draw_row(thresholds, 0, len(thresholds), 56)
+    rows = tuple(_draw_row(thresholds, bisect_left(thresholds, b << 56),
+                           bisect_left(thresholds, b + 1 << 56), 48)
+                 if draw == _MARKER else None
+                 for b, draw in enumerate(top))
+    return top, rows
+
+
 def poisson_sample(mean: float, rng: RngState) -> int:
     """Draw a Poisson variate: inversion for small means, PTRS above.
 
@@ -383,61 +439,71 @@ def _tally_trials(mean: float, seed: int, first: int, last: int) -> list[int]:
 
     Entry k counts the trials t that draw size k in
     poisson_sample(mean, RngState(seed).split(t)), for a mean at most
-    _INVERSION_LIMIT and first a multiple of _LANES: each trial's first
-    output x draws the count of thresholds X_k of
-    _inversion_thresholds(mean) at most x, so the list has one entry
-    more than there are thresholds.  The outputs are made _LANES trials
-    at a time: one int holds the trials of a block as 128-bit lanes,
-    each a 64-bit value over 64 zero bits, and each step of split(t) and
-    next_u64 runs on every lane at once (see _mix64).  Lane i of the
-    first block starts from the counter (first + i + 1) * golden mod
-    2**64, trial first + i's own, so a range is tallied the same
-    whichever process tallies it.
+    _INVERSION_LIMIT: each trial's first output x draws the count of
+    thresholds X_k of _inversion_thresholds(mean) at most x, so the list
+    has one entry more than there are thresholds.  The outputs are made
+    _LANES trials at a time: one int holds the trials of a block as
+    128-bit lanes, each a 64-bit value over 64 zero bits, and each step
+    of split(t) and next_u64 runs on every lane at once (see _mix64).
+    Lane i of the first block starts from the counter
+    (first + i + 1) * golden mod 2**64, trial first + i's own, so a range
+    is tallied the same whichever process tallies it, wherever it starts.
 
-    The draw is tallied from the top byte of x.  The x with top byte b
-    form the bucket [b << 56, (b + 1) << 56), and on a bucket that holds
-    no X_k the count of X_k at most x is constant: it is the count of
-    X_k below b << 56.  So a 256-byte table maps each such bucket to that
-    draw, and the lanes' top bytes, one slice of the block's bytes, are
-    translated through it and counted per draw value.  Every other
-    bucket maps to _MARKER, and a lane with that byte reads its full
-    64-bit value and bisects it.  A draw of _MARKER or more would also
-    map to _MARKER, so no lane is ever counted under a draw it did not
-    make; at means up to 30 no threshold-free bucket reaches it (below
-    255 << 56 the draw is at most 46, at mean 30).  At mean 2, 8 of the
-    256 buckets hold an X_k.
+    next_u64's round stops at its last product (_mix64_product), whose
+    bytes 6 and 7 in each lane are already those of x, and the draw is
+    read off them through the tables of _inversion_tables.  The lanes'
+    top bytes, one slice of the block's bytes, are translated through
+    the first table, and the translated bytes of _COUNTED_BLOCKS blocks,
+    at most 4 KB, are counted per draw value at once.  A lane whose top
+    byte maps to _MARKER reads byte 6 through its bucket's row, and only
+    a lane whose sub-bucket maps to _MARKER there too finishes the
+    round on its own 64-bit value y, x = y ^ (y >> 31), and bisects x.
+    Neither table maps an x to a draw it does not make, so no lane is
+    counted under a wrong draw.  At mean 2, 8 of the 256 buckets hold an
+    X_k, and 11 of their 2,048 sub-buckets do: of the 100,096 trials of
+    seed DEFAULT_SEED, 3,088 reach the second table and 16 are bisected.
+    At mean 30 it is 30 buckets and 47 sub-buckets, 11,770 and 56 trials.
     """
     thresholds = _inversion_thresholds(mean)
-    edges = [bisect_left(thresholds, b << 56) for b in range(257)]
-    table = bytes(lo if lo == hi and lo < _MARKER else _MARKER
-                  for lo, hi in zip(edges, edges[1:]))
-    draws = set(table) - {_MARKER}
+    top, rows = _inversion_tables(mean)
+    draws = set(top) - {_MARKER}
     width = _LANE_BITS // 8
-    # ones and mask hold 1 and 2**64 - 1 in each lane
-    ones = ((1 << _LANE_BITS * _LANES) - 1) // ((1 << _LANE_BITS) - 1)
+    # ones and mask hold 1 and 2**64 - 1 in each lane, and lane i of
+    # indices holds i
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * _LANES, "little")
+    indices = bytearray(width * _LANES)
+    indices[::width] = bytes(range(_LANES))
     mask = _MASK64 * ones
     seeds = (seed & _MASK64) * ones
     golden = _GOLDEN * ones
     step = _LANES * golden  # under 2**72 per lane: the headroom holds it
     # lane i holds (t + 1) * golden for the block's trial t = start + i
-    z0 = int.from_bytes(b"".join(((first + i + 1) * _GOLDEN & _MASK64)
-                                 .to_bytes(width, "little")
-                                 for i in range(_LANES)), "little")
+    z0 = (((first + 1) * _GOLDEN & _MASK64) * ones
+          + _GOLDEN * int.from_bytes(indices, "little")) & mask
     tally = [0] * (len(thresholds) + 1)
-    for start in range(first, last, _LANES):
-        z = _mix64(_mix64(z0, mask) ^ seeds, mask)  # the seed of split(t)
-        z = _mix64(z + golden & mask, mask)  # its first next_u64
-        z0 = z0 + step & mask
-        lanes = z.to_bytes(width * _LANES, "little")
-        # byte 7 of a lane is the top byte of its 64-bit value
-        tops = lanes[7::width][:last - start].translate(table)
+    counted = _COUNTED_BLOCKS * _LANES
+    for chunk in range(first, last, counted):
+        tops = bytearray()
+        for start in range(chunk, min(chunk + counted, last), _LANES):
+            z = _mix64(_mix64(z0, mask) ^ seeds, mask)  # split(t)'s seed
+            z = _mix64_product(z + golden & mask, mask)  # its next_u64
+            z0 = z0 + step & mask
+            lanes = z.to_bytes(width * _LANES, "little")
+            # bytes 6 and 7 of a lane are those of its output
+            sixes, sevens = lanes[6::width], lanes[7::width][:last - start]
+            block = sevens.translate(top)
+            i = block.find(_MARKER)
+            while i >= 0:
+                v = rows[sevens[i]][sixes[i]]
+                if v == _MARKER:
+                    y = int.from_bytes(lanes[i * width:i * width + 8],
+                                       "little")
+                    v = bisect_right(thresholds, y ^ y >> 31)
+                tally[v] += 1
+                i = block.find(_MARKER, i + 1)
+            tops += block
         for v in draws:
             tally[v] += tops.count(v)
-        i = tops.find(_MARKER)
-        while i >= 0:
-            x = int.from_bytes(lanes[i * width:i * width + 8], "little")
-            tally[bisect_right(thresholds, x)] += 1
-            i = tops.find(_MARKER, i + 1)
     return tally
 
 
@@ -501,9 +567,11 @@ def _inversion_sizes(mean: float, seed: int, trials: int) -> dict[int, int]:
     whatever is raised meanwhile, and sums.  A range whose child exits
     with a nonzero status or writes counts that cannot be its tally
     (_parsed_counts), or that no child could be forked for, is tallied
-    by the caller.  Each trial's draw depends on (seed, t) alone and the
-    counts are ints, so the tally, and every report made from it, is the
-    same at any CPU count.
+    by the caller.  The kernel's tables (_inversion_tables) are built
+    before any child is forked, so no child builds them again.  Each
+    trial's draw depends on (seed, t) alone and the counts are ints, so
+    the tally, and every report made from it, is the same at any CPU
+    count.
     """
     if mean <= 0:
         raise ValueError("mean must be positive")
@@ -517,6 +585,7 @@ def _inversion_sizes(mean: float, seed: int, trials: int) -> dict[int, int]:
     edges = [min(blocks * w // workers * _LANES, trials)
              for w in range(workers + 1)]
     ranges = list(zip(edges, edges[1:]))
+    _inversion_tables(mean)  # cached: every child inherits the tables
     children, payloads, statuses = [], [], []
     try:
         for first, last in ranges[1:]:

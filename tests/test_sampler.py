@@ -1,9 +1,11 @@
 import gc
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -441,12 +443,18 @@ def test_inversion_kernel_at_each_cdf_boundary():
 @pytest.mark.parametrize("mean", [1, 2, 17, 29, 30])
 def test_inversion_kernel_at_each_top_byte_edge_away_from_lane_zero(mean):
     # the kernel tallies a lane by its top byte unless that byte's bucket
-    # holds a threshold: each bucket edge and each threshold's neighbours
+    # holds a threshold, and then by its second byte unless that
+    # sub-bucket holds one too: each bucket edge, each edge between
+    # sub-buckets of different entries and each threshold's neighbours
     # are placed at lane 1, at the last lane of the first block and in a
     # partial second block, the other lanes being whatever the seed draws
     thresholds = sampler._inversion_thresholds(mean)
+    _, rows = sampler._inversion_tables(mean)
     outputs = {b << 56 for b in range(256)}
     outputs |= {(b << 56) - 1 for b in range(1, 257)}
+    outputs |= {(b << 56 | s << 48) - d for b, row in enumerate(rows) if row
+                for s in range(1, 256) if row[s] != row[s - 1]
+                for d in (0, 1)}
     outputs |= {x + d for x in thresholds for d in (-1, 1)}
     for t in (1, 255, 256 + 7):
         assert RngState(_seed_whose_trial_draws(12345, t)).split(t)\
@@ -459,6 +467,83 @@ def test_inversion_kernel_at_each_top_byte_edge_away_from_lane_zero(mean):
                 size = poisson_sample(mean, root.split(i))
                 expected[size] = expected.get(size, 0) + 1
             assert sampler._inversion_sizes(mean, seed, t + 1) == expected
+
+
+@pytest.mark.parametrize("mean", [1, 2, 17, 29, 30])
+def test_inversion_kernel_at_each_second_byte_edge(monkeypatch, mean):
+    # x = b << 56 | s << 48 and x - 1, for every s of each bucket b that
+    # holds a threshold, and each threshold and the output below it,
+    # which are bisected, each become the output of one lane: the last
+    # round's product is replaced by lanes that finish as those outputs,
+    # over a high half of ones as a product's may be, and the split's
+    # rounds, which then feed nothing, by the identity.  The outputs
+    # fill ranges of 264 trials, two blocks the second of which is
+    # partial, in a shuffled order, so each lane, 1, 255 and 263 too,
+    # holds many, and a lane read for its neighbour changes the tally
+    thresholds = sampler._inversion_thresholds(mean)
+    edges = [b << 56 | s << 48 for b in sorted({x >> 56 for x in thresholds})
+             for s in range(256)] + list(thresholds)
+    outputs = [x - d for x in edges for d in (0, 1) if x - d >= 0]
+    random.Random(mean).shuffle(outputs)
+    width = sampler._LANE_BITS // 8
+
+    def lanes(xs):
+        # y ^ (y >> 31) == x for the low half y of each lane
+        return int.from_bytes(b"".join(
+            (x ^ x >> 31 ^ x >> 62 | (2 ** 64 - 1) << 64).to_bytes(width,
+                                                                "little")
+            for x in xs), "little")
+
+    ranges = [outputs[i:i + 264] for i in range(0, len(outputs), 264)]
+    blocks = iter([lanes(xs[i:i + 256]) for xs in ranges
+                   for i in range(0, len(xs), 256)])
+    monkeypatch.setattr(sampler, "_mix64", lambda z, mask: z)
+    monkeypatch.setattr(sampler, "_mix64_product",
+                        lambda z, mask: next(blocks))
+    for xs in ranges:
+        expected = [0] * (len(thresholds) + 1)
+        for x in xs:
+            expected[poisson_sample(mean, _FixedRng(x))] += 1
+        assert sampler._tally_trials(mean, 1, 0, len(xs)) == expected
+    assert next(blocks, None) is None
+
+
+@pytest.mark.parametrize("mean, most", [(2, 100), (30, 250)])
+def test_inversion_kernel_bisects_few_lanes(monkeypatch, mean, most):
+    # only a lane whose 2**48-wide sub-bucket holds a threshold is
+    # bisected: 16 and 56 of these trials, of the 3,088 and 11,770 whose
+    # top-byte bucket holds one
+    expected = sampler._tally_trials(mean, DEFAULT_SEED, 0, 100_096)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bisect_right(*args)
+
+    monkeypatch.setattr(sampler, "bisect_right", counted)
+    assert sampler._tally_trials(mean, DEFAULT_SEED, 0, 100_096) == expected
+    assert len(calls) < most
+
+
+def test_inversion_kernel_starts_at_any_trial():
+    # lane i of the first block is trial first + i, whether or not first
+    # is a multiple of the 256 lanes of a block
+    root = RngState(DEFAULT_SEED)
+    for mean in (1, 2, 17, 30):
+        sizes = [poisson_sample(mean, root.split(t)) for t in range(1100)]
+        for first, last in ((1, 2), (7, 300), (255, 1100), (300, 812)):
+            expected = [0] * (len(sampler._inversion_thresholds(mean)) + 1)
+            for size in sizes[first:last]:
+                expected[size] += 1
+            assert sampler._tally_trials(mean, DEFAULT_SEED, first,
+                                         last) == expected
+
+
+def test_inversion_tables_cache_is_bounded():
+    # callers may pass any float mean
+    for i in range(100):
+        sampler._inversion_tables(1 + i / 128)
+    assert sampler._inversion_tables.cache_info().currsize <= 64
 
 
 def test_inversion_kernel_rejects_a_rejection_mean():
@@ -629,8 +714,9 @@ def test_inversion_kernel_holds_a_few_blocks(monkeypatch):
         tracemalloc.stop()
     assert sum(sizes.values()) == 200_000
     assert len(forks) == 1
-    # about 16 ints of one block's 4096 bytes are alive at once; a byte
-    # per trial would add 200,000
+    # about 16 ints of one block's 4096 bytes are alive at once, beside
+    # the count buffer of 16 blocks' top bytes, 4096 bytes; a byte per
+    # trial would add 200,000
     assert peak < 100_000
 
 
