@@ -37,8 +37,8 @@ _EXPORTS = {
         "path_counts", "transformed_moment", "word_moment"), "oracles"),
     **dict.fromkeys((
         "DuplicateEntries", "Partition", "RngState", "TransitionMeasure",
-        "mc_moment", "mc_moments", "poisson_sample", "rsk_shape",
-        "sample_pp", "transition_measure"), "sampler"),
+        "mc_moments", "poisson_sample", "rsk_shape", "sample_pp",
+        "transition_measure"), "sampler"),
 }
 
 __all__ = sorted(["DEFAULT_SEED", "POISSON_MEAN_MAX", *_EXPORTS])

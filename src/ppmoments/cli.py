@@ -44,10 +44,8 @@ Besides this module,
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import errno
-import math
 import os
 import re
 import stat
@@ -133,158 +131,17 @@ def run_moments(k_max: int) -> dict:
     return {"command": "moments", "params": {"k_max": k_max}, "results": rows}
 
 
-# e lies strictly between the (num, den) pairs _E_BELOW and _E_ABOVE:
-# the Taylor sum of 1/j! for j <= _E_TERMS, and that sum plus
-# 1/(_E_TERMS! _E_TERMS), which exceeds the rest of the series.  Their
-# ratio is below 1 + 2**-66.
-_E_TERMS = 20
-_E_BELOW = (sum(math.factorial(_E_TERMS) // math.factorial(j)
-                for j in range(_E_TERMS + 1)), math.factorial(_E_TERMS))
-_E_ABOVE = (_E_BELOW[0] * _E_TERMS + 1, _E_BELOW[1] * _E_TERMS)
-_WINDOW = 5  # sizes summed on either side of the peak, plus 2 isqrt(n)
-
-
-def _peak_sizes(n: int, k: int) -> set[int]:
-    """The sizes N near the peak of run_sample's target terms.
-
-    The terms of run_sample's target peak near the first N with
-    N ln(N/n) >= k, where their spread, like the Poisson one at N = n,
-    grows with sqrt(n).  The sizes are that N with the
-    _WINDOW + 2 isqrt(n) sizes on either side, and N = n, each only up
-    to 64 k, which bounds the work by the k of the run, not by n.  That
-    N lies in n..n + k, since (n + k) ln(1 + k/n) >= k.
-    """
-    peak = bisect.bisect_left(range(n, n + k + 1), k,
-                              key=lambda size: size * math.log(size / n)) + n
-    window = _WINDOW + 2 * math.isqrt(n)
-    sizes = range(max(peak - window, 0), min(peak + window, 64 * k) + 1)
-    return {*sizes, n} if n <= 64 * k else {*sizes}
-
-
-def _peak_terms(n: int, moments: dict[int, int]) -> tuple[int, int]:
-    """(total, scale): a lower bound total / scale on sum P(N) m_N.
-
-    moments maps sizes N to m_N = transformed_moment(N, k), and the sum
-    runs over them.  n**k times run_sample's target is the sum of the
-    terms P(N) m_N, P(N) = e**-n n**N / N!, over every size, none of
-    them negative, so a sum over some sizes is a lower bound on it.
-    With c/d = _E_ABOVE > e, e**-n > (d/c)**n within a factor
-    (1 + 2**-66)**n.  So with M the largest size, the terms sum to more
-    than sum_N n**N m_N (M! / N!) d**n / (M! c**n), in integers.
-    """
-    if not moments:
-        return 0, 1
-    c, d = (v ** n for v in _E_ABOVE)
-    top = math.factorial(max(moments))
-    return (d * sum(n ** size * m * (top // math.factorial(size))
-                    for size, m in moments.items()),
-            c * top)
-
-
-def _target_overflows(n: int, k: int) -> bool:
-    """True only if the exact target of run_sample is at least 2**1024.
-
-    The target is a sum with no negative term: the moment is an even
-    power sum of the real roots of He_(N+1).  So any partial sum is a
-    lower bound, and so is the g = 0 coefficient Catalan(k) of
-    moment_polynomial(k), whose coefficients are counts; Catalan(520)
-    is the first Catalan number of 2**1024 or more, so every k >= 520
-    overflows, at any n.  Row k's counts sit at 1/n**g, so the target
-    is largest at n = 1, where it is their sum, below 2**1024 for every
-    k <= 167.  The test suite checks both edges.  Only for
-    168 <= k < 520 are the sizes near the peak (_peak_sizes) walked and
-    their terms (_peak_terms) compared with 2**1024 exactly; a False
-    answer there proves nothing.  run_sample asks before it samples, so
-    an overflowing run exits without drawing a trial or computing the
-    moment row.
-    """
-    if k >= 520:
-        return True
-    if k < 168:
-        return False
-    from .oracles import transformed_moment
-
-    total, scale = _peak_terms(n, {size: transformed_moment(size, k)
-                                   for size in _peak_sizes(n, k)})
-    return total >= scale * n ** k << 1024
-
-
-def _row_moment(row: dict[int, int], k: int, size: int) -> int:
-    """transformed_moment(size, k), read off row = moment_polynomial(k).
-
-    m_N = sum_g c_g N(N-1)...(N-k+g+1), the falling-factorial identity
-    moment_polynomials is built on, summed by Horner's rule in O(k).
-    """
-    m = 0
-    for g in range(k + 1):
-        m = m * (size - k + g) + row.get(g, 0)
-    return m
-
-
-def _z_unsupported(n: int, k: int, trials: int, row: dict[int, int]) -> bool:
-    """True only if half the target or more sits at sizes trials cannot see.
-
-    row is moment_polynomial(k), {g: c_g}.  At the sizes N with
-    trials * P(N) < 1 the trials are not expected to draw a single
-    value, so their standard error says nothing about the distance to
-    the terms there.  Of the sizes near the peak (_peak_sizes), those
-    are the N with trials * n**N b**n < N! a**n, a/b = _E_BELOW < e.
-    m_N is read off the row (_row_moment), and _peak_terms bounds their
-    share of the target exactly from below, without drawing a trial.
-    """
-    sizes = _peak_sizes(n, k)
-    if not sizes:
-        return False
-    a, b = (v ** n for v in _E_BELOW)
-    unseen = {size: _row_moment(row, k, size) for size in sizes
-              if trials * n ** size * b < math.factorial(size) * a}
-    total, scale = _peak_terms(n, unseen)
-    return 2 * total >= scale * sum(c * n ** (k - g) for g, c in row.items())
-
-
 def run_sample(n: int, k: int, trials: int, seed: int = DEFAULT_SEED) -> dict:
     """Monte Carlo estimate of the 2k-th moment with its exact target.
 
-    A target that _target_overflows proves at least 2**1024 raises
-    OverflowError before any trial is drawn or the moment row is
-    computed, whatever the trial count.  The target is the moment row of
-    order 2k summed over 1/n**g, carried as the reduced int pair num/den
-    and printed as str(Fraction) would print it; the int true division
-    num / den rounds it correctly to a double, as float(Fraction) does.
-    The estimate is mc_moment's, from the same draws (_drawn_sizes) and
-    the same exact sums (_moment_estimate), but each distinct drawn
-    size's moment is read off the row (_row_moment), not walked.  So
-    estimate and target share the row, and the estimate checks the
-    Poisson draw and the step from the row to the target, E[N(N-1)...
-    (N-j+1)] = n**j, not the row itself.
-    z is None (JSON null) when _z_unsupported proves, from the same row
-    and before sampling, that half the target or more sits at sizes the
-    trials cannot see.  Otherwise, with a zero
-    standard error (every trial gave the same value) z is 0.0 when the
-    estimate equals the target exactly, that is when its
-    as_integer_ratio() is the reduced pair, and None otherwise, since no
-    finite z-score describes that mismatch.
+    The numbers are sampler._checked_estimate's, by mc_moments' route;
+    a target proved at least 2**1024 raises OverflowError before any
+    trial is drawn.  The target prints as str(Fraction) would print it,
+    and a z no finite z-score can stand for is None (JSON null).
     """
-    from .oracles import moment_polynomial
-    from .sampler import _drawn_sizes, _moment_estimate
+    from .sampler import _checked_estimate
 
-    if _target_overflows(n, k):
-        raise OverflowError("the exact target exceeds the double range")
-    row = moment_polynomial(k) if k >= 1 else {0: 1}
-    unsupported = _z_unsupported(n, k, trials, row)
-    num = sum(c * n ** (k - g) for g, c in row.items())
-    counts = _drawn_sizes(n, trials, seed)
-    estimate, stderr = _moment_estimate(
-        n, k, counts, {size: _row_moment(row, k, size) for size in counts})
-    den = n ** k
-    common = math.gcd(num, den)
-    num, den = num // common, den // common
-    if unsupported:
-        z = None
-    elif stderr > 0:
-        z = (estimate - num / den) / stderr
-    else:
-        z = 0.0 if estimate.as_integer_ratio() == (num, den) else None
+    estimate, stderr, num, den, z = _checked_estimate(n, k, trials, seed)
     return {"command": "sample",
             "params": {"n": n, "k": k, "trials": trials, "seed": seed},
             "results": [{"n": n, "k": k, "trials": trials,
@@ -448,6 +305,12 @@ def _poisson_mean(value: str) -> int:
     return n
 
 
+def _path(value: str) -> str:
+    if not value:
+        raise ValueError("expected a path, not an empty string")
+    return value
+
+
 def _report_format(value: str) -> str:
     if value not in ("json", "tsv"):
         raise ValueError(f"invalid choice: {value!r} (choose from 'json', "
@@ -607,7 +470,7 @@ def _write_atomic(path: str, report: dict, output_format: str) -> None:
 # _COMMON options, which main keeps for itself, and -h/--help (_HELP).
 _COMMON = {
     "--format": ("output_format", _report_format, "json", "json or tsv"),
-    "--out": ("out", str, None, "write the report here instead of stdout"),
+    "--out": ("out", _path, None, "write the report here instead of stdout"),
 }
 _G_MAX = ("g_max", _positive, 4, "highest order g")
 _K_MAX = ("k_max", _positive, 8, "highest moment index k")
@@ -820,7 +683,7 @@ def main(argv=None) -> int:
               f"range", file=sys.stderr)
         return 2
 
-    if out:
+    if out is not None:
         try:
             _write_atomic(out, report, output_format)
         except OSError as exc:

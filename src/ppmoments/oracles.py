@@ -22,8 +22,8 @@ word sum at a symbolic size, weighing each down step to height h by
 N - h, while the word walk keeps every lowering step pending, contracts
 one at a raising step, and sums every state at height 0.  The size walk
 (_size_moments, transformed_moment) evaluates the same sum at one
-numeric size; the sampler and the sample command's overflow bound read
-it, and the test suite checks the rows against it at fixed sizes.  The
+numeric size; only the sampler's overflow bound reads it, at k >= 168,
+and the test suite checks the rows against it at fixed sizes.  The
 exhaustive references the test suite compares these routes with
 (explicit lattice paths and their marked step pairs, explicit rook
 placements on every staircase shape, the rook transfer matrix, per-word

@@ -2,9 +2,11 @@
 
 The moment estimator needs only the size of each sampled partition: the
 2k-th moment of the transformed measure of a partition depends on its
-size alone (oracles.transformed_moment).  So a trial draws a
-Poisson-distributed size and looks up that exact moment; the estimator
-exercises the Poisson draw and the exact lookup, not the shape sampler.
+size alone.  So a trial draws a Poisson-distributed size and reads its
+exact moment off the moment row of order 2k (_row_moment), which tests
+the Poisson draw and the step from the row to the target, not the shape
+sampler.  mc_moments and the sample command (_checked_estimate) share
+one route: overflow guard, rows, draws, exact sums.
 
 The shape sampler is separate.  sample_pp takes a
 Poisson-distributed size, a uniform random permutation of that size, and
@@ -73,7 +75,6 @@ __all__ = [
     "Partition",
     "RngState",
     "TransitionMeasure",
-    "mc_moment",
     "mc_moments",
     "poisson_sample",
     "rsk_shape",
@@ -625,21 +626,136 @@ def _drawn_sizes(n: int, trials: int, seed: int) -> dict[int, int]:
     return Counter(poisson_sample(n, root.split(t)) for t in range(trials))
 
 
+# e lies strictly between the (num, den) pairs _E_BELOW and _E_ABOVE:
+# the Taylor sum of 1/j! for j <= _E_TERMS, and that sum plus
+# 1/(_E_TERMS! _E_TERMS), which exceeds the rest of the series.  Their
+# ratio is below 1 + 2**-66.
+_E_TERMS = 20
+_E_BELOW = (sum(math.factorial(_E_TERMS) // math.factorial(j)
+                for j in range(_E_TERMS + 1)), math.factorial(_E_TERMS))
+_E_ABOVE = (_E_BELOW[0] * _E_TERMS + 1, _E_BELOW[1] * _E_TERMS)
+_WINDOW = 5  # sizes summed on either side of the peak, plus 2 isqrt(n)
+
+
+def _peak_sizes(n: int, k: int) -> set[int]:
+    """The sizes N near the peak of the terms of the 2k-th moment's target.
+
+    The terms peak near the first N with N ln(N/n) >= k, where their
+    spread, like the Poisson one at N = n, grows with sqrt(n).  The
+    sizes are that N with the _WINDOW + 2 isqrt(n) sizes on either side,
+    and N = n, each only up to 64 k, which bounds the work by k, not by
+    n.  That N lies in n..n + k, since (n + k) ln(1 + k/n) >= k.
+    """
+    peak = bisect_left(range(n, n + k + 1), k,
+                       key=lambda size: size * math.log(size / n)) + n
+    window = _WINDOW + 2 * math.isqrt(n)
+    sizes = range(max(peak - window, 0), min(peak + window, 64 * k) + 1)
+    return {*sizes, n} if n <= 64 * k else {*sizes}
+
+
+def _peak_terms(n: int, moments: dict[int, int]) -> tuple[int, int]:
+    """(total, scale): a lower bound total / scale on sum P(N) m_N.
+
+    moments maps sizes N to m_N = transformed_moment(N, k), and the sum
+    runs over them.  n**k times the target, the scaled 2k-th moment, is
+    the sum of the terms P(N) m_N, P(N) = e**-n n**N / N!, over every
+    size, none negative, so a sum over some sizes is a lower bound on
+    it.  With c/d = _E_ABOVE > e, e**-n > (d/c)**n within a factor
+    (1 + 2**-66)**n.  So with M the largest size, the terms sum to more
+    than sum_N n**N m_N (M! / N!) d**n / (M! c**n), in integers.
+    """
+    if not moments:
+        return 0, 1
+    c, d = (v ** n for v in _E_ABOVE)
+    top = math.factorial(max(moments))
+    return (d * sum(n ** size * m * (top // math.factorial(size))
+                    for size, m in moments.items()),
+            c * top)
+
+
+def _target_overflows(n: int, k: int) -> bool:
+    """True only if the exact scaled 2k-th moment is at least 2**1024.
+
+    The target is a sum with no negative term: the moment is an even
+    power sum of the real roots of He_(N+1).  So any partial sum is a
+    lower bound, and so is the g = 0 coefficient Catalan(k) of
+    moment_polynomial(k), whose coefficients are counts; Catalan(520)
+    is the first Catalan number of 2**1024 or more, so every k >= 520
+    overflows, at any n.  Row k's counts sit at 1/n**g, so the target
+    is largest at n = 1, where it is their sum, below 2**1024 for every
+    k <= 167.  The test suite checks both edges.  Only for 168 <= k < 520
+    are the sizes near the peak (_peak_sizes) walked (transformed_moment)
+    and their terms (_peak_terms) compared with 2**1024 exactly; a False
+    answer there proves nothing.
+    """
+    if k >= 520:
+        return True
+    if k < 168:
+        return False
+    total, scale = _peak_terms(n, {size: transformed_moment(size, k)
+                                   for size in _peak_sizes(n, k)})
+    return total >= scale * n ** k << 1024
+
+
+def _row_moment(row: dict[int, int], k: int, size: int) -> int:
+    """transformed_moment(size, k), read off row = moment_polynomial(k).
+
+    m_N = sum_g c_g N(N-1)...(N-k+g+1), the falling-factorial identity
+    moment_polynomials is built on, summed by Horner's rule in O(k).
+    """
+    m = 0
+    for g in range(k + 1):
+        m = m * (size - k + g) + row.get(g, 0)
+    return m
+
+
+def _z_unsupported(n: int, k: int, trials: int, row: dict[int, int]) -> bool:
+    """True only if half the target or more sits at sizes trials cannot see.
+
+    row is moment_polynomial(k), {g: c_g}.  At the sizes N with
+    trials * P(N) < 1 the trials are not expected to draw a single
+    value, so their standard error says nothing about the distance to
+    the terms there.  Of the sizes near the peak (_peak_sizes), those
+    are the N with trials * n**N b**n < N! a**n, a/b = _E_BELOW < e.
+    m_N is read off the row (_row_moment), and _peak_terms bounds their
+    share of the target exactly from below, without drawing a trial.
+    """
+    sizes = _peak_sizes(n, k)
+    if not sizes:
+        return False
+    a, b = (v ** n for v in _E_BELOW)
+    unseen = {size: _row_moment(row, k, size) for size in sizes
+              if trials * n ** size * b < math.factorial(size) * a}
+    total, scale = _peak_terms(n, unseen)
+    return 2 * total >= scale * sum(c * n ** (k - g) for g, c in row.items())
+
+
+def _target_rows(n: int, ks: Sequence[int]) -> list[dict[int, int]]:
+    """The moment row of order 2k for each k, {0: 1} at k = 0, from one
+    walk; OverflowError first if _target_overflows holds at any k."""
+    from .oracles import moment_polynomials
+
+    if any(_target_overflows(n, k) for k in ks):
+        raise OverflowError("the exact target exceeds the double range")
+    rows = moment_polynomials(max(ks)) if any(ks) else []
+    return [rows[k - 1] if k else {0: 1} for k in ks]
+
+
 def _moment_estimate(n: int, k: int, counts: dict[int, int],
-                     moments: dict[int, int]) -> tuple[float, float]:
+                     row: dict[int, int]) -> tuple[float, float]:
     """(mean, standard error) of the scaled 2k-th moment over drawn sizes.
 
-    counts is a tally of _drawn_sizes, and moments maps each size in it
-    to the exact integer 2k-th moment of the transformed measure at that
-    size.  The moments and their squares are summed exactly, and the
-    mean and the variance of the mean are each rounded once, so the
-    spread survives at any n where a float sum of squares would cancel.
-    A variance of the mean of 2**1024 or more has its root taken in
+    counts is a tally of _drawn_sizes, and each size's exact integer
+    moment is read off row, the moment row of order 2k (_row_moment).
+    The moments and their squares are summed exactly, and the mean and
+    the variance of the mean are each rounded once, so the spread
+    survives at any n where a float sum of squares would cancel.  A
+    variance of the mean of 2**1024 or more has its root taken in
     integers, as its square root can still fit a double.
     """
     trials = s1 = s2 = 0
     for size, count in counts.items():
-        v = moments[size]
+        v = _row_moment(row, k, size)
         trials += count
         s1 += count * v
         s2 += count * v * v
@@ -659,26 +775,47 @@ def mc_moments(n: int, ks: Sequence[int], trials: int,
                seed: int = DEFAULT_SEED) -> list[tuple[float, float]]:
     """Estimate scaled moments of orders 2k for each k, sharing the samples.
 
+    Returns (mean, standard error) per k.  Any k whose target
+    _target_overflows proves at least 2**1024 raises OverflowError first,
+    at n = 1 every k >= 168, before a row is built or a trial drawn.
     Each trial draws a Poisson(n) size from its own stream
-    (_drawn_sizes) and reads the exact scaled 2k-th moment of the
-    transformed measure at that size, transformed_moment(size, k) / n^k,
-    computed once per distinct size (_moment_estimate).  The estimate
-    thus tests the Poisson draw and the exact lookup; no shape is
-    sampled, since the moment does not depend on one.  For n up to 30
-    the draws are split over the available CPUs (_inversion_sizes); each
-    trial's stream depends on (seed, t) alone, so the results do not
-    depend on the CPU count.
-    Returns (mean, standard error) per requested k.
+    (_drawn_sizes), whose exact scaled 2k-th moment is read off the row
+    of order 2k (_target_rows, one walk for every k), once per distinct
+    size (_moment_estimate); no shape is sampled, since the moment does
+    not depend on one.  A float n is taken where every k is below 168.
+    Each trial's stream depends on (seed, t) alone, so the results do
+    not depend on how many CPUs share the draws (_inversion_sizes).
     """
-    if any(k < 0 for k in ks):
-        raise ValueError("moment orders must be nonnegative")
+    if n <= 0 or any(k < 0 for k in ks):
+        raise ValueError("the mean must be positive, each order nonnegative")
+    rows = _target_rows(n, ks)
     counts = _drawn_sizes(n, trials, seed)
-    return [_moment_estimate(n, k, counts, {size: transformed_moment(size, k)
-                                            for size in counts})
-            for k in ks]
+    return [_moment_estimate(n, k, counts, row) for k, row in zip(ks, rows)]
 
 
-def mc_moment(n: int, k: int, trials: int,
-              seed: int = DEFAULT_SEED) -> tuple[float, float]:
-    """Monte Carlo estimate and standard error of the scaled 2k-th moment."""
-    return mc_moments(n, [k], trials, seed)[0]
+def _checked_estimate(n: int, k: int, trials: int, seed: int
+                      ) -> tuple[float, float, int, int, float | None]:
+    """(estimate, stderr, num, den, z) of the sample command.
+
+    The estimate and stderr are mc_moments(n, [k], trials, seed)[0], and
+    num/den is the target, the row summed over 1/n**g, reduced; the int
+    division num / den rounds it as float(Fraction) does.  z is None if
+    _z_unsupported proves, before sampling, that the trials cannot see
+    half the target or more, or if a zero stderr (every trial gave the
+    same value) meets an estimate whose as_integer_ratio() is not
+    (num, den): no finite z-score describes that mismatch.
+    """
+    row, = _target_rows(n, [k])
+    unsupported = _z_unsupported(n, k, trials, row)
+    estimate, stderr = _moment_estimate(n, k, _drawn_sizes(n, trials, seed),
+                                        row)
+    num, den = sum(c * n ** (k - g) for g, c in row.items()), n ** k
+    common = math.gcd(num, den)
+    num, den = num // common, den // common
+    if unsupported:
+        z = None
+    elif stderr > 0:
+        z = (estimate - num / den) / stderr
+    else:
+        z = 0.0 if estimate.as_integer_ratio() == (num, den) else None
+    return estimate, stderr, num, den, z

@@ -30,10 +30,12 @@ transfer matrix with one list of closed-pair counts per state
 which it reaches by rook placements rather than by paths weighed over
 the falling factorials, and the path walk that keeps every height
 (transformed_moment_reference) is the one for the package's pruned
-transformed_moment.  The sample guards' window of sizes found by a
-hand-written bisection (peak_sizes_reference) and their z guard with
-every unseen moment walked (z_unsupported_by_walks) are the references
-for cli._peak_sizes and the row-read cli._z_unsupported.
+transformed_moment.  The sampler's guard window of sizes found by a
+hand-written bisection (peak_sizes_reference), its z guard with every
+unseen moment walked (z_unsupported_by_walks) and its estimate with
+every drawn size walked (mc_moments_by_walks) are the references for
+sampler._peak_sizes and the row-read sampler._z_unsupported and
+sampler.mc_moments.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import argparse
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt, log
+from math import factorial, isqrt, log, sqrt
 from random import Random
 from typing import Iterable, Iterator
 
@@ -50,8 +52,8 @@ from ppmoments import (AnsatzSum, Partition, PolyC, ansatz_to_series,
                        euler_apply, g_series, transition_measure)
 from ppmoments.algebra import (C_MINUS_ONE, POLY_ZERO, TWO_MINUS_C,
                                divide_out_root)
-from ppmoments import cli
-from ppmoments.cli import _poisson_mean, _positive
+from ppmoments import sampler
+from ppmoments.cli import _path, _poisson_mean, _positive
 from ppmoments.oracles import transformed_moment
 from ppmoments.sampler import DEFAULT_SEED
 
@@ -633,7 +635,7 @@ def argparse_reference_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "tsv"), default="json",
                        dest="output_format")
-        p.add_argument("--out", default=None, metavar="FILE")
+        p.add_argument("--out", type=_path, default=None, metavar="FILE")
 
     p = sub.add_parser("theta")
     p.add_argument("--g-max", type=_positive, default=4)
@@ -664,7 +666,7 @@ def argparse_reference_parser() -> argparse.ArgumentParser:
 
 
 def peak_sizes_reference(n: int, k: int) -> set[int]:
-    """cli._peak_sizes with the peak size found by a hand-written bisection.
+    """sampler._peak_sizes, its peak size found by a hand-written bisection.
 
     N ln(N/n) - k is < 0 at lo and taken to be >= 0 at hi throughout.
     """
@@ -675,7 +677,7 @@ def peak_sizes_reference(n: int, k: int) -> set[int]:
             lo = mid
         else:
             hi = mid
-    window = cli._WINDOW + 2 * isqrt(n)
+    window = sampler._WINDOW + 2 * isqrt(n)
     sizes = {*range(max(hi - window, 0), min(hi + window, 64 * k) + 1)}
     if n <= 64 * k:
         sizes.add(n)
@@ -684,14 +686,46 @@ def peak_sizes_reference(n: int, k: int) -> set[int]:
 
 def z_unsupported_by_walks(n: int, k: int, trials: int,
                            scaled_target: int) -> bool:
-    """cli._z_unsupported with each unseen moment walked, not read off a row.
+    """sampler._z_unsupported, each unseen moment walked, not read off a row.
 
     scaled_target is n**k times the target.  The window and the unseen
-    test are cli's; each m_N is transformed_moment(N, k).
+    test are the sampler's; each m_N is transformed_moment(N, k).
     """
-    a, b = (v ** n for v in cli._E_BELOW)
+    a, b = (v ** n for v in sampler._E_BELOW)
     unseen = {size: transformed_moment(size, k)
-              for size in cli._peak_sizes(n, k)
+              for size in sampler._peak_sizes(n, k)
               if trials * n ** size * b < factorial(size) * a}
-    total, scale = cli._peak_terms(n, unseen)
+    total, scale = sampler._peak_terms(n, unseen)
     return 2 * total >= scale * scaled_target
+
+
+def mc_moments_by_walks(n: int, ks: list[int], trials: int,
+                        seed: int = DEFAULT_SEED) -> list[tuple[float, float]]:
+    """sampler.mc_moments with each distinct drawn size's moment walked.
+
+    The draws are the sampler's (_drawn_sizes); each moment is
+    transformed_moment(size, k), not read off a row, and the exact sums
+    and their one rounding each are those of sampler._moment_estimate.
+    """
+    if any(k < 0 for k in ks):
+        raise ValueError("moment orders must be nonnegative")
+    counts = sampler._drawn_sizes(n, trials, seed)
+    estimates = []
+    for k in ks:
+        s1 = s2 = 0
+        for size, count in counts.items():
+            v = transformed_moment(size, k)
+            s1 += count * v
+            s2 += count * v * v
+        scale = n ** k
+        mean = s1 / (trials * scale)
+        if trials == 1:
+            estimates.append((mean, 0.0))
+            continue
+        var = trials * s2 - s1 * s1
+        den = trials * trials * (trials - 1) * scale * scale
+        try:
+            estimates.append((mean, sqrt(var / den)))
+        except OverflowError:  # the variance alone exceeds a double
+            estimates.append((mean, float(isqrt(var // den))))
+    return estimates

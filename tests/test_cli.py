@@ -20,8 +20,8 @@ import ppmoments.oracles as oracles
 import ppmoments.sampler as sampler
 from ppmoments.cli import main, run_moments, run_sample, run_theta, run_verify
 
-from helpers import (argparse_reference_parser, peak_sizes_reference,
-                     z_unsupported_by_walks)
+from helpers import (argparse_reference_parser, mc_moments_by_walks,
+                     peak_sizes_reference, z_unsupported_by_walks)
 
 
 def run_cli(capsys, *args):
@@ -655,7 +655,7 @@ _ARGV_CASES = [
     ["theta", "--g-max"],
     ["sample", "--seed", "--n", "3"],
     ["sample", "--seed", "-x"],
-    ["theta", "--out", "-h"],
+    ["theta", "--out", "-h"], ["theta", "--out", ""], ["theta", "--out="],
     ["bogus"], ["theta", "--bogus"], ["theta", "--k-max", "3"],
     ["theta", "3"], ["--g-max", "3", "theta"], ["th"],
     ["theta", "--g-max", "x"], ["theta", "--format", "xml"],
@@ -740,14 +740,14 @@ def test_target_overflow_bound_is_sound():
     # the bounds on e**-n are n-th powers of two rational bounds on e,
     # which must hold strictly and be close: their ratio is below
     # 1 + 2**-66
-    (a, b), (c, d) = cli._E_BELOW, cli._E_ABOVE
+    (a, b), (c, d) = sampler._E_BELOW, sampler._E_ABOVE
     with localcontext() as ctx:
         ctx.prec = 50
         assert Decimal(a) / b < Decimal(1).exp() < Decimal(c) / d
     assert (c * b - a * d) << 66 < a * d
     for n in (1, 2, 3, 30, 1000, 2 ** 53):
         for k in (1, 2, 3, 10, 40):
-            assert not cli._target_overflows(n, k)
+            assert not sampler._target_overflows(n, k)
     # the exact targets at the edge: n**k times the target is the row
     # summed at 1/n**g = n**(k - g) / n**k.  At n = 1 the target, the sum
     # of row k's counts, is 1.768e308 at k = 167 and overflows a double
@@ -765,18 +765,18 @@ def test_target_overflow_bound_is_sound():
     # it is the sum of row k's counts: no target with k <= 167 overflows,
     # and _target_overflows walks no size there
     assert all(sum(rows[k - 1].values()) < 2 ** 1024 for k in range(1, 168))
-    assert not cli._target_overflows(1, 167)
-    assert cli._target_overflows(1, 168)
+    assert not sampler._target_overflows(1, 167)
+    assert sampler._target_overflows(1, 168)
     assert (scaled_target(2, 184) < 2 ** (1024 + 184)
             and scaled_target(2, 185) >= 2 ** (1024 + 185))
-    assert not cli._target_overflows(2, 184)
-    assert cli._target_overflows(2, 185)
+    assert not sampler._target_overflows(2, 184)
+    assert sampler._target_overflows(2, 185)
     # Catalan(k), the g = 0 count, is at least 2**1024 from k = 520, so
     # every target overflows there, at any n
     assert (math.comb(1038, 519) // 520 < 2 ** 1024
             <= math.comb(1040, 520) // 521)
-    assert cli._target_overflows(2 ** 53, 520)
-    assert not cli._target_overflows(2 ** 53, 519)
+    assert sampler._target_overflows(2 ** 53, 520)
+    assert not sampler._target_overflows(2 ** 53, 519)
 
 
 def test_sample_guards_walk_nothing_they_need_not(monkeypatch):
@@ -788,32 +788,37 @@ def test_sample_guards_walk_nothing_they_need_not(monkeypatch):
         raise AssertionError(f"walked size {size} to horizon {2 * k_max}")
 
     monkeypatch.setattr(oracles, "_size_moments", walk)
-    assert cli._z_unsupported(8, 5, 10, rows[5])
-    assert cli._z_unsupported(5, 20, 10000, rows[20])
-    assert not cli._target_overflows(1000, 150)
+    assert sampler._z_unsupported(8, 5, 10, rows[5])
+    assert sampler._z_unsupported(5, 20, 10000, rows[20])
+    assert not sampler._target_overflows(1000, 150)
 
 
 def test_sample_reads_each_drawn_size_off_the_row(monkeypatch):
-    # the estimate is mc_moment's, bit for bit, without its per-size walk;
-    # n = 31 draws by rejection, and 200,000 trials split
+    # run_sample and mc_moments give the estimate of the walked route,
+    # bit for bit, without a per-size walk; n = 31 draws by rejection,
+    # and 200,000 trials split
     cases = [(2, 3, 5000), (2, 3, 200_000), (30, 4, 3000), (31, 2, 500),
              (1000, 20, 300)]
-    expected = {case: sampler.mc_moment(*case) for case in cases}
+    expected = {(n, k, trials): mc_moments_by_walks(n, [k], trials)[0]
+                for n, k, trials in cases}
 
-    def walk(size, k):
-        raise AssertionError(f"walked size {size} to order {2 * k}")
+    def walk(size, k_max):
+        raise AssertionError(f"walked size {size} to horizon {2 * k_max}")
 
-    monkeypatch.setattr(sampler, "transformed_moment", walk)
-    for case in cases:
-        row = run_sample(*case)["results"][0]
-        assert (row["estimate"], row["stderr"]) == expected[case], case
+    monkeypatch.setattr(oracles, "_size_moments", walk)
+    for n, k, trials in cases:
+        row = run_sample(n, k, trials)["results"][0]
+        want = expected[n, k, trials]
+        assert (row["estimate"], row["stderr"]) == want, (n, k, trials)
+        assert sampler.mc_moments(n, [k], trials) == [want], (n, k, trials)
 
 
 def test_peak_sizes_match_the_bisection():
     ks = [*range(1, 60), 100, 167, 168, 185, 300, 519, 520]
     for n in [*range(1, 3001), 10 ** 4, 10 ** 5, 10 ** 6, 2 ** 40, 2 ** 53]:
         for k in ks:
-            assert cli._peak_sizes(n, k) == peak_sizes_reference(n, k), (n, k)
+            assert sampler._peak_sizes(n, k) == \
+                peak_sizes_reference(n, k), (n, k)
 
 
 def test_z_guard_reads_the_walked_moments_off_the_row():
@@ -823,7 +828,7 @@ def test_z_guard_reads_the_walked_moments_off_the_row():
             row = oracles.moment_polynomial(k)
             scaled = sum(c * n ** (k - g) for g, c in row.items())
             for trials in (1, 10, 1000, 100000):
-                unsupported = cli._z_unsupported(n, k, trials, row)
+                unsupported = sampler._z_unsupported(n, k, trials, row)
                 assert unsupported == z_unsupported_by_walks(
                     n, k, trials, scaled), (n, k, trials)
                 fired += unsupported
@@ -863,7 +868,7 @@ def _unseen_share(n, k, trials):
     (5, 60, 10000)])
 def test_z_guard_fires_where_the_trials_see_little(n, k, trials):
     # seen shares 2.9e-93, 0.045, 2.5e-8, 8.8e-7 and 9.8e-13
-    assert cli._z_unsupported(n, k, trials, oracles.moment_polynomial(k))
+    assert sampler._z_unsupported(n, k, trials, oracles.moment_polynomial(k))
     assert _unseen_share(n, k, trials) > Decimal("0.95")
 
 
@@ -878,7 +883,7 @@ def test_z_guard_is_sound():
             row = oracles.moment_polynomial(k)
             for trials in (1, 10, 100, 1000, 10000):
                 unseen = _unseen_share(n, k, trials)
-                if cli._z_unsupported(n, k, trials, row):
+                if sampler._z_unsupported(n, k, trials, row):
                     fired += 1
                     assert unseen >= Decimal("0.5"), (n, k, trials)
                 elif unseen >= Decimal("0.5"):
@@ -1047,6 +1052,20 @@ def test_out_file_into_missing_directory_exits_two(tmp_path, capsys):
         f"ppmoments: cannot write {tmp_path}: ")
     assert list(tmp_path.iterdir()) == []
     assert list(tmp_path.parent.glob(f"{tmp_path.name}.*.tmp")) == []
+
+
+def test_out_empty_path_is_a_usage_error(capsys):
+    # an empty path names no file; the report must not go to stdout
+    # instead, as if --out had not been given
+    with pytest.raises(SystemExit) as exc:
+        main(["theta", "--g-max", "1", "--out", ""])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.splitlines() == [
+        "usage: ppmoments theta [--g-max G_MAX] [--format FORMAT] "
+        "[--out OUT]",
+        "ppmoments: error: argument --out: expected a path, not an empty "
+        "string"]
 
 
 def test_out_file_writes_a_fifo_in_place(tmp_path, capsys):

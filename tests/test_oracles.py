@@ -14,8 +14,8 @@ from ppmoments import (
     word_moment,
 )
 
-from ppmoments.cli import _row_moment
 from ppmoments.oracles import _word_rows
+from ppmoments.sampler import _row_moment
 
 from helpers import (
     LatticePath,

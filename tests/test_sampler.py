@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import ppmoments.oracles as oracles
 import ppmoments.sampler as sampler
 from ppmoments import (
     DEFAULT_SEED,
@@ -21,7 +23,6 @@ from ppmoments import (
     PolyC,
     RngState,
     TransitionMeasure,
-    mc_moment,
     mc_moments,
     moment_polynomial,
     poisson_sample,
@@ -339,15 +340,15 @@ def test_transformed_moment_is_uniform_on_hermite_roots():
 
 
 def test_mc_moment_zeroth_is_exact():
-    est, err = mc_moment(2, 0, trials=500, seed=1)
+    (est, err), = mc_moments(2, [0], trials=500, seed=1)
     assert est == 1.0 and err == 0.0
 
 
 def test_mc_moment_is_reproducible():
-    a = mc_moment(2, 2, trials=2000, seed=12345)
-    b = mc_moment(2, 2, trials=2000, seed=12345)
+    a = mc_moments(2, [2], trials=2000, seed=12345)[0]
+    b = mc_moments(2, [2], trials=2000, seed=12345)[0]
     assert a == b
-    c = mc_moment(2, 2, trials=2000, seed=54321)
+    c = mc_moments(2, [2], trials=2000, seed=54321)[0]
     assert a != c
     # pinned floats; n = 2 draws by inversion, n = 50 by PTRS rejection
     assert mc_moments(2, [2, 3], 2000, seed=7) == [
@@ -791,9 +792,37 @@ def test_mc_moments_releases_its_size_tally():
 
 def test_mc_moment_argument_validation():
     with pytest.raises(ValueError):
-        mc_moment(2, 2, trials=0)
+        mc_moments(2, [2], trials=0)
     with pytest.raises(ValueError):
         mc_moments(2, [-1], trials=10)
     for n in (0, -2):
         with pytest.raises(ValueError):
             mc_moments(n, [1], trials=10)
+
+
+@pytest.mark.parametrize("k", [600, 200000])
+def test_mc_moments_overflowing_target_raises_before_the_rows(monkeypatch,
+                                                               k):
+    # the overflow guard of the sample command runs first: no row is
+    # built (K = 519 alone takes about 16 s) and no trial is drawn
+    def forbidden(*args):
+        raise AssertionError(f"built rows or drew trials: {args}")
+
+    monkeypatch.setattr(oracles, "moment_polynomials", forbidden)
+    monkeypatch.setattr(sampler, "_drawn_sizes", forbidden)
+    start = time.perf_counter()
+    with pytest.raises(OverflowError):
+        mc_moments(2, [1, k], 10)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_mc_moments_shares_the_overflow_guard():
+    # at n = 1 the 600th moment is past 2**1024: the walked route gave a
+    # finite mean of 10 draws, 4.03e219, for a target no double holds
+    with pytest.raises(OverflowError):
+        mc_moments(1, [300], 10)
+    # a float mean is taken below k = 168, where the guard asks nothing
+    # of n
+    (est, err), = mc_moments(2.5, [2], 100)
+    assert math.isfinite(est) and err > 0
+
