@@ -36,8 +36,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 __all__ = [
     "NotFineStructure",
     "POLY_C",
-    "POLY_ONE",
-    "POLY_ZERO",
     "C_MINUS_ONE",
     "TWO_MINUS_C",
     "PolyC",
@@ -197,8 +195,7 @@ class PolyC(_Dense):
         return out
 
 
-POLY_ZERO = PolyC()
-POLY_ONE = PolyC((1,))
+_POLY_ZERO = PolyC()
 POLY_C = PolyC((0, 1))
 C_MINUS_ONE = PolyC((-1, 1))
 TWO_MINUS_C = PolyC((2, -1))
@@ -238,7 +235,7 @@ def sum_over_two_minus_c(pairs: Iterable[tuple]) -> tuple[PolyC, int]:
     (0, 0).  Since 2-c = -(c-2), the quotient by (c-2)^j changes sign
     when j is odd.
     """
-    acc, top = POLY_ZERO, 0
+    acc, top = _POLY_ZERO, 0
     for num, a in sorted(pairs, key=lambda pair: pair[1]):
         while acc and top < a:
             acc, top = acc * TWO_MINUS_C, top + 1
@@ -464,7 +461,7 @@ def fine_structure_to_rational(theta: Mapping[int, int], g: int) -> RationalFnC:
     """
     terms = {k: v for k, v in theta.items() if v}
     if not terms:
-        return RationalFnC(POLY_ZERO)
+        return RationalFnC(_POLY_ZERO)
     if min(terms) < 0:
         raise ValueError("theta is indexed by nonnegative powers of t")
     top = max(terms)

@@ -44,7 +44,6 @@ __all__ = [
     "chain_iterates",
     "chain_shape_violations",
     "euler_apply",
-    "f_initial",
     "f_series",
     "g_apply",
     "g_series",
@@ -102,9 +101,8 @@ class AnsatzSum:
                           for num, a, b in self.terms) or "0"
 
 
-def f_initial() -> AnsatzSum:
-    """The return-height generating function F(x,y) = c / (1 - xcy)."""
-    return AnsatzSum([(POLY_C, 0, 1)])
+# the return-height generating function F(x,y) = c / (1 - xcy)
+_F = AnsatzSum([(POLY_C, 0, 1)])
 
 
 def euler_apply(r: int, s: AnsatzSum) -> AnsatzSum:
@@ -183,7 +181,7 @@ def chain_iterates(r: int) -> Iterator[AnsatzSum]:
     Order 0 is F itself; order g applies the splitting operator of order
     g-1 to the order g-1 iterate, so the walk calls g_apply once per order.
     """
-    s = f_initial()
+    s = _F
     yield s
     for k in range(r):
         s = g_apply(k, s)
@@ -241,7 +239,7 @@ def ansatz_to_series(s: AnsatzSum, x_order: int, y_order: int) -> Grid:
 
 def f_series(x_order: int, y_order: int) -> Grid:
     """Closed-form expansion of F(x,y): grid of path counts by (length, end)."""
-    return ansatz_to_series(f_initial(), x_order, y_order)
+    return ansatz_to_series(_F, x_order, y_order)
 
 
 def g_series(x_order: int, y_order: int, z_order: int) -> list:

@@ -6,7 +6,11 @@ size alone.  So a trial draws a Poisson-distributed size and reads its
 exact moment off the moment row of order 2k (_row_moment), which tests
 the Poisson draw and the step from the row to the target, not the shape
 sampler.  mc_moments and the sample command (_checked_estimate) share
-one route: overflow guard, rows, draws, exact sums.
+one route: overflow guard, rows, draws, exact sums.  The guard settles
+most orders by two bounds on the target, and walks the sizes near the
+peak only where neither does (_target_overflows).  The module uses the
+package's DEFAULT_SEED and POISSON_MEAN_MAX and oracles'
+transformed_moment, and does not export them again.
 
 The shape sampler is separate.  sample_pp takes a
 Poisson-distributed size, a uniform random permutation of that size, and
@@ -69,9 +73,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "DEFAULT_SEED",
     "DuplicateEntries",
-    "POISSON_MEAN_MAX",
     "Partition",
     "RngState",
     "TransitionMeasure",
@@ -79,7 +81,6 @@ __all__ = [
     "poisson_sample",
     "rsk_shape",
     "sample_pp",
-    "transformed_moment",
     "transition_measure",
 ]
 
@@ -673,6 +674,22 @@ def _peak_terms(n: int, moments: dict[int, int]) -> tuple[int, int]:
             c * top)
 
 
+def _target_ceiling(n: int, k: int) -> int:
+    """Catalan(k) (n + k)**k, at least n**k times the scaled 2k-th moment.
+
+    n**k times the target is E[m_N] over Poisson(n) sizes N, with
+    m_N = transformed_moment(N, k) the sum over the Catalan(k) Dyck paths
+    of length 2k of the product of N - h + 1 over the k down steps, each
+    leaving a height h >= 1.  A path that climbs above N steps down from
+    N + 1, weight 0, so every other path weighs each down step by at
+    most N, and m_N <= Catalan(k) N**k.  The Stirling numbers of the
+    second kind have S(k, j) <= C(k, j) j**(k-j) <= C(k, j) k**(k-j)
+    (choose the j block minima, then a block for each other element),
+    so E[N**k] = sum_j S(k, j) n**j <= (n + k)**k.
+    """
+    return math.comb(2 * k, k) // (k + 1) * (n + k) ** k
+
+
 def _target_overflows(n: int, k: int) -> bool:
     """True only if the exact scaled 2k-th moment is at least 2**1024.
 
@@ -683,14 +700,16 @@ def _target_overflows(n: int, k: int) -> bool:
     is the first Catalan number of 2**1024 or more, so every k >= 520
     overflows, at any n.  Row k's counts sit at 1/n**g, so the target
     is largest at n = 1, where it is their sum, below 2**1024 for every
-    k <= 167.  The test suite checks both edges.  Only for 168 <= k < 520
-    are the sizes near the peak (_peak_sizes) walked (transformed_moment)
-    and their terms (_peak_terms) compared with 2**1024 exactly; a False
-    answer there proves nothing.
+    k <= 167.  The test suite checks both edges.  For 168 <= k < 520 a
+    ceiling on the target below 2**1024, _target_ceiling(n, k) / n**k,
+    answers False without a walk, as at (n, k) = (1000, 300).  Only
+    where it does not are the sizes near the peak (_peak_sizes) walked
+    (transformed_moment) and their terms (_peak_terms) compared with
+    2**1024 exactly; a False answer there proves nothing.
     """
     if k >= 520:
         return True
-    if k < 168:
+    if k < 168 or _target_ceiling(n, k) < n ** k << 1024:
         return False
     total, scale = _peak_terms(n, {size: transformed_moment(size, k)
                                    for size in _peak_sizes(n, k)})
@@ -775,18 +794,22 @@ def mc_moments(n: int, ks: Sequence[int], trials: int,
                seed: int = DEFAULT_SEED) -> list[tuple[float, float]]:
     """Estimate scaled moments of orders 2k for each k, sharing the samples.
 
-    Returns (mean, standard error) per k.  Any k whose target
-    _target_overflows proves at least 2**1024 raises OverflowError first,
+    Returns (mean, standard error) per k.  The mean n must be an int:
+    any other type raises TypeError before anything else is checked, and
+    n < 1 or a negative k raises ValueError.  Any k whose target
+    _target_overflows proves at least 2**1024 raises OverflowError next,
     at n = 1 every k >= 168, before a row is built or a trial drawn.
     Each trial draws a Poisson(n) size from its own stream
     (_drawn_sizes), whose exact scaled 2k-th moment is read off the row
     of order 2k (_target_rows, one walk for every k), once per distinct
     size (_moment_estimate); no shape is sampled, since the moment does
-    not depend on one.  A float n is taken where every k is below 168.
-    Each trial's stream depends on (seed, t) alone, so the results do
-    not depend on how many CPUs share the draws (_inversion_sizes).
+    not depend on one.  Each trial's stream depends on (seed, t) alone,
+    so the results do not depend on how many CPUs share the draws
+    (_inversion_sizes).
     """
-    if n <= 0 or any(k < 0 for k in ks):
+    if not isinstance(n, int):
+        raise TypeError(f"the mean must be an int, not {type(n).__name__}")
+    if n < 1 or any(k < 0 for k in ks):
         raise ValueError("the mean must be positive, each order nonnegative")
     rows = _target_rows(n, ks)
     counts = _drawn_sizes(n, trials, seed)

@@ -48,14 +48,12 @@ from math import factorial, isqrt, log, sqrt
 from random import Random
 from typing import Iterable, Iterator
 
-from ppmoments import (AnsatzSum, Partition, PolyC, ansatz_to_series,
-                       euler_apply, g_series, transition_measure)
-from ppmoments.algebra import (C_MINUS_ONE, POLY_ZERO, TWO_MINUS_C,
-                               divide_out_root)
-from ppmoments import sampler
+from ppmoments import DEFAULT_SEED, sampler
+from ppmoments.algebra import C_MINUS_ONE, TWO_MINUS_C, PolyC, divide_out_root
+from ppmoments.ansatz import AnsatzSum, ansatz_to_series, euler_apply, g_series
 from ppmoments.cli import _path, _poisson_mean, _positive
 from ppmoments.oracles import transformed_moment
-from ppmoments.sampler import DEFAULT_SEED
+from ppmoments.sampler import Partition, transition_measure
 
 
 def euler_grid(r, grid):
@@ -98,12 +96,12 @@ def kernel_by_division(b: int) -> tuple[PolyC, ...]:
     M's expanded coefficients; the division must leave no remainder.
     """
     two_b = TWO_MINUS_C ** b
-    m: list[PolyC] = [POLY_ZERO] * max(b + 1, 3)
+    m: list[PolyC] = [PolyC()] * max(b + 1, 3)
     m[b] = C_MINUS_ONE * C_MINUS_ONE
     for j, w in enumerate((-1, 2, -1)):
         m[j] = m[j] + w * two_b
     deg = len(m) - 1
-    k = [POLY_ZERO] * deg
+    k = [PolyC()] * deg
     k[deg - 1] = m[deg]
     for j in range(deg - 1, 0, -1):
         k[j - 1] = m[j] + TWO_MINUS_C * k[j]
@@ -126,7 +124,7 @@ def sum_over_two_minus_c_by_lifting(pairs) -> tuple[PolyC, int]:
     goes; the quotient by (c-2)^j changes sign when j is odd."""
     pairs = list(pairs)
     top = max((a for _, a in pairs), default=0)
-    acc = POLY_ZERO
+    acc = PolyC()
     for num, a in pairs:
         acc = acc + (num * TWO_MINUS_C ** (top - a) if a < top else num)
     q, j = divide_out_root(acc, 2, top)

@@ -7,29 +7,29 @@ import contextlib
 from fractions import Fraction
 from random import Random
 
-from ppmoments import (
-    DEFAULT_SEED,
+from ppmoments import DEFAULT_SEED
+from ppmoments.algebra import (
+    C_MINUS_ONE,
+    POLY_C,
     RationalFnC,
-    ansatz_to_series,
     catalan_series,
-    chain_shape_violations,
-    enum_paths,
     expand_in_x,
-    f_series,
     fine_structure_form,
-    g_apply,
+    theta_support_window,
+)
+from ppmoments.ansatz import (
+    ansatz_to_series,
+    chain_shape_violations,
     euler_apply,
+    f_series,
+    g_apply,
     g_series,
-    mc_moments,
-    moment_polynomial,
     operator_chain,
     phi,
-    theta_support_window,
-    transition_measure,
-    word_moment,
     y0_coefficient,
 )
-from ppmoments.algebra import C_MINUS_ONE, POLY_C
+from ppmoments.oracles import enum_paths, moment_polynomial, word_moment
+from ppmoments.sampler import mc_moments, transition_measure
 
 from helpers import (
     direct_g_apply_grid,

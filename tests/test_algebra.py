@@ -2,37 +2,33 @@ from random import Random
 
 import pytest
 
-from ppmoments import (
+from ppmoments.algebra import (
+    C_MINUS_ONE,
     NotFineStructure,
-    Partition,
+    POLY_C,
     PolyC,
     RationalFnC,
     SeriesX,
+    TWO_MINUS_C,
     catalan_number,
     catalan_series,
-    chain_iterates,
+    divide_out_root,
     expand_in_x,
     fine_structure_form,
     fine_structure_to_rational,
-    moment_polynomials,
-    theta_support_window,
-    transition_measure,
-    y0_coefficient,
-)
-from ppmoments.algebra import (
-    C_MINUS_ONE,
-    POLY_C,
-    POLY_ONE,
-    TWO_MINUS_C,
-    divide_out_root,
     sum_over_two_minus_c,
     theta_from_rows,
+    theta_support_window,
 )
+from ppmoments.ansatz import chain_iterates, y0_coefficient
 from ppmoments.cli import REFERENCE_THETA, _rook_column, run_sample
+from ppmoments.oracles import moment_polynomials
+from ppmoments.sampler import Partition, transition_measure
 
 from helpers import sum_over_two_minus_c_by_lifting
 
 C = POLY_C
+ONE = PolyC((1,))
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
 
@@ -162,7 +158,7 @@ def test_sum_over_two_minus_c():
         assert all(type(c) is int for c in num.coeffs)
     assert sum_over_two_minus_c([]) == (PolyC(()), 0)
     assert sum_over_two_minus_c([(C, 3), (-C, 3)]) == (PolyC(()), 0)
-    assert sum_over_two_minus_c([(2 * POLY_ONE, 2), (-C, 2)]) == (POLY_ONE, 1)
+    assert sum_over_two_minus_c([(2 * ONE, 2), (-C, 2)]) == (ONE, 1)
 
 
 def _random_pairs(rng, n, a_max=6):
@@ -209,7 +205,7 @@ def test_poly_derivative_and_eval():
     p = PolyC((3, 0, 1))  # 3 + c^2
     assert p.derivative() == PolyC((0, 2))
     assert p.eval_series(SeriesX(3, (0, 1))) == SeriesX(3, (3, 0, 1))
-    assert p ** 0 == POLY_ONE
+    assert p ** 0 == ONE
     assert (C + 1) ** 2 == PolyC((1, 2, 1))
 
 
@@ -294,7 +290,7 @@ def test_catalan_derivative_identity():
 
 def test_expand_in_x_basics():
     assert expand_in_x(RationalFnC(C), 10) == catalan_series(10)
-    assert list(expand_in_x(RationalFnC(POLY_ONE), 5)) == [1, 0, 0, 0, 0, 0]
+    assert list(expand_in_x(RationalFnC(ONE), 5)) == [1, 0, 0, 0, 0, 0]
 
 
 def test_expand_in_x_first_correction_matches_rook_counts():
@@ -330,7 +326,7 @@ def test_fine_structure_form_basics():
 
 def test_fine_structure_form_rejects_non_polynomial():
     with pytest.raises(NotFineStructure):
-        fine_structure_form(RationalFnC(POLY_ONE), 1)
+        fine_structure_form(RationalFnC(ONE), 1)
     with pytest.raises(NotFineStructure):  # c divides, but deg 3 > a - g
         fine_structure_form(RationalFnC(POLY_C * C_MINUS_ONE ** 3, 2), 1)
 

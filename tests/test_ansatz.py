@@ -4,26 +4,31 @@ from random import Random
 
 import pytest
 
-from ppmoments import (
-    AnsatzSum,
+from ppmoments.algebra import (
+    C_MINUS_ONE,
+    POLY_C,
     PolyC,
-    chain_iterates,
     RationalFnC,
-    ansatz_to_series,
-    chain_shape_violations,
-    enum_paths,
-    euler_apply,
-    f_initial,
-    f_series,
+    TWO_MINUS_C,
     fine_structure_form,
+    fine_structure_to_rational,
+    sum_over_two_minus_c,
+)
+from ppmoments.ansatz import (
+    _F,
+    AnsatzSum,
+    ansatz_to_series,
+    chain_iterates,
+    chain_shape_violations,
+    euler_apply,
+    f_series,
     g_apply,
     g_series,
     operator_chain,
     phi,
     y0_coefficient,
 )
-from ppmoments.algebra import (C_MINUS_ONE, POLY_C, POLY_ONE, TWO_MINUS_C,
-                               sum_over_two_minus_c)
+from ppmoments.oracles import enum_paths
 
 from helpers import (chain_shape_violations_by_lifting, direct_g_apply_grid,
                      euler_grid, g_apply_by_division, kernel_by_division,
@@ -31,12 +36,12 @@ from helpers import (chain_shape_violations_by_lifting, direct_g_apply_grid,
                      sum_over_two_minus_c_by_lifting)
 
 C = POLY_C
+ONE = PolyC((1,))
 
 
 def test_f_initial_is_single_term():
-    f = f_initial()
-    assert len(f) == 1
-    assert f.terms == ((C, 0, 1),)
+    assert len(_F) == 1
+    assert _F.terms == ((C, 0, 1),)
 
 
 def test_ansatz_sum_canonicalization():
@@ -68,19 +73,19 @@ def test_chain_iterates_are_the_closed_shape():
 
 
 def test_ansatz_serialization():
-    assert f_initial().to_json() == [{"num": ["0", "1"], "a": 0, "b": 1}]
+    assert _F.to_json() == [{"num": ["0", "1"], "a": 0, "b": 1}]
 
 
 def test_y0_coefficient_examples():
     assert y0_coefficient(AnsatzSum([(C, 0, 5)])) == RationalFnC(C)
-    assert y0_coefficient(f_initial()) == RationalFnC(C)
+    assert y0_coefficient(_F) == RationalFnC(C)
     assert y0_coefficient(AnsatzSum()) == RationalFnC(PolyC(()))
-    half_euler = euler_apply(0, f_initial())
+    half_euler = euler_apply(0, _F)
     assert y0_coefficient(half_euler) == RationalFnC(C * C_MINUS_ONE, 1)
 
 
 def test_euler_on_f_closed_form():
-    assert euler_apply(0, f_initial()) == AnsatzSum([(C * C_MINUS_ONE, 1, 2)])
+    assert euler_apply(0, _F) == AnsatzSum([(C * C_MINUS_ONE, 1, 2)])
 
 
 def test_euler_on_constant_in_u():
@@ -112,12 +117,12 @@ def test_g_apply_zero_sum():
 
 
 def test_g_apply_first_correction():
-    out = y0_coefficient(g_apply(0, f_initial()))
+    out = y0_coefficient(g_apply(0, _F))
     assert out == RationalFnC(C * C_MINUS_ONE ** 2, 3)
 
 
 def test_g_apply_chained_gives_second_order_table():
-    s = g_apply(1, g_apply(0, f_initial()))
+    s = g_apply(1, g_apply(0, _F))
     theta = fine_structure_form(y0_coefficient(s), 2)
     assert theta == {3: Fraction(1), 4: Fraction(14), 5: Fraction(15)}
 
@@ -148,7 +153,7 @@ def test_kernel_is_in_the_one_minus_u_basis():
         assert tuple(kernel) == kernel_by_division(b), b
         in_u = [kernel[-1]]  # Horner's rule in 1-u
         for lj in reversed(kernel[:-1]):
-            in_u = _times_x_minus_u(in_u, POLY_ONE)
+            in_u = _times_x_minus_u(in_u, ONE)
             in_u[0] += lj
         rhs = [(-1) ** s * comb(b, s) * C_MINUS_ONE ** 2
                for s in range(max(b + 1, 3))]
@@ -187,7 +192,6 @@ def test_phi_low_orders():
 
 
 def test_phi_round_trips_through_normal_form():
-    from ppmoments import fine_structure_to_rational
     for g in (1, 2, 3):
         f = phi(g)
         assert fine_structure_to_rational(fine_structure_form(f, g), g) == f
@@ -204,7 +208,7 @@ def test_operator_chain_shape():
     for r in range(1, 5):
         assert chain_shape_violations(operator_chain(r), r) == []
     with pytest.raises(ValueError):
-        chain_shape_violations(f_initial(), 0)
+        chain_shape_violations(_F, 0)
 
 
 def test_chain_shape_violations_name_each_break():
@@ -213,7 +217,7 @@ def test_chain_shape_violations_name_each_break():
     cases = [
         ((C, 0, 1), "term exponents (a=0, b=1) outside shape"),
         ((C, 8, 2), "term exponents (a=8, b=2) outside shape"),
-        ((POLY_ONE, 0, 2), "numerator at b=2 not divisible by c(c-1)^2"),
+        ((ONE, 0, 2), "numerator at b=2 not divisible by c(c-1)^2"),
         ((C * C_MINUS_ONE, 0, 2),  # c divides, (c-1)^2 does not
          "numerator at b=2 not divisible by c(c-1)^2"),
         ((C_MINUS_ONE ** 2, 0, 2),  # (c-1)^2 divides, c does not
@@ -257,7 +261,7 @@ def test_sum_and_shape_check_match_lifting_on_the_chain():
 
 
 def test_chain_iterates_apply_each_order_once():
-    s = f_initial()
+    s = _F
     iterates = list(chain_iterates(5))
     assert len(iterates) == 6 and iterates[0] == s
     for g, got in enumerate(iterates[1:], start=1):
@@ -265,13 +269,13 @@ def test_chain_iterates_apply_each_order_once():
         assert got == s
         assert all(type(c) is int for num, _, _ in got for c in num.coeffs)
     assert operator_chain(5) == iterates[-1]
-    assert operator_chain(0) == f_initial()
+    assert operator_chain(0) == _F
 
 
 def test_ansatz_to_series_zero_and_units():
     grid = ansatz_to_series(AnsatzSum(), 4, 4)
     assert all(v == 0 for row in grid for v in row)
-    fgrid = ansatz_to_series(f_initial(), 4, 4)
+    fgrid = ansatz_to_series(_F, 4, 4)
     assert fgrid[2][0] == 1  # single length-2 balanced path
     assert fgrid[3][1] == 2  # two length-3 paths reaching height 1
     assert fgrid[0][0] == 1  # empty path

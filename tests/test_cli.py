@@ -453,7 +453,7 @@ def test_no_command_loads_rational_arithmetic(module, args, loaded):
     # builds, imports it.  argparse pulls in gettext, and building a
     # parser with it loads locale; the command line is read from one
     # option table instead.  Each command imports the package modules it
-    # runs and no other, and the package resolves its names lazily.  A
+    # runs and no other, and importing the package loads none.  A
     # fresh isolated interpreter sees what a command loads, whatever this
     # test process has imported already
     done = subprocess.run([sys.executable, "-I", "-c", _PROBE, _SRC, module,
@@ -781,7 +781,8 @@ def test_target_overflow_bound_is_sound():
 
 def test_sample_guards_walk_nothing_they_need_not(monkeypatch):
     # the z guard reads its window off the moment row, and the overflow
-    # bound walks only for 168 <= k < 520
+    # bound walks only for 168 <= k < 520 where its ceiling settles
+    # nothing; at n = 1000 the walk took 1.8 s at k = 300, 3.7 s at 400
     rows = {k: oracles.moment_polynomial(k) for k in (5, 20)}
 
     def walk(size, k_max):
@@ -791,6 +792,19 @@ def test_sample_guards_walk_nothing_they_need_not(monkeypatch):
     assert sampler._z_unsupported(8, 5, 10, rows[5])
     assert sampler._z_unsupported(5, 20, 10000, rows[20])
     assert not sampler._target_overflows(1000, 150)
+    assert not sampler._target_overflows(1000, 300)
+    assert not sampler._target_overflows(1000, 400)
+
+
+def test_target_ceiling_is_sound():
+    # Catalan(k) (n + k)**k bounds n**k times the exact target, the row
+    # summed at 1/n**g, from above at every k <= 80, at small, middling
+    # and large means
+    rows = oracles.moment_polynomials(80)
+    for n in (*range(1, 40), 100, 1000, 10 ** 6):
+        for k in range(1, 81):
+            scaled = sum(c * n ** (k - g) for g, c in rows[k - 1].items())
+            assert scaled <= sampler._target_ceiling(n, k), (n, k)
 
 
 def test_sample_reads_each_drawn_size_off_the_row(monkeypatch):

@@ -2,12 +2,16 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-import pytest
-
 import ppmoments
+import ppmoments.algebra as algebra
+import ppmoments.ansatz as ansatz
 import ppmoments.oracles as oracles
+import ppmoments.sampler as sampler
 
 
 def test_every_exported_name_resolves():
@@ -23,46 +27,105 @@ def test_every_exported_name_resolves():
         assert not missing, f"{module.__name__} exports missing {missing}"
 
 
-# every name the package exported when it imported its modules eagerly,
-# but mc_moment, a one-line wrapper of mc_moments, since removed
-_PACKAGE_NAMES = [
-    "AnsatzSum", "DEFAULT_SEED", "DuplicateEntries", "NotFineStructure",
-    "Partition", "PolyC", "RationalFnC", "RngState", "SeriesX",
-    "TransitionMeasure", "__version__", "ansatz_to_series",
-    "catalan_number", "catalan_series", "chain_iterates",
-    "chain_shape_violations", "enum_paths", "euler_apply", "expand_in_x",
-    "f_initial", "f_series", "fine_structure_form",
-    "fine_structure_to_rational", "g_apply", "g_series", "mc_moments",
-    "moment_polynomial", "moment_polynomials", "operator_chain",
-    "path_counts", "phi", "poisson_sample", "rsk_shape", "sample_pp",
-    "theta_from_rows", "theta_support_window", "transformed_moment",
-    "transition_measure", "word_moment", "y0_coefficient"]
+# ROADMAP item 3 decides whether the shape sampler stays; until then
+# these names are public without a use in the package or README
+_UNDECIDED = {"ppmoments.sampler.DuplicateEntries",
+              "ppmoments.sampler.TransitionMeasure",
+              "ppmoments.sampler.sample_pp"}
 
 
-def test_every_package_name_resolves_lazily():
-    # the package resolves each name from the module that defines it on
-    # first access, as an attribute, by a from-import and in dir()
-    listing = dir(ppmoments)
-    for name in _PACKAGE_NAMES:
-        module = ppmoments._EXPORTS.get(name)
-        owner = (importlib.import_module(f"ppmoments.{module}") if module
-                 else ppmoments)
-        value = getattr(owner, name)
-        assert getattr(ppmoments, name) is value, name
-        namespace: dict = {}
-        exec(f"from ppmoments import {name}", namespace)
-        assert namespace[name] is value, name
-        assert name in listing, name
-        if callable(value):
-            assert value.__module__ == owner.__name__, name
-    assert set(ppmoments.__all__) <= set(listing)
-    assert set(ppmoments.__all__) == set(_PACKAGE_NAMES) - {"__version__"} \
-        | {"POISSON_MEAN_MAX"}
-    import ppmoments.sampler as sampler
-    assert sampler.DEFAULT_SEED is ppmoments.DEFAULT_SEED
-    assert sampler.POISSON_MEAN_MAX is ppmoments.POISSON_MEAN_MAX
-    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
-        ppmoments.nope
+def test_each_public_name_has_one_home_and_earns_it():
+    # the package holds only its two command-line constants and loads
+    # no submodule when imported
+    assert ppmoments.__all__ == ["DEFAULT_SEED", "POISSON_MEAN_MAX"]
+    for name in ("_EXPORTS", "__getattr__", "__dir__"):
+        assert name not in vars(ppmoments), name
+    src = str(Path(ppmoments.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-I", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import ppmoments; "
+         "print(sorted(m for m in sys.modules if m.startswith('ppmoments')))",
+         src], capture_output=True, text=True, timeout=60)
+    assert done.stdout == "['ppmoments']\n", done.stderr
+    # each object is listed by one __all__, that of the module defining it
+    modules = [ppmoments] + [
+        importlib.import_module(f"ppmoments.{info.name}")
+        for info in pkgutil.iter_modules(ppmoments.__path__)]
+    homes: dict[int, list[str]] = {}
+    for module in modules:
+        for name in module.__all__:
+            value = getattr(module, name)
+            homes.setdefault(id(value), []).append(f"{module.__name__}.{name}")
+            assert getattr(value, "__module__", module.__name__) == \
+                module.__name__, f"{module.__name__}.{name}"
+    shared = [names for names in homes.values() if len(names) > 1]
+    assert not shared, f"listed twice: {shared}"
+    # and each earns its place by one of the package docstring's reasons
+    listed = {f"{module.__name__}.{name}"
+              for module in modules for name in module.__all__}
+    unearned = listed - _UNDECIDED - _used_across_modules() \
+        - _documented(listed) - _entry_points() - _rebound_by_tracer()
+    assert not unearned, f"public without a reason: {sorted(unearned)}"
+    assert _UNDECIDED <= listed
+
+
+def _used_across_modules() -> set[str]:
+    """module.name for each name a package module imports from another."""
+    package = Path(ppmoments.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                source = ".".join(filter(None, ("ppmoments", node.module)))
+            elif (node.module or "").split(".")[0] == "ppmoments":
+                source = node.module
+            else:
+                continue
+            used.update(f"{source}.{alias.name}" for alias in node.names)
+    return used
+
+
+def _documented(listed: set[str]) -> set[str]:
+    """The listed names README spells inside a code span."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    words = {word for span in re.findall(r"`([^`]+)`", readme)
+             for word in re.findall(r"\w+", span)}
+    return {qualified for qualified in listed
+            if qualified.rsplit(".", 1)[1] in words}
+
+
+def _entry_points() -> set[str]:
+    """module.name of each [project.scripts] entry of pyproject.toml."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return {target.replace(":", ".")
+            for target in re.findall(r'^\S+\s*=\s*"([\w.:]+)"', scripts,
+                                     re.M)}
+
+
+def _rebound_by_tracer() -> set[str]:
+    """module.name of each function the benchmark's tracer rebinds, and of
+    each class whose attribute it rebinds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+    spec = importlib.util.spec_from_file_location("trace_child", path)
+    trace_child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_child)
+    rebound = set()
+    for owner, attr, *_ in trace_child.spans(_StubTracer()):
+        if isinstance(owner, type):
+            rebound.add(f"{owner.__module__}.{owner.__name__}")
+        else:
+            rebound.add(f"{owner.__name__}.{attr}")
+    return rebound
+
+
+class _StubTracer:
+    order = 0
+
+    def record_iterate(self, result, g):
+        pass
 
 
 def test_every_benchmark_span_resolves():
@@ -101,7 +164,7 @@ def test_exhaustive_enumerators_stay_out_of_the_package():
         present = [name for name in gone if hasattr(owner, name)]
         assert not present, f"{owner.__name__} still has {present}"
     for method in ("cells", "conjugate", "fits_staircase"):
-        assert not hasattr(ppmoments.Partition, method)
+        assert not hasattr(sampler.Partition, method)
     for path in Path(ppmoments.__file__).parent.glob("*.py"):
         roots = _imported_roots(path)
         assert "helpers" not in roots, f"{path.name} imports helpers"
@@ -114,15 +177,14 @@ def test_exhaustive_enumerators_stay_out_of_the_package():
 def test_retired_closed_form_names_stay_gone():
     # a closed form is stored once, as the reduced pair (num, a) over
     # (2-c)^a, a theta table is a plain dict, and so is a moment row
-    import ppmoments.algebra as algebra
     for owner, name in ((ppmoments, "FineStructureForm"),
                         (ppmoments, "MomentPolynomial"),
                         (oracles, "MomentPolynomial"),
                         (algebra, "FineStructureForm"),
                         (algebra, "strip_two_minus_c"),
-                        (ppmoments.AnsatzSum, "scale"),
-                        (ppmoments.AnsatzSum, "__add__"),
-                        (ppmoments.RationalFnC, "den")):
+                        (ansatz.AnsatzSum, "scale"),
+                        (ansatz.AnsatzSum, "__add__"),
+                        (algebra.RationalFnC, "den")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
 
 

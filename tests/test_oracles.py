@@ -3,9 +3,9 @@ import tracemalloc
 
 import pytest
 
-from ppmoments import (
-    Partition,
-    catalan_number,
+from ppmoments.algebra import catalan_number
+from ppmoments.oracles import (
+    _word_rows,
     enum_paths,
     moment_polynomial,
     moment_polynomials,
@@ -13,9 +13,7 @@ from ppmoments import (
     transformed_moment,
     word_moment,
 )
-
-from ppmoments.oracles import _word_rows
-from ppmoments.sampler import _row_moment
+from ppmoments.sampler import Partition, _row_moment
 
 from helpers import (
     LatticePath,

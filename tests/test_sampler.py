@@ -16,22 +16,21 @@ import pytest
 
 import ppmoments.oracles as oracles
 import ppmoments.sampler as sampler
-from ppmoments import (
-    DEFAULT_SEED,
+from ppmoments import DEFAULT_SEED
+from ppmoments.algebra import PolyC
+from ppmoments.cli import main, run_sample
+from ppmoments.oracles import moment_polynomial, transformed_moment
+from ppmoments.sampler import (
     DuplicateEntries,
     Partition,
-    PolyC,
     RngState,
     TransitionMeasure,
     mc_moments,
-    moment_polynomial,
     poisson_sample,
     rsk_shape,
     sample_pp,
-    transformed_moment,
     transition_measure,
 )
-from ppmoments.cli import main, run_sample
 
 from helpers import (corner_moment_rows, hermite_coeffs, partitions_of,
                      power_sums, rook_rows_reference, tableau_count,
@@ -816,13 +815,23 @@ def test_mc_moments_overflowing_target_raises_before_the_rows(monkeypatch,
     assert time.perf_counter() - start < 1.0
 
 
-def test_mc_moments_shares_the_overflow_guard():
+def test_mc_moments_shares_the_overflow_guard(monkeypatch):
     # at n = 1 the 600th moment is past 2**1024: the walked route gave a
     # finite mean of 10 draws, 4.03e219, for a target no double holds
     with pytest.raises(OverflowError):
         mc_moments(1, [300], 10)
-    # a float mean is taken below k = 168, where the guard asks nothing
-    # of n
-    (est, err), = mc_moments(2.5, [2], 100)
-    assert math.isfinite(est) and err > 0
+    # the mean is an int, and any other type is refused at entry, before
+    # any guard, row or draw: a float mean once worked below k = 168 and
+    # raised from range() in the guard's window above it
+    def forbidden(*args):
+        raise AssertionError(f"guarded, built rows or drew trials: {args}")
+
+    monkeypatch.setattr(sampler, "_target_overflows", forbidden)
+    monkeypatch.setattr(oracles, "moment_polynomials", forbidden)
+    monkeypatch.setattr(sampler, "_drawn_sizes", forbidden)
+    for mean in (2.5, 2.0, "2", Fraction(2), None):
+        for k in (2, 170):
+            with pytest.raises(TypeError,
+                               match="^the mean must be an int, not "):
+                mc_moments(mean, [k], 100)
 
