@@ -1,6 +1,6 @@
 """Routes to the exact moment polynomials in 1/n.
 
-Three production routes feed the reports:
+These routes feed the reports:
 
   * the falling-factorial walk (moment_polynomials): the 2k-th moment
     at a symbolic size N, a polynomial in N kept at each height over
@@ -11,8 +11,9 @@ Three production routes feed the reports:
     the sum of all raising/lowering operator words of length 2k,
     normal-ordered under [d, u] = 1/n by one walk of 2k_max letters over
     (height, pending lowering steps) that yields every row k = 1..k_max;
-  * path_counts and enum_paths: nonnegative lattice paths between two
-    heights.
+  * path_counts: nonnegative lattice paths from one height, by length
+    and end height.  enum_paths reads one entry of that walk; it is a
+    one-entry convenience, and no report calls it.
 
 The first two give the same moment polynomials independently, each
 row a plain {g: count} dict with the count at 1/n**g, and the closed

@@ -15,19 +15,20 @@ transformed_moment, and does not export them again.
 The shape sampler is separate.  sample_pp takes a
 Poisson-distributed size, a uniform random permutation of that size, and
 the insertion-tableau shape of the permutation, a Partition (defined
-here, since only the shape side uses it).  The transition measure of a
-partition is the discrete probability measure supported on the
-contents of its addable corners, with weights given by the partial
-fractions of
+here, since only the shape side uses it).  The corner (transition)
+measure of a partition is the probability measure on the contents a_i
+of its addable corners whose Cauchy transform is
 
-    prod_j (x - b_j) / prod_i (x - a_i)
+    prod_j (z - b_j) / prod_i (z - a_i),
 
-over upper corner contents a_i and lower corner contents b_j.  Corner
-arithmetic is exact; positions are rescaled by 1/sqrt(n), so even scaled
-moments stay rational.  The corner measure has the same mass, mean and
-variance as the transformed measure of a partition of the same size.
-Averaged over Poissonized Plancherel, its sixth and eighth moments are
-larger; tests/test_sampler.py pins both rows.
+with b_j the contents of its removable corners.  Both products are
+monic integer polynomials, so every moment is an int, and corner_moments
+reads them off one power-series division; positions rescaled by
+1/sqrt(n) divide the k-th moment by n**(k/2).  The corner measure has
+the same mass, mean and variance as the transformed measure of a
+partition of the same size.  Averaged over Poissonized Plancherel, its
+sixth and eighth moments are larger; tests/test_sampler.py pins both
+rows.
 
 Randomness comes from a counter-based 64-bit generator that derives an
 independent stream per trial index, so results are identical no matter
@@ -64,24 +65,20 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from . import DEFAULT_SEED, POISSON_MEAN_MAX
 from .oracles import transformed_moment
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "DuplicateEntries",
     "Partition",
     "RngState",
-    "TransitionMeasure",
+    "corner_moments",
     "mc_moments",
     "poisson_sample",
     "rsk_shape",
     "sample_pp",
-    "transition_measure",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -362,78 +359,31 @@ def sample_pp(n: int, rng: RngState) -> Partition:
     return rsk_shape(perm)
 
 
-class TransitionMeasure:
-    """Corner measure of a partition, rescaled by 1/sqrt(n).
+def corner_moments(shape: Partition, order_max: int) -> list[int]:
+    """Moments m_0..m_order_max of the corner measure of shape, unscaled.
 
-    Atoms are stored as the exact integer contents of the addable
-    corners; the 1/sqrt(n) rescaling is applied symbolically, so every
-    even scaled moment is an exact rational (content^2k / n^k) and the
-    odd unscaled moments are exact as well.
+    With w = 1/z the Cauchy transform sum_k m_k z**(-k-1) is w P(w)/Q(w),
+    P = prod_j (1 - b_j w) over the removable contents b_j and
+    Q = prod_i (1 - a_i w) over the addable contents a_i.  Q(0) = 1, so
+    m_k = P_k - sum_(i=1..k) Q_i m_(k-i), in ints.
     """
+    if order_max < 0:
+        raise ValueError("order_max must be nonnegative")
 
-    __slots__ = ("atoms", "weights", "lower", "n")
+    def series(contents: list[int]) -> list[int]:
+        poly = [1] + [0] * order_max
+        for c in contents:
+            for i in range(order_max, 0, -1):
+                poly[i] -= c * poly[i - 1]
+        return poly
 
-    def __init__(self, atoms: Iterable[int], weights: Iterable[Fraction],
-                 lower: Iterable[int], n: int):
-        from fractions import Fraction  # deferred: see transition_measure
-        object.__setattr__(self, "atoms", tuple(int(a) for a in atoms))
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in weights))
-        object.__setattr__(self, "lower", tuple(int(b) for b in lower))
-        object.__setattr__(self, "n", int(n))
-        if len(self.atoms) != len(self.weights):
-            raise ValueError("one weight per atom required")
-        if not self.atoms:  # every sum below is then a Fraction
-            raise ValueError("at least one atom required")
-        if n < 1:
-            raise ValueError("n must be positive")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TransitionMeasure is immutable")
-
-    def total_mass(self) -> Fraction:
-        return sum(self.weights)
-
-    def unscaled_moment(self, order: int) -> Fraction:
-        """Moment of the integer-content measure, before rescaling."""
-        return sum(w * a ** order for a, w in zip(self.atoms, self.weights))
-
-    def moment(self, order: int) -> Fraction:
-        """Exact scaled moment; defined for even orders (and zero)."""
-        if order % 2:
-            raise ValueError("scaled odd moments are irrational; "
-                             "use unscaled_moment")
-        return self.unscaled_moment(order) / self.n ** (order // 2)
-
-    def to_json(self) -> dict:
-        return {"n": self.n,
-                "atoms": [str(a) for a in self.atoms],
-                "weights": [str(w) for w in self.weights]}
-
-
-def transition_measure(shape: Partition, n: int) -> TransitionMeasure:
-    """Exact transition measure of a partition at poissonization n.
-
-    Upper (addable) corner contents a_i carry the weights
-    prod_j (a_i - b_j) / prod_{j != i} (a_i - a_j) over the lower
-    (removable) corner contents b_j.  The weights are Fractions, and
-    fractions is imported here rather than at the top of the module: it
-    loads decimal and numbers, and no command builds a corner measure,
-    so a command that imports this module does not pay for them.
-    """
-    from fractions import Fraction
-    uppers = shape.addable_contents()
-    lowers = shape.removable_contents()
-    weights = []
-    for i, a in enumerate(uppers):
-        num = 1
-        for b in lowers:
-            num *= a - b
-        den = 1
-        for j, a2 in enumerate(uppers):
-            if j != i:
-                den *= a - a2
-        weights.append(Fraction(num, den))
-    return TransitionMeasure(uppers, weights, lowers, n)
+    p = series(shape.removable_contents())
+    q = series(shape.addable_contents())
+    moments: list[int] = []
+    for k in range(order_max + 1):
+        moments.append(p[k] - sum(q[i] * moments[k - i]
+                                  for i in range(1, k + 1)))
+    return moments
 
 
 def _tally_trials(mean: float, seed: int, first: int, last: int) -> list[int]:
@@ -790,15 +740,17 @@ def _moment_estimate(n: int, k: int, counts: dict[int, int],
         return mean, float(math.isqrt(var // den))
 
 
-def mc_moments(n: int, ks: Sequence[int], trials: int,
+def mc_moments(n: int, ks: Iterable[int], trials: int,
                seed: int = DEFAULT_SEED) -> list[tuple[float, float]]:
     """Estimate scaled moments of orders 2k for each k, sharing the samples.
 
-    Returns (mean, standard error) per k.  The mean n must be an int:
-    any other type raises TypeError before anything else is checked, and
-    n < 1 or a negative k raises ValueError.  Any k whose target
-    _target_overflows proves at least 2**1024 raises OverflowError next,
-    at n = 1 every k >= 168, before a row is built or a trial drawn.
+    Returns (mean, standard error) per k, in the order of ks, which is
+    read once, so any iterable will do.  The mean n must be an int: any
+    other type raises TypeError before anything else is checked, and
+    n < 1 or a negative k raises ValueError; an empty ks then returns []
+    before a trial is drawn.  Any k whose target _target_overflows
+    proves at least 2**1024 raises OverflowError next, at n = 1 every
+    k >= 168, before a row is built or a trial drawn.
     Each trial draws a Poisson(n) size from its own stream
     (_drawn_sizes), whose exact scaled 2k-th moment is read off the row
     of order 2k (_target_rows, one walk for every k), once per distinct
@@ -809,8 +761,11 @@ def mc_moments(n: int, ks: Sequence[int], trials: int,
     """
     if not isinstance(n, int):
         raise TypeError(f"the mean must be an int, not {type(n).__name__}")
+    ks = list(ks)
     if n < 1 or any(k < 0 for k in ks):
         raise ValueError("the mean must be positive, each order nonnegative")
+    if not ks:
+        return []
     rows = _target_rows(n, ks)
     counts = _drawn_sizes(n, trials, seed)
     return [_moment_estimate(n, k, counts, row) for k, row in zip(ks, rows)]

@@ -24,7 +24,10 @@ rook_polynomial) summed over every staircase shape
 (staircase_partitions, rook_counts_exhaustive), the Dyck words
 (dyck_words) each rewritten on its own (normal_order), every
 partition of a size (partitions_of), and the Plancherel average of the
-corner transition measure's moments (corner_moment_rows).  The rook
+corner transition measure's moments (corner_moment_rows).  The corner
+measure's atoms and Fraction weights by partial fractions
+(corner_measure_by_partial_fractions) are the reference for the
+power-series division of sampler.corner_moments.  The rook
 transfer matrix with one list of closed-pair counts per state
 (rook_rows_reference) is the reference for the package's moment rows,
 which it reaches by rook placements rather than by paths weighed over
@@ -53,7 +56,7 @@ from ppmoments.algebra import C_MINUS_ONE, TWO_MINUS_C, PolyC, divide_out_root
 from ppmoments.ansatz import AnsatzSum, ansatz_to_series, euler_apply, g_series
 from ppmoments.cli import _path, _poisson_mean, _positive
 from ppmoments.oracles import transformed_moment
-from ppmoments.sampler import Partition, transition_measure
+from ppmoments.sampler import Partition
 
 
 def euler_grid(r, grid):
@@ -458,7 +461,31 @@ def tableau_count(shape: Partition) -> int:
     return factorial(shape.size) // hooks
 
 
-def corner_moment_rows(k: int) -> dict[int, Fraction]:
+def corner_measure_by_partial_fractions(
+        shape: Partition) -> tuple[list[int], list[Fraction], list[int]]:
+    """(atoms, weights, lower) of the corner measure of shape.
+
+    The atoms are the addable contents a_i, the lower contents are the
+    removable ones b_j, and the weights are the partial fractions
+    prod_j (a_i - b_j) / prod_(i' != i) (a_i - a_i') of
+    prod_j (z - b_j) / prod_i (z - a_i).  This is the reference for the
+    power-series division of sampler.corner_moments.
+    """
+    atoms = shape.addable_contents()
+    lower = shape.removable_contents()
+    weights = []
+    for i, a in enumerate(atoms):
+        num = den = 1
+        for b in lower:
+            num *= a - b
+        for j, other in enumerate(atoms):
+            if j != i:
+                den *= a - other
+        weights.append(Fraction(num, den))
+    return atoms, weights, lower
+
+
+def corner_moment_rows(k: int) -> dict[int, int]:
     """1/n^g -> coefficient of the Poissonized Plancherel average of the
     2k-th moment of Kerov's corner transition measure, by enumeration.
 
@@ -466,10 +493,12 @@ def corner_moment_rows(k: int) -> dict[int, Fraction]:
     polynomial of degree k in N.  Its forward differences at N = 0 give
     the coefficients a_j of the falling factorials N^(j); Poissonization
     sends N^(j) to n^j, so after scaling by n^k the 1/n^g row is a_(k-g).
-    One point past degree k checks the fit.
+    One point past degree k checks the fit.  The averages are kept as
+    ints times (k+1)!, and each division back is checked to be exact.
     """
-    values = [sum(Fraction(tableau_count(lam) ** 2, factorial(size))
-                  * transition_measure(lam, 1).unscaled_moment(2 * k)
+    scale = factorial(k + 1)
+    values = [sum(tableau_count(lam) ** 2 * (scale // factorial(size))
+                  * sampler.corner_moments(lam, 2 * k)[2 * k]
                   for lam in partitions_of(size))
               for size in range(k + 2)]
     diffs = []
@@ -478,7 +507,14 @@ def corner_moment_rows(k: int) -> dict[int, Fraction]:
         values = [b - a for a, b in zip(values, values[1:])]
     if diffs[k + 1]:
         raise ValueError(f"the k={k} average is not of degree k in N")
-    return {k - j: diffs[j] / factorial(j) for j in range(k + 1) if diffs[j]}
+    row = {}
+    for j in range(k + 1):
+        count, rest = divmod(diffs[j], scale * factorial(j))
+        if rest:
+            raise ValueError(f"the k={k} coefficient of N^({j}) is not an int")
+        if count:
+            row[k - j] = count
+    return row
 
 
 @lru_cache(maxsize=None)

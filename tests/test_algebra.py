@@ -23,7 +23,6 @@ from ppmoments.algebra import (
 from ppmoments.ansatz import chain_iterates, y0_coefficient
 from ppmoments.cli import REFERENCE_THETA, _rook_column, run_sample
 from ppmoments.oracles import moment_polynomials
-from ppmoments.sampler import Partition, transition_measure
 
 from helpers import sum_over_two_minus_c_by_lifting
 
@@ -36,11 +35,8 @@ def test_rationals_are_canonical():
     # the package renders an exact rational reduced, as "p/q" or "p"
     assert run_sample(2, 3, 1)["results"][0]["predicted"] == "37/4"
     assert run_sample(2, 1, 1)["results"][0]["predicted"] == "1"
-    tm = transition_measure(Partition((2,)), 1)
-    assert tm.atoms == (2, -1)
-    assert tm.to_json()["weights"] == ["1/3", "2/3"]
-    tm = transition_measure(Partition((2, 1)), 4)
-    assert tm.to_json()["weights"] == ["3/8", "1/4", "3/8"]  # 2/8 reduced
+    assert run_sample(4, 2, 1)["results"][0]["predicted"] == "9/4"  # 36/16
+    assert run_sample(6, 2, 1)["results"][0]["predicted"] == "13/6"  # 78/36
 
 
 def test_poly_construction_trims_and_indexes():

@@ -30,7 +30,6 @@ def test_every_exported_name_resolves():
 # ROADMAP item 3 decides whether the shape sampler stays; until then
 # these names are public without a use in the package or README
 _UNDECIDED = {"ppmoments.sampler.DuplicateEntries",
-              "ppmoments.sampler.TransitionMeasure",
               "ppmoments.sampler.sample_pp"}
 
 
@@ -166,12 +165,24 @@ def test_exhaustive_enumerators_stay_out_of_the_package():
     for method in ("cells", "conjugate", "fits_staircase"):
         assert not hasattr(sampler.Partition, method)
     for path in Path(ppmoments.__file__).parent.glob("*.py"):
-        roots = _imported_roots(path)
-        assert "helpers" not in roots, f"{path.name} imports helpers"
-        # the closed-form algebra, the moment rows and every report run
-        # on ints alone
-        if path.name in ("algebra.py", "ansatz.py", "cli.py", "oracles.py"):
-            assert "fractions" not in roots, f"{path.name} imports fractions"
+        assert "helpers" not in _imported_roots(path), \
+            f"{path.name} imports helpers"
+
+
+def test_no_package_module_imports_fractions():
+    # the closed-form algebra, the moment rows, the corner moments and
+    # every report run on ints alone.  The CI start-up probe sees only
+    # what the commands it probes load when they run; this reads every
+    # import statement, deferred and TYPE_CHECKING ones too
+    paths = sorted(Path(ppmoments.__file__).parent.glob("*.py"))
+    assert len(paths) >= 6
+    for path in paths:
+        assert "fractions" not in _imported_roots(path), \
+            f"{path.name} imports fractions"
+    # the corner measure is its int moments (sampler.corner_moments); its
+    # Fraction weights are a test reference in tests/helpers.py
+    for name in ("TransitionMeasure", "transition_measure"):
+        assert not hasattr(sampler, name), name
 
 
 def test_retired_closed_form_names_stay_gone():

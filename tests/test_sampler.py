@@ -24,16 +24,16 @@ from ppmoments.sampler import (
     DuplicateEntries,
     Partition,
     RngState,
-    TransitionMeasure,
+    corner_moments,
     mc_moments,
     poisson_sample,
     rsk_shape,
     sample_pp,
-    transition_measure,
 )
 
-from helpers import (corner_moment_rows, hermite_coeffs, partitions_of,
-                     power_sums, rook_rows_reference, tableau_count,
+from helpers import (corner_measure_by_partial_fractions, corner_moment_rows,
+                     hermite_coeffs, partitions_of, power_sums,
+                     rook_rows_reference, tableau_count,
                      transformed_moment_reference)
 
 
@@ -197,39 +197,33 @@ def test_sample_pp_shape_distribution_at_size_three():
 
 
 def test_transition_measure_examples():
-    tm = transition_measure(Partition(()), 1)
-    assert tm.atoms == (0,) and tm.weights == (Fraction(1),)
-    tm = transition_measure(Partition((1,)), 1)
-    assert set(zip(tm.atoms, tm.weights)) == {(1, Fraction(1, 2)),
-                                              (-1, Fraction(1, 2))}
-    tm = transition_measure(Partition((2,)), 1)
-    assert set(zip(tm.atoms, tm.weights)) == {(2, Fraction(1, 3)),
-                                              (-1, Fraction(2, 3))}
-
-
-def test_transition_measure_stays_exact_from_int_weights():
-    # the weights become Fractions, so no moment turns into a float
-    tm = TransitionMeasure((1, -1), (1, 1), (0,), 2)
-    assert tm.weights == (Fraction(1), Fraction(1))
-    for value in (tm.total_mass(), tm.unscaled_moment(1), tm.moment(0),
-                  tm.moment(2)):
-        assert isinstance(value, Fraction)
-    assert tm.moment(2) == 1
+    assert corner_measure_by_partial_fractions(Partition(())) == \
+        ([0], [Fraction(1)], [])
+    atoms, weights, _ = corner_measure_by_partial_fractions(Partition((1,)))
+    assert set(zip(atoms, weights)) == {(1, Fraction(1, 2)),
+                                        (-1, Fraction(1, 2))}
+    atoms, weights, _ = corner_measure_by_partial_fractions(Partition((2,)))
+    assert set(zip(atoms, weights)) == {(2, Fraction(1, 3)),
+                                        (-1, Fraction(2, 3))}
+    assert corner_moments(Partition(()), 3) == [1, 0, 0, 0]
+    assert corner_moments(Partition((2,)), 3) == [1, 0, 2, 2]
+    # atoms 2, 0, -2 with weights 3/8, 1/4, 3/8
+    assert corner_moments(Partition((2, 1)), 4) == [1, 0, 3, 0, 12]
     with pytest.raises(ValueError):
-        TransitionMeasure((), (), (), 1)
+        corner_moments(Partition((1,)), -1)
 
 
 def test_transition_measure_exact_invariants():
     for size in range(7):
         for lam in partitions_of(size):
-            tm = transition_measure(lam, 3)
-            assert all(w > 0 for w in tm.weights)
-            assert tm.total_mass() == 1
-            assert tm.unscaled_moment(1) == 0
-            assert tm.moment(2) == Fraction(size, 3)
+            atoms, weights, lower = corner_measure_by_partial_fractions(lam)
+            assert all(w > 0 for w in weights)
+            assert sum(weights) == 1
+            assert sum(w * a for a, w in zip(atoms, weights)) == 0
+            assert sum(w * a * a for a, w in zip(atoms, weights)) == size
             # atoms strictly interlace the lower corners
             seq = []
-            for a, b in zip(tm.atoms, tm.lower + (None,)):
+            for a, b in zip(atoms, lower + [None]):
                 seq.append(a)
                 if b is not None:
                     seq.append(b)
@@ -240,18 +234,33 @@ def test_transition_measure_partial_fractions():
     # prod (x - lower) equals sum_i w_i prod_{j != i} (x - atom_j), exactly
     for size in range(7):
         for lam in partitions_of(size):
-            tm = transition_measure(lam, 1)
+            atoms, weights, lower = corner_measure_by_partial_fractions(lam)
             lhs = PolyC((1,))
-            for b in tm.lower:
+            for b in lower:
                 lhs = lhs * PolyC((-b, 1))
             rhs = PolyC(())
-            for i, w in enumerate(tm.weights):
+            for i, w in enumerate(weights):
                 term = PolyC((w,))
-                for j, a in enumerate(tm.atoms):
+                for j, a in enumerate(atoms):
                     if j != i:
                         term = term * PolyC((-a, 1))
                 rhs = rhs + term
             assert lhs == rhs
+
+
+def test_corner_moments_match_the_partial_fractions():
+    # one power-series division in ints gives sum_i w_i a_i**k, for every
+    # partition of N <= 12 (272 shapes) at every order k <= 12
+    shapes = 0
+    for size in range(13):
+        for lam in partitions_of(size):
+            atoms, weights, _ = corner_measure_by_partial_fractions(lam)
+            moments = corner_moments(lam, 12)
+            assert all(type(m) is int for m in moments)
+            assert moments == [sum(w * a ** k for a, w in zip(atoms, weights))
+                               for k in range(13)]
+            shapes += 1
+    assert shapes == 272
 
 
 def test_tableau_count_is_plancherel():
@@ -282,14 +291,17 @@ def test_corner_measure_rows_differ_from_the_size_only_measure():
         assert CORNER_ROWS[k] != size_only
 
 
-def test_transition_measure_scaled_moment_conventions():
-    tm = transition_measure(Partition((2, 1)), 4)
-    assert tm.moment(0) == 1
-    assert tm.moment(2) == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        tm.moment(3)
-    assert tm.to_json() == {"n": 4, "atoms": ["2", "0", "-2"],
-                            "weights": ["3/8", "1/4", "3/8"]}
+def test_corner_rows_are_catalan_times_central_factorial_numbers():
+    # R(k, g) = Catalan(k-g) T(2k, 2k-2g), with the central factorial
+    # numbers T(2k, 2j) = j**2 T(2k-2, 2j) + T(2k-2, 2j-2), T(0, 0) = 1
+    t_row = [1]  # T(2k, 2j) for j = 0..k
+    for k in range(1, 11):
+        t_row = [(j * j * t_row[j] if j < k else 0)
+                 + (t_row[j - 1] if j else 0) for j in range(k + 1)]
+        row = corner_moment_rows(k)
+        assert all(type(c) is int for c in row.values())
+        assert row == {g: math.comb(2 * (k - g), k - g) // (k - g + 1)
+                       * t_row[k - g] for g in range(k)}
 
 
 def test_transformed_moment_base_cases():
@@ -797,6 +809,20 @@ def test_mc_moment_argument_validation():
     for n in (0, -2):
         with pytest.raises(ValueError):
             mc_moments(n, [1], trials=10)
+
+
+def test_mc_moments_reads_its_orders_once(monkeypatch):
+    # a generator of orders was spent by the validity check, so the rows
+    # and the estimates saw no order at all
+    assert mc_moments(2, (k for k in [2, 3]), 100) == \
+        mc_moments(2, [2, 3], 100)
+
+    def forbidden(*args):
+        raise AssertionError(f"drew trials for no order: {args}")
+
+    monkeypatch.setattr(sampler, "_drawn_sizes", forbidden)
+    assert mc_moments(2, [], 100) == []
+    assert mc_moments(2, iter(()), 100) == []
 
 
 @pytest.mark.parametrize("k", [600, 200000])
