@@ -40,6 +40,10 @@ Besides this module,
   moments              oracles
   sample               oracles, sampler
   verify               algebra, ansatz, oracles
+
+One check holds this map and keeps argparse, fractions, json and every
+thread or process module out of each command:
+test_start_up_loads_only_what_it_runs in tests/test_cli.py.
 """
 
 from __future__ import annotations

@@ -745,10 +745,11 @@ def mc_moments(n: int, ks: Iterable[int], trials: int,
     """Estimate scaled moments of orders 2k for each k, sharing the samples.
 
     Returns (mean, standard error) per k, in the order of ks, which is
-    read once, so any iterable will do.  The mean n must be an int: any
-    other type raises TypeError before anything else is checked, and
-    n < 1 or a negative k raises ValueError; an empty ks then returns []
-    before a trial is drawn.  Any k whose target _target_overflows
+    read once, so any iterable will do.  The mean n and trials must be
+    ints: any other type raises TypeError before anything else is
+    checked, and n < 1, trials < 1 or a negative k raises ValueError, so
+    mc_moments(2, [], 0) raises too; an empty ks then returns [] before
+    a trial is drawn.  Any k whose target _target_overflows
     proves at least 2**1024 raises OverflowError next, at n = 1 every
     k >= 168, before a row is built or a trial drawn.
     Each trial draws a Poisson(n) size from its own stream
@@ -761,9 +762,12 @@ def mc_moments(n: int, ks: Iterable[int], trials: int,
     """
     if not isinstance(n, int):
         raise TypeError(f"the mean must be an int, not {type(n).__name__}")
+    if not isinstance(trials, int):
+        raise TypeError(f"trials must be an int, not {type(trials).__name__}")
     ks = list(ks)
-    if n < 1 or any(k < 0 for k in ks):
-        raise ValueError("the mean must be positive, each order nonnegative")
+    if n < 1 or trials < 1 or any(k < 0 for k in ks):
+        raise ValueError("the mean and trials must be positive, each order "
+                         "nonnegative")
     if not ks:
         return []
     rows = _target_rows(n, ks)

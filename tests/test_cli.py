@@ -413,88 +413,76 @@ def test_sample_zero_stderr_compares_the_estimate_exactly(
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
-# imports one module and, given arguments, runs its main on them; then
-# prints the rational-arithmetic and argument-parsing modules the process
-# has loaded, and on the next line every ppmoments module
+# The start-up contract: what a process loads beyond the interpreter
+# costs every command its start-up.  argparse pulls in gettext, which
+# loads locale when a parser is built: about 4 ms and 0.6 MB.  fractions
+# pulls in decimal and numbers: about 2.7 ms and 0.45 MB.  json, with
+# _json, took 1.0-1.1 ms of the 1.55-1.6 ms that importing ppmoments.cli
+# took when it wrote the reports (Python 3.11.7, -X importtime).  sample
+# splits its trials by a bare os.fork, so no thread or process module
+# loads either.  The probe runs under `python -I -S`, with no site module
+# whose .pth files could load any of these first.  It imports one
+# module and, given arguments, runs its main on them with the report to
+# os.devnull; os.sched_getaffinity reads two CPUs and os.fork is
+# counted, so 100,000 trials of sample fork one child on any machine.
+# It prints the number of children forked, every loaded module whose
+# top-level name is one of the above, and every ppmoments module
 _PROBE = """
+import os
 import sys
 sys.path.insert(0, sys.argv[1])
+forks = []
+fork = os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted
+os.sched_getaffinity = lambda pid: {0, 1}
 module = __import__(sys.argv[2], fromlist=["_"])
 if sys.argv[3:]:
-    code = module.main(sys.argv[3:])
+    code = module.main([*sys.argv[3:], "--out", os.devnull])
     assert code == 0, code
-print(sorted({"fractions", "decimal", "numbers", "argparse", "gettext",
-              "locale"} & set(sys.modules)), file=sys.stderr)
+print(len(forks))
+print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] in {
+    "fractions", "decimal", "numbers", "argparse", "gettext", "locale",
+    "json", "_json", "threading", "multiprocessing", "concurrent",
+    "subprocess"})))
 print(" ".join(sorted(name for name in sys.modules
-                      if name.split(".")[0] == "ppmoments")),
-      file=sys.stderr)
+                      if name.split(".")[0] == "ppmoments")))
 """
 
 
-@pytest.mark.parametrize("module, args, loaded", [
-    ("ppmoments.cli", ("theta", "--g-max", "2"), "algebra oracles"),
-    ("ppmoments.cli", ("phi", "--g-max", "2"), "algebra oracles"),
+# each command loads the package modules it runs and no other, by the
+# module map in cli's docstring, and importing the package loads none
+@pytest.mark.parametrize("module, args, loaded, forks", [
+    ("ppmoments.cli", ("theta", "--g-max", "2"), "algebra cli oracles", 0),
+    ("ppmoments.cli", ("phi", "--g-max", "2"), "algebra cli oracles", 0),
     ("ppmoments.cli", ("phi", "--g-max", "2", "--dump-ansatz"),
-     "algebra ansatz oracles"),
-    ("ppmoments.cli", ("moments", "--k-max", "3"), "oracles"),
+     "algebra ansatz cli oracles", 0),
+    ("ppmoments.cli", ("moments", "--k-max", "3"), "cli oracles", 0),
     ("ppmoments.cli", ("verify", "--g-max", "2", "--k-max", "3"),
-     "algebra ansatz oracles"),
-    ("ppmoments.cli", ("sample", "--n", "2", "--k", "2", "--trials", "300"),
-     "oracles sampler"),
+     "algebra ansatz cli oracles", 0),
+    ("ppmoments.cli", ("sample", "--n", "2", "--k", "2", "--trials",
+                       "100000"), "cli oracles sampler", 1),
     ("ppmoments.cli", ("sample", "--n", "31", "--k", "2", "--trials", "50"),
-     "oracles sampler"),
-    ("ppmoments.cli", (), ""),
-    ("ppmoments.sampler", (), "oracles sampler"),
+     "cli oracles sampler", 0),
+    ("ppmoments.cli", (), "cli", 0),
+    ("ppmoments.sampler", (), "oracles sampler", 0),
+    ("ppmoments", (), "", 0),
 ], ids=["theta", "phi", "phi-dump", "moments", "verify", "sample",
-        "sample-ptrs", "import-cli", "import-sampler"])
-def test_no_command_loads_rational_arithmetic(module, args, loaded):
-    # fractions pulls in decimal and numbers at every process start; the
-    # reports run on ints, and only the corner measure, which no command
-    # builds, imports it.  argparse pulls in gettext, and building a
-    # parser with it loads locale; the command line is read from one
-    # option table instead.  Each command imports the package modules it
-    # runs and no other, and importing the package loads none.  A
-    # fresh isolated interpreter sees what a command loads, whatever this
-    # test process has imported already
-    done = subprocess.run([sys.executable, "-I", "-c", _PROBE, _SRC, module,
-                           *args], capture_output=True, text=True,
+        "sample-ptrs", "import-cli", "import-sampler", "import-package"])
+def test_start_up_loads_only_what_it_runs(module, args, loaded, forks):
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", _PROBE, _SRC,
+                           module, *args], capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    rational, package = done.stderr.splitlines()[-2:]
-    assert rational == "[]"
-    expected = {"ppmoments", module,
-                *(f"ppmoments.{name}" for name in loaded.split())}
-    assert set(package.split()) == expected
-
-
-# runs one command under `python -I -S`, with no site module to preload
-# anything, and prints the json modules the process has loaded
-_JSON_PROBE = """
-import sys
-sys.path.insert(0, sys.argv[1])
-import ppmoments.cli
-code = ppmoments.cli.main(sys.argv[2:])
-print(sorted(name for name in sys.modules
-             if name.split(".")[0] in ("json", "_json")), file=sys.stderr)
-sys.exit(code)
-"""
-
-
-@pytest.mark.parametrize("args", [
-    ("theta", "--g-max", "2"),
-    ("phi", "--g-max", "2", "--dump-ansatz"),
-    ("moments", "--k-max", "3"),
-    ("verify", "--g-max", "2", "--k-max", "3"),
-    ("sample", "--n", "2", "--k", "2", "--trials", "300"),
-], ids=["theta", "phi-dump", "moments", "verify", "sample"])
-def test_no_command_imports_json(args):
-    # the JSON reports are written by cli's own encoder; json costs about
-    # 1.1 ms of every process start
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", _JSON_PROBE,
-                           _SRC, *args], capture_output=True, text=True,
-                          timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.splitlines()[-1] == "[]"
+    forked, forbidden, package = done.stdout.splitlines()[-3:]
+    assert int(forked) == forks
+    assert forbidden == ""
+    assert set(package.split()) == {
+        "ppmoments", *(f"ppmoments.{name}" for name in loaded.split())}
 
 
 _STREAMED = {

@@ -3,8 +3,6 @@ import importlib
 import importlib.util
 import pkgutil
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import ppmoments
@@ -34,18 +32,12 @@ _UNDECIDED = {"ppmoments.sampler.DuplicateEntries",
 
 
 def test_each_public_name_has_one_home_and_earns_it():
-    # the package holds only its two command-line constants and loads
-    # no submodule when imported
+    # the package holds only its two command-line constants; that
+    # importing it loads no submodule is checked by test_cli's start-up
+    # probe
     assert ppmoments.__all__ == ["DEFAULT_SEED", "POISSON_MEAN_MAX"]
     for name in ("_EXPORTS", "__getattr__", "__dir__"):
         assert name not in vars(ppmoments), name
-    src = str(Path(ppmoments.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-I", "-c",
-         "import sys; sys.path.insert(0, sys.argv[1]); import ppmoments; "
-         "print(sorted(m for m in sys.modules if m.startswith('ppmoments')))",
-         src], capture_output=True, text=True, timeout=60)
-    assert done.stdout == "['ppmoments']\n", done.stderr
     # each object is listed by one __all__, that of the module defining it
     modules = [ppmoments] + [
         importlib.import_module(f"ppmoments.{info.name}")
@@ -171,7 +163,7 @@ def test_exhaustive_enumerators_stay_out_of_the_package():
 
 def test_no_package_module_imports_fractions():
     # the closed-form algebra, the moment rows, the corner moments and
-    # every report run on ints alone.  The CI start-up probe sees only
+    # every report run on ints alone.  test_cli's start-up probe sees only
     # what the commands it probes load when they run; this reads every
     # import statement, deferred and TYPE_CHECKING ones too
     paths = sorted(Path(ppmoments.__file__).parent.glob("*.py"))

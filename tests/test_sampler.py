@@ -196,7 +196,7 @@ def test_sample_pp_shape_distribution_at_size_three():
         assert abs(counts[shape] - float(p) * trials) < 4 * sigma
 
 
-def test_transition_measure_examples():
+def test_corner_measure_examples():
     assert corner_measure_by_partial_fractions(Partition(())) == \
         ([0], [Fraction(1)], [])
     atoms, weights, _ = corner_measure_by_partial_fractions(Partition((1,)))
@@ -213,7 +213,7 @@ def test_transition_measure_examples():
         corner_moments(Partition((1,)), -1)
 
 
-def test_transition_measure_exact_invariants():
+def test_corner_measure_exact_invariants():
     for size in range(7):
         for lam in partitions_of(size):
             atoms, weights, lower = corner_measure_by_partial_fractions(lam)
@@ -230,7 +230,7 @@ def test_transition_measure_exact_invariants():
             assert all(x > y for x, y in zip(seq, seq[1:]))
 
 
-def test_transition_measure_partial_fractions():
+def test_corner_measure_partial_fractions():
     # prod (x - lower) equals sum_i w_i prod_{j != i} (x - atom_j), exactly
     for size in range(7):
         for lam in partitions_of(size):
@@ -350,12 +350,12 @@ def test_transformed_moment_is_uniform_on_hermite_roots():
             assert (size + 1) * transformed_moment(size, k) == p[2 * k]
 
 
-def test_mc_moment_zeroth_is_exact():
+def test_mc_moments_zeroth_is_exact():
     (est, err), = mc_moments(2, [0], trials=500, seed=1)
     assert est == 1.0 and err == 0.0
 
 
-def test_mc_moment_is_reproducible():
+def test_mc_moments_is_reproducible():
     a = mc_moments(2, [2], trials=2000, seed=12345)[0]
     b = mc_moments(2, [2], trials=2000, seed=12345)[0]
     assert a == b
@@ -801,7 +801,7 @@ def test_mc_moments_releases_its_size_tally():
     assert held < 1_000_000
 
 
-def test_mc_moment_argument_validation():
+def test_mc_moments_argument_validation(monkeypatch):
     with pytest.raises(ValueError):
         mc_moments(2, [2], trials=0)
     with pytest.raises(ValueError):
@@ -809,6 +809,24 @@ def test_mc_moment_argument_validation():
     for n in (0, -2):
         with pytest.raises(ValueError):
             mc_moments(n, [1], trials=10)
+    # trials is checked at entry by the mean's rule, before the empty-ks
+    # return, the guard, the rows and the draws: trials = 0 at k = 300
+    # built the 1.4 s row at n = 1000 before the draws refused it, and a
+    # float failed inside the kernel
+    def forbidden(*args):
+        raise AssertionError(f"built rows or drew trials: {args}")
+
+    monkeypatch.setattr(oracles, "moment_polynomials", forbidden)
+    monkeypatch.setattr(sampler, "_drawn_sizes", forbidden)
+    for trials in (0, -1):
+        for ks in ([300], []):
+            with pytest.raises(ValueError, match="trials must be positive"):
+                mc_moments(1000, ks, trials)
+    for trials in (2.5, 2.0, "2", None):
+        for ks in ([2], []):
+            with pytest.raises(TypeError,
+                               match="^trials must be an int, not "):
+                mc_moments(2, ks, trials)
 
 
 def test_mc_moments_reads_its_orders_once(monkeypatch):
