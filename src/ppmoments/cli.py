@@ -41,9 +41,9 @@ Besides this module,
   sample               oracles, sampler
   verify               algebra, ansatz, oracles
 
-One check holds this map and keeps argparse, fractions, json and every
-thread or process module out of each command:
-test_start_up_loads_only_what_it_runs in tests/test_cli.py.
+One probe and one table in tests/test_cli.py hold this map and keep
+argparse, fractions, json and every thread or process module out of
+each command.
 """
 
 from __future__ import annotations

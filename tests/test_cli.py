@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -425,8 +426,7 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 # module and, given arguments, runs its main on them with the report to
 # os.devnull; os.sched_getaffinity reads two CPUs and os.fork is
 # counted, so 100,000 trials of sample fork one child on any machine.
-# It prints the number of children forked, every loaded module whose
-# top-level name is one of the above, and every ppmoments module
+# It prints the number of children forked and then every loaded module
 _PROBE = """
 import os
 import sys
@@ -445,44 +445,73 @@ if sys.argv[3:]:
     code = module.main([*sys.argv[3:], "--out", os.devnull])
     assert code == 0, code
 print(len(forks))
-print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] in {
-    "fractions", "decimal", "numbers", "argparse", "gettext", "locale",
-    "json", "_json", "threading", "multiprocessing", "concurrent",
-    "subprocess"})))
-print(" ".join(sorted(name for name in sys.modules
-                      if name.split(".")[0] == "ppmoments")))
+print(" ".join(sorted(sys.modules)))
 """
 
+# each case: the module imported, the command run, the package modules
+# it loads (by the module map in cli's docstring; importing the package
+# loads none) and the children it forks
+_START_UP = {
+    "theta": ("ppmoments.cli", ("theta", "--g-max", "2"),
+              "algebra cli oracles", 0),
+    "phi": ("ppmoments.cli", ("phi", "--g-max", "2"),
+            "algebra cli oracles", 0),
+    "phi-dump": ("ppmoments.cli", ("phi", "--g-max", "2", "--dump-ansatz"),
+                 "algebra ansatz cli oracles", 0),
+    "moments": ("ppmoments.cli", ("moments", "--k-max", "3"),
+                "cli oracles", 0),
+    "verify": ("ppmoments.cli", ("verify", "--g-max", "2", "--k-max", "3"),
+               "algebra ansatz cli oracles", 0),
+    "sample": ("ppmoments.cli", ("sample", "--n", "2", "--k", "2",
+                                 "--trials", "100000"),
+               "cli oracles sampler", 1),
+    "sample-ptrs": ("ppmoments.cli", ("sample", "--n", "31", "--k", "2",
+                                      "--trials", "50"),
+                    "cli oracles sampler", 0),
+    "import-cli": ("ppmoments.cli", (), "cli", 0),
+    "import-sampler": ("ppmoments.sampler", (), "oracles sampler", 0),
+    "import-package": ("ppmoments", (), "", 0),
+}
+_COMMANDS = ["theta", "phi-dump", "moments", "verify", "sample"]
 
-# each command loads the package modules it runs and no other, by the
-# module map in cli's docstring, and importing the package loads none
-@pytest.mark.parametrize("module, args, loaded, forks", [
-    ("ppmoments.cli", ("theta", "--g-max", "2"), "algebra cli oracles", 0),
-    ("ppmoments.cli", ("phi", "--g-max", "2"), "algebra cli oracles", 0),
-    ("ppmoments.cli", ("phi", "--g-max", "2", "--dump-ansatz"),
-     "algebra ansatz cli oracles", 0),
-    ("ppmoments.cli", ("moments", "--k-max", "3"), "cli oracles", 0),
-    ("ppmoments.cli", ("verify", "--g-max", "2", "--k-max", "3"),
-     "algebra ansatz cli oracles", 0),
-    ("ppmoments.cli", ("sample", "--n", "2", "--k", "2", "--trials",
-                       "100000"), "cli oracles sampler", 1),
-    ("ppmoments.cli", ("sample", "--n", "31", "--k", "2", "--trials", "50"),
-     "cli oracles sampler", 0),
-    ("ppmoments.cli", (), "cli", 0),
-    ("ppmoments.sampler", (), "oracles sampler", 0),
-    ("ppmoments", (), "", 0),
-], ids=["theta", "phi", "phi-dump", "moments", "verify", "sample",
-        "sample-ptrs", "import-cli", "import-sampler", "import-package"])
-def test_start_up_loads_only_what_it_runs(module, args, loaded, forks):
+
+@functools.lru_cache(maxsize=None)
+def _start_up(case):
+    # the probe runs once per case; each test below reads its own part
+    module, args, _, _ = _START_UP[case]
     done = subprocess.run([sys.executable, "-I", "-S", "-c", _PROBE, _SRC,
                            module, *args], capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    forked, forbidden, package = done.stdout.splitlines()[-3:]
-    assert int(forked) == forks
-    assert forbidden == ""
-    assert set(package.split()) == {
+    forked, loaded = done.stdout.splitlines()[-2:]
+    return int(forked), loaded.split()
+
+
+def _loaded_from(case, packages):
+    return [name for name in _start_up(case)[1]
+            if name.split(".")[0] in packages]
+
+
+@pytest.mark.parametrize("case", _START_UP)
+def test_start_up_loads_only_what_it_runs(case):
+    _, _, loaded, forks = _START_UP[case]
+    assert _start_up(case)[0] == forks
+    assert _loaded_from(case, {"threading", "multiprocessing", "concurrent",
+                               "subprocess"}) == []
+    assert set(_loaded_from(case, {"ppmoments"})) == {
         "ppmoments", *(f"ppmoments.{name}" for name in loaded.split())}
+
+
+@pytest.mark.parametrize("case", [case for case in _START_UP
+                                  if case != "import-package"])
+def test_no_command_loads_rational_arithmetic(case):
+    assert _loaded_from(case, {"fractions", "decimal", "numbers", "argparse",
+                               "gettext", "locale"}) == []
+
+
+@pytest.mark.parametrize("case", _COMMANDS)
+def test_no_command_imports_json(case):
+    assert _loaded_from(case, {"json", "_json"}) == []
 
 
 _STREAMED = {
