@@ -29,8 +29,10 @@ moment beyond double precision; each but the usage error prints one
 "ppmoments: ..." line on stderr.  Reports are deterministic for a fixed
 configuration, including the seed.
 
-No command loads json: the reports are written by this module's own
-encoder (_write_json).  Importing this module loads no other ppmoments
+No command loads json: a report is written by this module's own
+encoder, as JSON (_json_chunks) or TSV (_tsv_chunks), one results row
+per write, to stdout (_write_stdout) or to the --out path
+(_write_atomic).  Importing this module loads no other ppmoments
 module: each command imports the ones it runs when it runs, and parses
 its options with the sampler's two constants from the package itself.
 Besides this module,
@@ -275,17 +277,6 @@ def run_verify(g_max: int, k_max: int) -> dict:
             "results": checks}
 
 
-def _to_tsv(report: dict) -> str:
-    """The report as its command's TSV layout: the header, then the lines
-    of each result row in turn, None printed as null."""
-    _, _, columns, lines_of = _COMMANDS[report["command"]]
-    lines = ["\t".join(columns)]
-    for row in report["results"]:
-        lines += ["\t".join("null" if v is None else str(v) for v in line)
-                  for line in lines_of(row)]
-    return "\n".join(lines) + "\n"
-
-
 def _integer(value: str) -> int:
     try:
         return int(value)
@@ -322,35 +313,16 @@ def _report_format(value: str) -> str:
     return value
 
 
-# The escapes of json.dumps with ensure_ascii that are not \uXXXX
-_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
-                  "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _escaped(ch: str) -> str:
-    """ch as json.dumps writes it with ensure_ascii.
-
-    Printable ASCII stands for itself, but for '"' and a backslash,
-    which take a short escape, as do five control characters.  Any other
-    character is \\uXXXX in lower-case hex: the other control characters,
-    DEL and every character past ASCII, as a surrogate pair above the
-    Basic Multilingual Plane.
-    """
-    if ch in _SHORT_ESCAPES:
-        return _SHORT_ESCAPES[ch]
-    if " " <= ch <= "~":
-        return ch
-    n = ord(ch)
-    if n < 0x10000:
-        return f"\\u{n:04x}"
-    n -= 0x10000
-    return f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}"
-
-
 def _quoted(s: str) -> str:
-    """s as a JSON string; printable ASCII is " " to "~"."""
+    """s in quotes, as json.dumps writes a report string.
+
+    Every report string, a name, a value rendered as text or an int or
+    ratio as text, is printable ASCII (" " to "~") with no '"' and no
+    backslash, which json.dumps writes as it stands.  Any other s
+    raises ValueError.
+    """
     if not (s.isascii() and s.isprintable()) or '"' in s or "\\" in s:
-        s = "".join(map(_escaped, s))
+        raise ValueError(f"not a report string: {s!r}")
     return f'"{s}"'
 
 
@@ -359,13 +331,13 @@ def _encode(value, indent: str, parts: list[str]) -> None:
 
     indent is the newline and the indentation of the line on which
     value starts.  value holds only what a report holds: dicts with str
-    keys, lists, tuples, str, bool, None, int and float.  Numbers are
-    written by int.__repr__ and float.__repr__, as json writes them; a
-    bool is tested before int, of which it is a subclass.
+    keys, lists, str, bool, None, int and float.  Numbers are written by
+    int.__repr__ and float.__repr__, as json writes them; a bool is
+    tested before int, of which it is a subclass.
     """
     if isinstance(value, str):
         parts.append(_quoted(value))
-    elif isinstance(value, (dict, list, tuple)):
+    elif isinstance(value, (dict, list)):
         if not value:
             parts.append("{}" if isinstance(value, dict) else "[]")
             return
@@ -396,13 +368,13 @@ def _encode(value, indent: str, parts: list[str]) -> None:
         parts.append(float.__repr__(value))
 
 
-def _write_json(fh, report: dict) -> None:
-    """Write json.dumps(report, indent=2) and a newline to fh, in parts.
+def _json_chunks(report: dict):
+    """Yield json.dumps(report, indent=2) and a newline, in chunks.
 
-    The text up to the results list is one write, each of its rows is
-    one, and the closing brackets are one; so the whole text is never
-    held in memory, and a reader that has gone fails the write of the
-    row it stops at.
+    The text up to the results list is one chunk, each of its rows is
+    one, and the closing brackets are one.  Written a chunk at a time,
+    the whole text is never held in memory, and a reader that has gone
+    fails the write of the row it stops at.
     """
     parts = []
     sep = "{\n  "
@@ -413,35 +385,32 @@ def _write_json(fh, report: dict) -> None:
             _encode(value, "\n  ", parts)
             continue
         parts.append("[")
-        fh.write("".join(parts))
+        yield "".join(parts)
         row_sep = "\n    "
         for row in value:
             parts = [row_sep]
             _encode(row, "\n    ", parts)
-            fh.write("".join(parts))
+            yield "".join(parts)
             row_sep = ",\n    "
         parts = ["\n  ]"]
     parts.append("\n}\n")
-    fh.write("".join(parts))
+    yield "".join(parts)
 
 
-def _write_report(fh, report: dict, output_format: str) -> None:
-    """Write report to the text stream fh as JSON or TSV.
-
-    The JSON is the bytes of json.dumps(report, indent=2) + "\n",
-    written by _write_json one results row at a time, so the whole text
-    is never held in memory and no command imports json.
-    """
-    if output_format == "tsv":
-        fh.write(_to_tsv(report))
-    else:
-        _write_json(fh, report)
+def _tsv_chunks(report: dict):
+    """Yield the command's TSV layout as _json_chunks yields JSON: the
+    header line, then the lines of each result row, None printed as null."""
+    _, _, columns, lines_of = _COMMANDS[report["command"]]
+    yield "\t".join(columns) + "\n"
+    for row in report["results"]:
+        yield "".join("\t".join("null" if v is None else str(v) for v in line)
+                      + "\n" for line in lines_of(row))
 
 
-def _write_atomic(path: str, report: dict, output_format: str) -> None:
-    """Write the report to path, whole or not at all if it is a file.
+def _write_atomic(path: str, chunks) -> None:
+    """Write a report's chunks to path, whole or not at all if a file.
 
-    A regular file or a missing path is written through a temporary
+    Each chunk is one write (writelines).  A regular file or a missing path is written through a temporary
     file beside it, which then replaces it in one rename; a reader never
     sees a partial report, and an old file survives a failed write.
     Any other path, such as a device, a FIFO or a symbolic link, is
@@ -453,12 +422,12 @@ def _write_atomic(path: str, report: dict, output_format: str) -> None:
         in_place = False
     if in_place:
         with open(path, "w", encoding="utf-8") as fh:
-            _write_report(fh, report, output_format)
+            fh.writelines(chunks)
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            _write_report(fh, report, output_format)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -622,8 +591,7 @@ def _parse_args(argv: list[str]) -> dict:
             _usage_error(command, f"argument {option}: ignored explicit "
                                   f"argument {value!r}")
         if option == "--help":
-            text = _help(command)
-            raise SystemExit(_write_stdout(lambda fh: fh.write(text)))
+            raise SystemExit(_write_stdout([_help(command)]))
         if convert is None:
             args[dest] = True
             continue
@@ -645,10 +613,11 @@ def _parse_args(argv: list[str]) -> dict:
     return args
 
 
-def _write_stdout(write) -> int:
-    """Call write on sys.stdout and flush it: 0, or 2 if that fails.
+def _write_stdout(chunks) -> int:
+    """Write chunks to sys.stdout and flush it: 0, or 2 if that fails.
 
-    A failed write, from a reader that has gone (BrokenPipeError), a
+    Each chunk is one write (writelines): a report's, or the help text
+    as one chunk.  A failed write, from a reader that has gone (BrokenPipeError), a
     full device or no stdout at all (sys.stdout is None when fd 1 was
     closed at start), prints one "ppmoments: cannot write stdout:" line
     on stderr.  fd 1 then goes to the null device, as the Python docs
@@ -657,7 +626,7 @@ def _write_stdout(write) -> int:
     try:
         if sys.stdout is None:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        write(sys.stdout)
+        sys.stdout.writelines(chunks)
         sys.stdout.flush()
     except OSError as exc:
         if sys.stdout is not None:
@@ -687,14 +656,15 @@ def main(argv=None) -> int:
               f"range", file=sys.stderr)
         return 2
 
+    chunks = (_tsv_chunks if output_format == "tsv" else _json_chunks)(report)
     if out is not None:
         try:
-            _write_atomic(out, report, output_format)
+            _write_atomic(out, chunks)
         except OSError as exc:
             print(f"ppmoments: cannot write {out}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 2
-    elif _write_stdout(lambda fh: _write_report(fh, report, output_format)):
+    elif _write_stdout(chunks):
         return 2
 
     return 0 if report.get("passed", True) else 1

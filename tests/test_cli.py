@@ -538,18 +538,16 @@ def test_streamed_report_is_the_dumped_text(tmp_path, capsys, command):
     assert target.read_bytes() == text.encode()
 
 
-# every kind of value the encoder handles, and every kind of character
-# ensure_ascii escapes, nested as deep as a report nests
+# every kind of value the encoder handles, nested as deep as a report
+# nests
 _SYNTHETIC = {
     "command": "synthetic",
-    "params": {"empty dict": {}, "empty list": [], "key \"\\\n\u00e9": 0},
+    "params": {"empty dict": {}, "empty list": [], "key ~ '!": 0},
     "passed": False,
     "results": [
-        {"text": 'quote " backslash \\ newline \n nul \x00 del \x7f',
-         "controls": "".join(map(chr, range(32))),
-         "accented": "\u00e9", "astral": "\U0001d11e", "bmp top": "\uffff",
-         "nested": [[1, [2, (3, ())]], ({}, [])],
-         "flags": (True, False, None),
+        {"text": "printable ASCII: ' ! # $ { } [ ] ~",
+         "nested": [[1, [2, [3, []]]], [{}, []]],
+         "flags": [True, False, None],
          "big": 7 ** 900, "negative": -(10 ** 40),
          "floats": [-0.0, 5e-324, 1e16, 0.1, 2.5, -1e-7, 1.5e308]},
         {},
@@ -568,50 +566,74 @@ _SYNTHETIC = {
 def test_encoder_writes_the_dumped_text(build):
     # json.dumps, with its defaults but indent=2, is the reference
     report = build()
-    fh = io.StringIO()
-    cli._write_report(fh, report, "json")
-    assert fh.getvalue() == json.dumps(report, indent=2) + "\n"
+    text = "".join(cli._json_chunks(report))
+    assert text == json.dumps(report, indent=2) + "\n"
 
 
-def test_encoder_escapes_characters_as_ensure_ascii_does():
-    # all of ASCII and the two-byte range of UTF-8, then the edges of the
-    # surrogates, of the Basic Multilingual Plane and of Unicode
-    edges = [0xd7ff, 0xd800, 0xdbff, 0xdc00, 0xdfff, 0xe000, 0xfffe, 0xffff,
-             0x10000, 0x1d11e, 0x10fc00, 0x10ffff]
-    for code in [*range(0x800), *edges]:
-        assert cli._quoted(chr(code)) == json.dumps(chr(code)), hex(code)
-    text = "".join(map(chr, [*range(0x100), *edges]))
-    assert cli._quoted(text) == json.dumps(text)
+def test_encoder_refuses_what_no_report_holds():
+    # a report string is printable ASCII without '"' or a backslash,
+    # which json.dumps writes as it stands; any other string is refused
+    printable = "".join(ch for ch in map(chr, range(0x20, 0x7f))
+                        if ch not in '"\\')
+    assert cli._quoted(printable) == json.dumps(printable)
+    assert cli._quoted("") == '""'
+    for ch in ('"', "\\", "\n", "\x7f", "\u00e9", "\U0001d11e"):
+        with pytest.raises(ValueError):
+            cli._quoted(f"a{ch}b")
+        with pytest.raises(ValueError):
+            "".join(cli._json_chunks({"command": "synthetic",
+                                      "results": [{"text": ch}]}))
 
 
-def test_encoder_writes_one_results_row_at_a_time():
-    # the text before the rows, each row, and the closing brackets
+def _moments_tsv(report):
+    return "k\tg\tcount\n" + "".join(
+        f"{row['k']}\t{g}\t{count}\n"
+        for row in report["results"] for g, count in row["counts"].items())
+
+
+def test_encoder_writes_one_results_row_at_a_time(monkeypatch):
+    # the text before the rows (in TSV the header line), each row, and in
+    # JSON the closing brackets, each one write to stdout
     writes = []
 
-    class Recorder:
-        write = writes.append
+    class Recorder(io.StringIO):
+        def write(self, chunk):
+            writes.append(chunk)
+            return super().write(chunk)
 
     report = run_moments(4)
-    cli._write_report(Recorder(), report, "json")
-    assert len(writes) == 2 + len(report["results"])
-    assert writes[0] == json.dumps(report, indent=2).partition("[")[0] + "["
-    assert writes[-1] == "\n  ]\n}\n"
+    text = json.dumps(report, indent=2) + "\n"
+    for output_format, expected, first, last in (
+            ("json", text, text.partition("[")[0] + "[", "\n  ]\n}\n"),
+            ("tsv", _moments_tsv(report), "k\tg\tcount\n",
+             "4\t0\t14\n4\t1\t47\n4\t2\t26\n4\t3\t1\n")):
+        writes.clear()
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["moments", "--k-max", "4", "--format",
+                     output_format]) == 0
+        rows = len(report["results"])
+        assert len(writes) == rows + (2 if output_format == "json" else 1)
+        assert "".join(writes) == sys.stdout.getvalue() == expected
+        assert writes[0] == first and writes[-1] == last
 
 
 def test_report_is_written_without_its_whole_text(tmp_path):
     # the streamed write of a moments --k-max 60 report (about 110 kB of
-    # JSON) never holds as many bytes as the text has characters
+    # JSON, 91 kB of TSV) never holds as many bytes as the text has
+    # characters
     report = run_moments(60)
-    text = json.dumps(report, indent=2) + "\n"
-    target = tmp_path / "moments.json"
-    tracemalloc.start()
-    try:
-        cli._write_atomic(str(target), report, "json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert target.read_text() == text
-    assert peak < len(text)
+    for text, chunks in ((json.dumps(report, indent=2) + "\n",
+                          cli._json_chunks),
+                         (_moments_tsv(report), cli._tsv_chunks)):
+        target = tmp_path / "moments.out"
+        tracemalloc.start()
+        try:
+            cli._write_atomic(str(target), chunks(report))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert target.read_text() == text
+        assert peak < len(text)
 
 
 def test_sample_tsv_renders_a_missing_z_as_null(capsys):
@@ -732,13 +754,24 @@ def test_sample_moment_beyond_a_double_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("n, k, trials", [(2, 200, 10), (1, 300, 5),
                                           (2, 185, 10), (2, 200000, 10),
-                                          (1, 170, 1)])
-def test_sample_fails_fast_when_the_target_overflows(capsys, n, k, trials):
+                                          (1, 170, 1), (1000, 519, 1)])
+def test_sample_fails_fast_when_the_target_overflows(capsys, monkeypatch, n,
+                                                     k, trials):
     # the exact target's moment row to k is slow to compute at such k,
     # and float() overflows on it; a lower bound on the target settles
     # it first.  It is asked before sampling (k = 200000 would sample
     # for about a minute) and with one trial too, where a zero standard
-    # error could skip it
+    # error could skip it.  The bound walks the sizes nearest the peak
+    # first and stops once their terms reach 2**1024: after at most two,
+    # but for the tight edge (2, 185), where it takes five of sixteen.
+    # Walking all 136 sizes of the window at (1000, 519) takes 9.6 s
+    walked = []
+
+    def walk(size, k):
+        walked.append(size)
+        return oracles.transformed_moment(size, k)
+
+    monkeypatch.setattr(sampler, "transformed_moment", walk)
     start = time.perf_counter()
     code = main(["sample", "--n", str(n), "--k", str(k),
                  "--trials", str(trials)])
@@ -749,6 +782,7 @@ def test_sample_fails_fast_when_the_target_overflows(capsys, n, k, trials):
                             f"the moment exceeds the double-precision "
                             f"range\n")
     assert elapsed < 1.0
+    assert len(walked) <= (5 if (n, k) == (2, 185) else 2)
 
 
 def test_target_overflow_bound_is_sound():
@@ -809,6 +843,12 @@ def test_sample_guards_walk_nothing_they_need_not(monkeypatch):
     assert not sampler._target_overflows(1000, 150)
     assert not sampler._target_overflows(1000, 300)
     assert not sampler._target_overflows(1000, 400)
+    # at (10**6, 519) the ceiling settles nothing, but every size near the
+    # peak lies past 64 k: no size is walked and no power of the e bounds
+    # is built (the millionth power of one took 37 s)
+    start = time.perf_counter()
+    assert not sampler._target_overflows(10 ** 6, 519)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_target_ceiling_is_sound():

@@ -372,11 +372,16 @@ def test_mc_moments_is_reproducible():
 @pytest.mark.parametrize("seed", [0, -1, 2 ** 64 + 5, sampler.DEFAULT_SEED])
 def test_inversion_kernel_tallies_the_per_trial_draws(seed):
     # blocks hold 256 trials: 255, 256 and 257 straddle the first block
-    # edge and 1000 ends in a partial block
+    # edge and 1000 ends in a partial block; at one seed, 4097 runs one
+    # trial past the first 16 blocks counted at once
+    depths = (1, 255, 256, 257, 1000)
+    if seed == sampler.DEFAULT_SEED:
+        depths += (4097,)
     root = RngState(seed)
     for mean in range(1, 31):
-        sizes = [poisson_sample(mean, root.split(t)) for t in range(1000)]
-        for trials in (1, 255, 256, 257, 1000):
+        sizes = [poisson_sample(mean, root.split(t))
+                 for t in range(depths[-1])]
+        for trials in depths:
             expected = {}
             for size in sizes[:trials]:
                 expected[size] = expected.get(size, 0) + 1
