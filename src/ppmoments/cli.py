@@ -141,8 +141,8 @@ def run_sample(n: int, k: int, trials: int, seed: int = DEFAULT_SEED) -> dict:
     """Monte Carlo estimate of the 2k-th moment with its exact target.
 
     The numbers are sampler._checked_estimate's, by mc_moments' route;
-    a target proved at least 2**1024 raises OverflowError before any
-    trial is drawn.  The target prints as str(Fraction) would print it,
+    a target of 2**1024 or more raises OverflowError before any trial
+    is drawn.  The target prints as str(Fraction) would print it,
     and a z no finite z-score can stand for is None (JSON null).
     """
     from .sampler import _checked_estimate
@@ -410,11 +410,12 @@ def _tsv_chunks(report: dict):
 def _write_atomic(path: str, chunks) -> None:
     """Write a report's chunks to path, whole or not at all if a file.
 
-    Each chunk is one write (writelines).  A regular file or a missing path is written through a temporary
-    file beside it, which then replaces it in one rename; a reader never
-    sees a partial report, and an old file survives a failed write.
-    Any other path, such as a device, a FIFO or a symbolic link, is
-    opened and written in place, and a link is written through.
+    Each chunk is one write (writelines).  A regular file or a missing
+    path is written through a temporary file beside it, which then
+    replaces it in one rename; a reader never sees a partial report, and
+    an old file survives a failed write.  Any other path, such as a
+    device, a FIFO or a symbolic link, is opened and written in place,
+    and a link is written through.
     """
     try:
         in_place = not stat.S_ISREG(os.lstat(path).st_mode)
@@ -617,11 +618,12 @@ def _write_stdout(chunks) -> int:
     """Write chunks to sys.stdout and flush it: 0, or 2 if that fails.
 
     Each chunk is one write (writelines): a report's, or the help text
-    as one chunk.  A failed write, from a reader that has gone (BrokenPipeError), a
-    full device or no stdout at all (sys.stdout is None when fd 1 was
-    closed at start), prints one "ppmoments: cannot write stdout:" line
-    on stderr.  fd 1 then goes to the null device, as the Python docs
-    advise for a broken pipe, so the flush at exit cannot raise again.
+    as one chunk.  A failed write, from a reader that has gone
+    (BrokenPipeError), a full device or no stdout at all (sys.stdout is
+    None when fd 1 was closed at start), prints one "ppmoments: cannot
+    write stdout:" line on stderr.  fd 1 then goes to the null device,
+    as the Python docs advise for a broken pipe, so the flush at exit
+    cannot raise again.
     """
     try:
         if sys.stdout is None:

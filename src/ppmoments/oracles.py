@@ -23,12 +23,13 @@ word sum at a symbolic size, weighing each down step to height h by
 N - h, while the word walk keeps every lowering step pending, contracts
 one at a raising step, and sums every state at height 0.  The size walk
 (_size_moments, transformed_moment) evaluates the same sum at one
-numeric size; only the sampler's overflow bound reads it, at k >= 168,
-and the test suite checks the rows against it at fixed sizes.  The
-exhaustive references the test suite compares these routes with
-(explicit lattice paths and their marked step pairs, explicit rook
-placements on every staircase shape, the rook transfer matrix, per-word
-normal ordering) live in tests/helpers.py, outside the package.
+numeric size; only the sampler's overflow shortcut reads it, at one
+size for 168 <= k < 520, and the test suite checks the rows against it
+at fixed sizes.  The exhaustive references the test suite compares
+these routes with (explicit lattice paths and their marked step pairs,
+explicit rook placements on every staircase shape, the rook transfer
+matrix, per-word normal ordering) live in tests/helpers.py, outside the
+package.
 """
 
 from __future__ import annotations

@@ -6,11 +6,10 @@ size alone.  So a trial draws a Poisson-distributed size and reads its
 exact moment off the moment row of order 2k (_row_moment), which tests
 the Poisson draw and the step from the row to the target, not the shape
 sampler.  mc_moments and the sample command (_checked_estimate) share
-one route: overflow guard, rows, draws, exact sums.  The guard settles
-most orders by two bounds on the target, and walks the sizes near the
-peak only where neither does (_target_overflows).  The module uses the
-package's DEFAULT_SEED and POISSON_MEAN_MAX and oracles'
-transformed_moment, and does not export them again.
+one route: rows, an exact overflow test on the targets they give
+(_target_rows), draws, exact sums.  The module uses the package's
+DEFAULT_SEED and POISSON_MEAN_MAX and oracles' transformed_moment, and
+does not export them again.
 
 The shape sampler is separate.  sample_pp takes a
 Poisson-distributed size, a uniform random permutation of that size, and
@@ -631,59 +630,31 @@ def _peak_terms(n: int, moments: dict[int, int]) -> tuple[int, int]:
             c * top)
 
 
-def _target_ceiling(n: int, k: int) -> int:
-    """Catalan(k) (n + k)**k, at least n**k times the scaled 2k-th moment.
-
-    n**k times the target is E[m_N] over Poisson(n) sizes N, with
-    m_N = transformed_moment(N, k) the sum over the Catalan(k) Dyck paths
-    of length 2k of the product of N - h + 1 over the k down steps, each
-    leaving a height h >= 1.  A path that climbs above N steps down from
-    N + 1, weight 0, so every other path weighs each down step by at
-    most N, and m_N <= Catalan(k) N**k.  The Stirling numbers of the
-    second kind have S(k, j) <= C(k, j) j**(k-j) <= C(k, j) k**(k-j)
-    (choose the j block minima, then a block for each other element),
-    so E[N**k] = sum_j S(k, j) n**j <= (n + k)**k.
-    """
-    return math.comb(2 * k, k) // (k + 1) * (n + k) ** k
+def _scaled_target(n: int, k: int, row: dict[int, int]) -> int:
+    """n**k times the target, the row summed at 1/n**g: sum c_g n**(k-g)."""
+    return sum(c * n ** (k - g) for g, c in row.items())
 
 
 def _target_overflows(n: int, k: int) -> bool:
     """True only if the exact scaled 2k-th moment is at least 2**1024.
 
-    The target is a sum with no negative term: the moment is an even
-    power sum of the real roots of He_(N+1).  So any partial sum is a
-    lower bound, and so is the g = 0 coefficient Catalan(k) of
-    moment_polynomial(k), whose coefficients are counts; Catalan(520)
-    is the first Catalan number of 2**1024 or more, so every k >= 520
-    overflows, at any n.  Row k's counts sit at 1/n**g, so the target
-    is largest at n = 1, where it is their sum, below 2**1024 for every
-    k <= 167.  The test suite checks both edges.  For 168 <= k < 520 a
-    ceiling on the target below 2**1024, _target_ceiling(n, k) / n**k,
-    answers False without a walk, as at (n, k) = (1000, 300).  Only
-    where it does not are the sizes near the peak (_peak_sizes) walked
-    (transformed_moment), nearest the peak first.  Their terms are
-    summed as _peak_terms sums them, over the one scale M! of the
-    largest size M, but each only once it is walked, and the walk stops
-    once the sum reaches 2**1024: at (1000, 519) after one size.  A
-    False answer walks every size and proves nothing; at (33000, 519)
-    that is 69 sizes, 9 s or more.
+    A shortcut before the moment row, which decides exactly
+    (_target_rows).  The row's counts are positive and sit at 1/n**g,
+    so the target is largest at n = 1, where it is their sum, below
+    2**1024 for every k <= 167; Catalan(k), the g = 0 count, is 2**1024
+    or more from k = 520, at any n.  For 168 <= k < 520 the one peak
+    size _peak(n, k), if at most 64 k, is walked (transformed_moment):
+    its term alone is a lower bound (_peak_terms), as at (1000, 519).
     """
+    if k < 168:
+        return False
     if k >= 520:
         return True
-    if k < 168 or _target_ceiling(n, k) < n ** k << 1024:
+    peak = _peak(n, k)
+    if peak > 64 * k:
         return False
-    sizes, peak = _peak_sizes(n, k), _peak(n, k)
-    if not sizes:  # as in _peak_terms, no power of n is built
-        return False
-    c, d = (v ** n for v in _E_ABOVE)
-    top = math.factorial(max(sizes))
-    bound, total = c * top * n ** k << 1024, 0
-    for size in sorted(sizes, key=lambda size: (abs(size - peak), size)):
-        total += (d * n ** size * transformed_moment(size, k)
-                  * (top // math.factorial(size)))
-        if total >= bound:
-            return True
-    return False
+    total, scale = _peak_terms(n, {peak: transformed_moment(peak, k)})
+    return total >= scale * n ** k << 1024
 
 
 def _row_moment(row: dict[int, int], k: int, size: int) -> int:
@@ -716,18 +687,24 @@ def _z_unsupported(n: int, k: int, trials: int, row: dict[int, int]) -> bool:
     unseen = {size: _row_moment(row, k, size) for size in sizes
               if trials * n ** size * b < math.factorial(size) * a}
     total, scale = _peak_terms(n, unseen)
-    return 2 * total >= scale * sum(c * n ** (k - g) for g, c in row.items())
+    return 2 * total >= scale * _scaled_target(n, k, row)
 
 
 def _target_rows(n: int, ks: Sequence[int]) -> list[dict[int, int]]:
     """The moment row of order 2k for each k, {0: 1} at k = 0, from one
-    walk; OverflowError first if _target_overflows holds at any k."""
+    walk.  OverflowError if the exact target of any k is 2**1024 or
+    more: before the walk where _target_overflows says so, else once
+    the rows give each target exactly (_scaled_target)."""
     from .oracles import moment_polynomials
 
     if any(_target_overflows(n, k) for k in ks):
         raise OverflowError("the exact target exceeds the double range")
     rows = moment_polynomials(max(ks)) if any(ks) else []
-    return [rows[k - 1] if k else {0: 1} for k in ks]
+    rows = [rows[k - 1] if k else {0: 1} for k in ks]
+    if any(_scaled_target(n, k, row) >= n ** k << 1024
+           for k, row in zip(ks, rows)):
+        raise OverflowError("the exact target exceeds the double range")
+    return rows
 
 
 def _moment_estimate(n: int, k: int, counts: dict[int, int],
@@ -769,9 +746,9 @@ def mc_moments(n: int, ks: Iterable[int], trials: int,
     ints: any other type raises TypeError before anything else is
     checked, and n < 1, trials < 1 or a negative k raises ValueError, so
     mc_moments(2, [], 0) raises too; an empty ks then returns [] before
-    a trial is drawn.  Any k whose target _target_overflows
-    proves at least 2**1024 raises OverflowError next, at n = 1 every
-    k >= 168, before a row is built or a trial drawn.
+    a trial is drawn.  Any k whose exact target is at least 2**1024
+    raises OverflowError next, at n = 1 every k >= 168, before a trial
+    is drawn (_target_rows).
     Each trial draws a Poisson(n) size from its own stream
     (_drawn_sizes), whose exact scaled 2k-th moment is read off the row
     of order 2k (_target_rows, one walk for every k), once per distinct
@@ -811,7 +788,7 @@ def _checked_estimate(n: int, k: int, trials: int, seed: int
     unsupported = _z_unsupported(n, k, trials, row)
     estimate, stderr = _moment_estimate(n, k, _drawn_sizes(n, trials, seed),
                                         row)
-    num, den = sum(c * n ** (k - g) for g, c in row.items()), n ** k
+    num, den = _scaled_target(n, k, row), n ** k
     common = math.gcd(num, den)
     num, den = num // common, den // common
     if unsupported:

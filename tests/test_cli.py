@@ -757,14 +757,11 @@ def test_sample_moment_beyond_a_double_exits_two(tmp_path, capsys):
                                           (1, 170, 1), (1000, 519, 1)])
 def test_sample_fails_fast_when_the_target_overflows(capsys, monkeypatch, n,
                                                      k, trials):
-    # the exact target's moment row to k is slow to compute at such k,
-    # and float() overflows on it; a lower bound on the target settles
-    # it first.  It is asked before sampling (k = 200000 would sample
-    # for about a minute) and with one trial too, where a zero standard
-    # error could skip it.  The bound walks the sizes nearest the peak
-    # first and stops once their terms reach 2**1024: after at most two,
-    # but for the tight edge (2, 185), where it takes five of sixteen.
-    # Walking all 136 sizes of the window at (1000, 519) takes 9.6 s
+    # float() overflows on the exact target at such k, and it is settled
+    # before sampling (k = 200000 would sample for about a minute) and
+    # with one trial too, where a zero standard error could skip it.  The
+    # shortcut walks at most the one peak size and fires on it alone but
+    # at the tight edge (2, 185), where the moment row (0.4 s) decides
     walked = []
 
     def walk(size, k):
@@ -782,7 +779,23 @@ def test_sample_fails_fast_when_the_target_overflows(capsys, monkeypatch, n,
                             f"the moment exceeds the double-precision "
                             f"range\n")
     assert elapsed < 1.0
-    assert len(walked) <= (5 if (n, k) == (2, 185) else 2)
+    assert len(walked) <= 1
+
+
+def test_sample_row_alone_decides_overflow_before_any_trial(capsys,
+                                                            monkeypatch):
+    # with the shortcut silenced, the exact target read off the moment row
+    # still refuses (2, 185) before a single trial is drawn
+    def forbidden(*args):
+        raise AssertionError(f"drew trials: {args}")
+
+    monkeypatch.setattr(sampler, "_target_overflows", lambda n, k: False)
+    monkeypatch.setattr(sampler, "_drawn_sizes", forbidden)
+    code = main(["sample", "--n", "2", "--k", "185", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("ppmoments: --k 185 is too large at --n 2: the "
+                            "moment exceeds the double-precision range\n")
 
 
 def test_target_overflow_bound_is_sound():
@@ -800,26 +813,24 @@ def test_target_overflow_bound_is_sound():
     # the exact targets at the edge: n**k times the target is the row
     # summed at 1/n**g = n**(k - g) / n**k.  At n = 1 the target, the sum
     # of row k's counts, is 1.768e308 at k = 167 and overflows a double
-    # at k = 168; at n = 2 it overflows from k = 185.  The bound fires
-    # from the first k at both, so it is tight there; the terms summed
-    # around the peak size at n = 2 reach 2**1025.2 at k = 185 and
-    # 2**1018.5 at k = 184
+    # at k = 168; at n = 2 it overflows from k = 185.  The rows decide
+    # both edges exactly, and the shortcut never fires on a target that
+    # fits
     rows = oracles.moment_polynomials(185)
-
-    def scaled_target(n, k):
-        return sum(c * n ** (k - g) for g, c in rows[k - 1].items())
-
-    assert scaled_target(1, 167) < 2 ** 1024 <= scaled_target(1, 168)
+    edges = {(1, 167): False, (1, 168): True, (2, 184): False,
+             (2, 185): True}
+    for (n, k), overflows in edges.items():
+        scaled = sampler._scaled_target(n, k, rows[k - 1])
+        assert (scaled >= n ** k << 1024) == overflows, (n, k)
+        if overflows:
+            with pytest.raises(OverflowError):
+                sampler._target_rows(n, [k])
+        else:
+            assert sampler._target_rows(n, [k]) == [rows[k - 1]]
+            assert not sampler._target_overflows(n, k), (n, k)
     # the counts are positive, so every target is largest at n = 1, where
-    # it is the sum of row k's counts: no target with k <= 167 overflows,
-    # and _target_overflows walks no size there
+    # it is the sum of row k's counts: no target with k <= 167 overflows
     assert all(sum(rows[k - 1].values()) < 2 ** 1024 for k in range(1, 168))
-    assert not sampler._target_overflows(1, 167)
-    assert sampler._target_overflows(1, 168)
-    assert (scaled_target(2, 184) < 2 ** (1024 + 184)
-            and scaled_target(2, 185) >= 2 ** (1024 + 185))
-    assert not sampler._target_overflows(2, 184)
-    assert sampler._target_overflows(2, 185)
     # Catalan(k), the g = 0 count, is at least 2**1024 from k = 520, so
     # every target overflows there, at any n
     assert (math.comb(1038, 519) // 520 < 2 ** 1024
@@ -828,38 +839,50 @@ def test_target_overflow_bound_is_sound():
     assert not sampler._target_overflows(2 ** 53, 519)
 
 
+@pytest.mark.parametrize("n, k", [(2, 3), (2 ** 53, 40)],
+                         ids=["sample-mc", "largest-mean"])
+def test_overflow_shortcut_leaves_small_orders_alone(monkeypatch, n, k):
+    # below k = 168 the shortcut answers before any other work, so no
+    # benchmark workload (sample-mc is (2, 3)) runs the peak or a walk
+    def forbidden(*args):
+        raise AssertionError(f"walked below k = 168: {args}")
+
+    monkeypatch.setattr(sampler, "_peak", forbidden)
+    monkeypatch.setattr(sampler, "transformed_moment", forbidden)
+    assert not sampler._target_overflows(n, k)
+
+
 def test_sample_guards_walk_nothing_they_need_not(monkeypatch):
     # the z guard reads its window off the moment row, and the overflow
-    # bound walks only for 168 <= k < 520 where its ceiling settles
-    # nothing; at n = 1000 the walk took 1.8 s at k = 300, 3.7 s at 400
+    # shortcut walks at most the one peak size, only for 168 <= k < 520;
+    # at n = 1000 the old window walk took 1.8 s at k = 300, 3.7 s at 400
     rows = {k: oracles.moment_polynomial(k) for k in (5, 20)}
+    walked = []
 
-    def walk(size, k_max):
+    def walk(size, k):
+        walked.append((size, k))
+        return oracles.transformed_moment(size, k)
+
+    def forbidden(size, k_max):
         raise AssertionError(f"walked size {size} to horizon {2 * k_max}")
 
-    monkeypatch.setattr(oracles, "_size_moments", walk)
-    assert sampler._z_unsupported(8, 5, 10, rows[5])
-    assert sampler._z_unsupported(5, 20, 10000, rows[20])
+    with monkeypatch.context() as patched:
+        patched.setattr(oracles, "_size_moments", forbidden)
+        assert sampler._z_unsupported(8, 5, 10, rows[5])
+        assert sampler._z_unsupported(5, 20, 10000, rows[20])
+    monkeypatch.setattr(sampler, "transformed_moment", walk)
     assert not sampler._target_overflows(1000, 150)
-    assert not sampler._target_overflows(1000, 300)
-    assert not sampler._target_overflows(1000, 400)
-    # at (10**6, 519) the ceiling settles nothing, but every size near the
-    # peak lies past 64 k: no size is walked and no power of the e bounds
-    # is built (the millionth power of one took 37 s)
+    assert walked == []
+    for k in (300, 400):
+        assert not sampler._target_overflows(1000, k)
+        assert walked == [(sampler._peak(1000, k), k)]
+        walked.clear()
+    # at (10**6, 519) the peak lies past 64 k: no size is walked and no
+    # power of the e bounds is built (the millionth power of one took 37 s)
     start = time.perf_counter()
     assert not sampler._target_overflows(10 ** 6, 519)
     assert time.perf_counter() - start < 0.5
-
-
-def test_target_ceiling_is_sound():
-    # Catalan(k) (n + k)**k bounds n**k times the exact target, the row
-    # summed at 1/n**g, from above at every k <= 80, at small, middling
-    # and large means
-    rows = oracles.moment_polynomials(80)
-    for n in (*range(1, 40), 100, 1000, 10 ** 6):
-        for k in range(1, 81):
-            scaled = sum(c * n ** (k - g) for g, c in rows[k - 1].items())
-            assert scaled <= sampler._target_ceiling(n, k), (n, k)
+    assert walked == []
 
 
 def test_sample_reads_each_drawn_size_off_the_row(monkeypatch):
