@@ -1,7 +1,8 @@
 """Exact univariate algebra with integer coefficients.
 
 Everything downstream works in the Catalan variable c, the power series
-solving c = 1 + x^2 c^2 with c(0) = 1.  This module supplies the exact
+solving c = 1 + x^2 c^2 with c(0) = 1, or in t = (c-1)/(2-c), where
+c = (1+2t)/(1+t) and 2-c = 1/(1+t).  This module supplies the exact
 building blocks:
 
   PolyC        polynomials in c, trailing zeros stripped (canonical degree).
@@ -16,38 +17,40 @@ add, subtract, schoolbook multiply, square-and-multiply power, int
 coercion and equality within a class.  They differ only in how many
 coefficients a result keeps.
 
-An order-g moment correction in normal form is c/(2-c)^g times a
-polynomial in t = (c-1)/(2-c); fine_structure_form gives its nonzero
-coefficients as a dict theta[k] from a closed form, and theta_from_rows
-gives the same dict from the correction's rook rows alone, by one
-triangular solve over plain int lists in y = x^2.
+Work in t runs on plain int lists: over_one_plus_t divides by 1+t, and
+rational_from_t turns P(t)/(1+t)^e into its reduced pair in c.
 
-Every coefficient is a plain int.  The two divisions stay integral:
-divide_out_root divides by the monic c - root, and SeriesX.inverse needs
-a constant term of +-1; any other constant term raises ValueError.
+An order-g moment correction in normal form is c/(2-c)^g times a
+polynomial in t; fine_structure_form gives its nonzero coefficients as
+a dict theta[k] from a closed form, and theta_from_rows gives the same
+dict from the correction's rook rows alone, by one triangular solve
+over plain int lists in y = x^2.
+
+Every coefficient is a plain int.  The divisions stay integral: 1+t and
+1+2t have constant term 1, and SeriesX.inverse needs a constant term of
++-1; any other constant term raises ValueError.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
+from operator import neg
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "NotFineStructure",
     "POLY_C",
-    "C_MINUS_ONE",
-    "TWO_MINUS_C",
     "PolyC",
     "RationalFnC",
     "SeriesX",
     "catalan_number",
     "catalan_series",
-    "divide_out_root",
     "expand_in_x",
     "fine_structure_form",
     "fine_structure_to_rational",
-    "sum_over_two_minus_c",
+    "over_one_plus_t",
+    "rational_from_t",
     "theta_from_rows",
     "theta_support_window",
 ]
@@ -163,9 +166,6 @@ class PolyC(_Dense):
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def derivative(self) -> "PolyC":
-        return PolyC(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
     def eval_series(self, s: "SeriesX") -> "SeriesX":
         """Horner evaluation at a truncated series."""
         acc = SeriesX(s.order, ())
@@ -197,59 +197,15 @@ class PolyC(_Dense):
 
 _POLY_ZERO = PolyC()
 POLY_C = PolyC((0, 1))
-C_MINUS_ONE = PolyC((-1, 1))
-TWO_MINUS_C = PolyC((2, -1))
-
-
-def divide_out_root(p: PolyC, root: int, most: int) -> tuple[PolyC, int]:
-    """Divide c - root out of p as often as it goes, at most `most` times.
-
-    Returns (p / (c-root)^j, j) for the largest such j (j = most for the
-    zero polynomial).  Each step is a synthetic division (Horner at
-    c = root), so int coefficients stay ints; it stops at a nonzero
-    remainder p(root).
-    """
-    cs, j = p.coeffs, 0
-    while j < most:
-        acc, partial = 0, []
-        for c in reversed(cs):
-            acc = root * acc + c
-            partial.append(acc)
-        if partial and partial.pop():
-            break
-        cs = tuple(reversed(partial))
-        j += 1
-    return (PolyC(cs) if j else p), j
-
-
-def sum_over_two_minus_c(pairs: Iterable[tuple]) -> tuple[PolyC, int]:
-    """Sum the fractions num/(2-c)^a given as pairs (num, a).
-
-    Horner's rule over the pairs sorted by a: the running sum is kept
-    over (2-c)^top, and each step up to a larger a multiplies it by the
-    two-term 2-c once per unit of a before num is added.  A zero running
-    sum is not lifted, so lifting starts at the first a where the sum is
-    nonzero and no power of 2-c is ever formed.  (2-c) is then divided
-    out as often as it goes, so the result (num, a) has (2-c) not
-    dividing num while a > 0; a zero sum, the empty one included, is
-    (0, 0).  Since 2-c = -(c-2), the quotient by (c-2)^j changes sign
-    when j is odd.
-    """
-    acc, top = _POLY_ZERO, 0
-    for num, a in sorted(pairs, key=lambda pair: pair[1]):
-        while acc and top < a:
-            acc, top = acc * TWO_MINUS_C, top + 1
-        acc, top = acc + num, a
-    q, j = divide_out_root(acc, 2, top)
-    return (-q if j % 2 else q), top - j
 
 
 class RationalFnC:
-    """num / (2-c)^a, reduced so that (2-c) does not divide num while a > 0.
+    """num / (2-c)^a, with (2-c) not dividing num while a > 0.
 
     The only irreducible factor of (2-c)^a is c - 2, so the reduced pair
     (num, a) is coprime and unique; equality is plain comparison of it.
-    Reports render it over the monic (c-2)^a = (-1)^a (2-c)^a.
+    The pair is checked, not reduced: num(2) = 0 with a > 0 raises
+    ValueError.  Reports render it over the monic (c-2)^a = (-1)^a (2-c)^a.
     """
 
     __slots__ = ("num", "a")
@@ -257,7 +213,9 @@ class RationalFnC:
     def __init__(self, num: PolyC, a: int = 0):
         if a < 0:
             raise ValueError("exponent of (2-c) must be nonnegative")
-        num, a = sum_over_two_minus_c([(num, a)])
+        if a and not sum(x << i for i, x in enumerate(num.coeffs)):
+            raise ValueError("2-c divides the numerator; the pair is not "
+                             "reduced")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "a", a)
 
@@ -375,6 +333,42 @@ def expand_in_x(f: RationalFnC, order: int) -> SeriesX:
     return f.num.eval_series(cs) * (2 - cs).inverse() ** f.a
 
 
+def over_one_plus_t(p: Sequence[int], n: int = 1) -> list[int]:
+    """p(t) / (1+t)^n as a power series, to as many coefficients as p.
+
+    In the alternated form p(-t), dividing by 1+t is dividing by 1-t, a
+    running sum, so n divisions are n running sums.  The n-fold quotient
+    of a polynomial p ends in n zeros exactly when (1+t)^n divides p, and
+    its other coefficients are then the exact quotient.
+    """
+    q = list(p)
+    q[1::2] = map(neg, q[1::2])
+    for _ in range(n):
+        q = list(accumulate(q))
+    q[1::2] = map(neg, q[1::2])
+    return q
+
+
+def rational_from_t(p: Sequence[int], e: int = 0) -> RationalFnC:
+    """P(t) / (1+t)^e as the reduced pair (num, a) in c.
+
+    Since 1+t = 1/(2-c), with D = max(deg P, e) this is num/(2-c)^(D-e),
+    num = sum_j p_j (c-1)^j (2-c)^(D-j), by Horner's rule
+    A_m = (2-c) A_(m-1) + p_m (c-1)^m on int lists.  If D > e, then
+    D = deg P and num(2) = p_D is not 0, so the pair is reduced.
+    """
+    cs = list(PolyC(p).coeffs)  # trailing zeros stripped
+    if not cs:
+        return RationalFnC(_POLY_ZERO)
+    cs += [0] * (e + 1 - len(cs))
+    acc, power = [cs[0]], [1]  # A_m and (c-1)^m, low to high, of one length
+    for pm in cs[1:]:
+        power = [b - a for a, b in zip(power + [0], [0] + power)]
+        acc = [2 * a - b + pm * x
+               for a, b, x in zip(acc + [0], [0] + acc, power)]
+    return RationalFnC(PolyC(acc), len(cs) - 1 - e)
+
+
 def theta_support_window(g: int) -> tuple[int, int]:
     """Inclusive window [g+1, 3g-1] where order-g coefficients may sit."""
     return g + 1, 3 * g - 1
@@ -442,8 +436,7 @@ def theta_from_rows(column: Sequence[int], g: int) -> dict[int, int]:
         nxt[0] = column[k]
         acc = nxt
     acc = list(accumulate(acc, lambda prev, x: x - 2 * prev))  # / (1+2t)
-    for _ in range(g - 1):
-        acc = list(accumulate(acc, lambda prev, x: x - prev))  # / (1+t)
+    acc = over_one_plus_t(acc, g - 1)
     if any(acc[3 * g:]):
         raise NotFineStructure(f"rows {3 * g}..{n} leave a nonzero residual "
                                f"at order g={g}")
@@ -453,23 +446,13 @@ def theta_from_rows(column: Sequence[int], g: int) -> dict[int, int]:
 def fine_structure_to_rational(theta: Mapping[int, int], g: int) -> RationalFnC:
     """Re-expand a coefficient table of order g into one rational function.
 
-    Inverse of fine_structure_form.  With top the largest k of a nonzero
-    theta[k], c/(2-c)^g * sum_k theta[k] t^k is c A/(2-c)^(g+top) with
-    A = sum_k theta[k] (c-1)^k (2-c)^(top-k), built on int lists by
-    Horner's rule A_m = (2-c) A_(m-1) + theta[m] (c-1)^m.  At c = 2 the
-    numerator c A is 2 theta[top], not 0, so (2-c) does not divide it.
+    Inverse of fine_structure_form: c/(2-c)^g times the reduced pair
+    (A, top) of sum_k theta[k] t^k (rational_from_t).  At c = 2 the
+    numerator c A is 2 A(2), not 0, so (2-c) does not divide it.
     """
     terms = {k: v for k, v in theta.items() if v}
-    if not terms:
-        return RationalFnC(_POLY_ZERO)
-    if min(terms) < 0:
+    if terms and min(terms) < 0:
         raise ValueError("theta is indexed by nonnegative powers of t")
-    top = max(terms)
-    acc, power = [0], [1]  # A_m and (c-1)^m, low to high, of one length
-    for m in range(top + 1):
-        if m:
-            acc = [2 * a - b for a, b in zip(acc + [0], [0] + acc)]
-            power = [b - a for a, b in zip(power + [0], [0] + power)]
-        if m in terms:
-            acc = [a + terms[m] * p for a, p in zip(acc, power)]
-    return RationalFnC(PolyC([0] + acc), g + top)
+    f = rational_from_t([terms.get(k, 0)
+                         for k in range(max(terms, default=-1) + 1)])
+    return RationalFnC(PolyC((0, *f.num.coeffs)), g + f.a) if f else f

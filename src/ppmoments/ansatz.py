@@ -1,41 +1,33 @@
-"""Closed-form calculus on sums of terms P(c) / ((2-c)^a (1-u)^b).
+"""Closed-form calculus on sums of terms P(t) / ((1+t)^e (1-u)^b).
 
-Here c is the even Catalan series in x and u = x*c*y.  Every generating
-function in the moment pipeline lives in this shape: the two-variable
-return-height series F(x,y) = c/(1-u) is the single term (c, a=0, b=1),
-and the path-splitting operators below map such sums to such sums, so
-the whole computation stays exact in c.
+Here c is the even Catalan series in x, t = (c-1)/(2-c) and u = x*c*y,
+so c = (1+2t)/(1+t).  The return-height series F(x,y) = c/(1-u) is
+(1+2t)/((1+t)(1-u)), and the path-splitting operators below map such
+sums to such sums, using
 
-Two facts drive all the algebra:
+  x dx t = 2t(1+t)(1+2t),   x dx u = (1+2t) u,   y dy u = u.
 
-  x dx c = 2c(c-1)/(2-c)      (from c = 1 + x^2 c^2)
-  (xc)^2 = c - 1              (eliminates explicit powers of x)
-
-AnsatzSum stores each term as a plain triple (num, a, b), exactly one
-per power b of (1-u), reduced so that (2-c) does not divide num while
-a > 0.  That form is unique: equal functions compare equal, and the
-r-fold chain iterate is stored in the paper's closed shape.
-
-The splitting kernel needs no table: with w = 2-c and v = 1-u it sums
-in closed form (see g_apply), so each Euler-operator term goes to b+2
-terms whose numerators are num times c, -1 or (c-1)^2, and AnsatzSum
-sums them per b.
+AnsatzSum stores one int list P_b per power b of 1/(1-u) over one
+common (1+t)^e, with 1+t divided out while it divides every P_b, so
+equal functions compare equal.  F has e = 1 and every operator-chain
+iterate of order r >= 1 has e = 0: a plain set of int polynomials in t.
+Iterating an AnsatzSum gives its terms in c, as the reduced triples
+(num, a, b) = num(c) / ((2-c)^a (1-u)^b) the reports print.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
-    C_MINUS_ONE,
     POLY_C,
-    PolyC,
     RationalFnC,
     SeriesX,
     catalan_series,
-    divide_out_root,
-    sum_over_two_minus_c,
+    over_one_plus_t,
+    rational_from_t,
 )
 
 __all__ = [
@@ -54,125 +46,144 @@ __all__ = [
 
 Grid = list  # list[list[int]], x index outer, y index inner
 
-_C_TIMES_C_MINUS_ONE = POLY_C * C_MINUS_ONE
-_C_MINUS_ONE_SQUARED = C_MINUS_ONE * C_MINUS_ONE
+
+def _plus(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """p + q on int lists of any lengths."""
+    return [x + y for x, y in zip_longest(p, q, fillvalue=0)]
+
+
+def _one_plus_t_power(p: Sequence[int], most: int) -> int:
+    """The largest m <= most for which (1+t)^m divides p; m = most takes
+    one over_one_plus_t call, and lower m are tried only if it fails."""
+    return next((m for m in range(most, 0, -1) if m < len(p)
+                 and not any(over_one_plus_t(p, m)[len(p) - m:])), 0)
 
 
 class AnsatzSum:
-    """Canonical sum of terms (num, a, b) = num(c) / ((2-c)^a (1-u)^b):
-    the terms at each b summed into one, zero terms dropped, numerators
-    reduced so that (2-c) never divides them while a > 0."""
+    """Canonical sum of P_b(t) / ((1+t)^e (1-u)^b) over b: zero P_b
+    dropped, trailing zeros stripped and 1+t divided out of every P_b
+    while e > 0 and it divides them all.
 
-    __slots__ = ("terms",)
+    polys holds the pairs (b, P_b) in increasing b; len() counts them.
+    """
 
-    def __init__(self, terms: Iterable[tuple[PolyC, int, int]] = ()):
-        by_b: dict[int, list[tuple[PolyC, int]]] = {}
-        for num, a, b in terms:
-            if a < 0 or b < 0:
-                raise ValueError("exponents must be nonnegative")
-            by_b.setdefault(b, []).append((num, a))
-        reduced = [(*sum_over_two_minus_c(p), b) for b, p in by_b.items()]
-        object.__setattr__(self, "terms", tuple(sorted(
-            (t for t in reduced if t[0]), key=lambda t: t[1:])))
+    __slots__ = ("polys", "e")
+
+    def __init__(self, polys: Mapping[int, Sequence[int]] | None = None,
+                 e: int = 0):
+        polys = polys or {}
+        if e < 0 or any(b < 0 for b in polys):
+            raise ValueError("exponents must be nonnegative")
+        kept = {}
+        for b in sorted(polys):
+            p = list(polys[b])
+            while p and not p[-1]:
+                p.pop()
+            if p:
+                kept[b] = p
+        m = min((_one_plus_t_power(p, e) for p in kept.values()), default=e)
+        object.__setattr__(self, "polys", tuple(
+            (b, tuple(over_one_plus_t(p, m)[:len(p) - m] if m else p))
+            for b, p in kept.items()))
+        object.__setattr__(self, "e", e - m)
 
     def __setattr__(self, name, value):
         raise AttributeError("AnsatzSum is immutable")
 
-    def __iter__(self):
-        return iter(self.terms)
+    def __iter__(self) -> Iterator[tuple]:
+        """The terms as reduced triples (num, a, b) in c, by (a, b)."""
+        fs = [(rational_from_t(p, self.e), b) for b, p in self.polys]
+        return iter(sorted(((f.num, f.a, b) for f, b in fs),
+                           key=lambda term: term[1:]))
 
     def __len__(self) -> int:
-        return len(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+        return len(self.polys)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, AnsatzSum):
-            return self.terms == other.terms
+            return (self.polys, self.e) == (other.polys, other.e)
         return NotImplemented
 
     def to_json(self) -> list[dict]:
         return [{"num": num.to_json(), "a": a, "b": b}
-                for num, a, b in self.terms]
+                for num, a, b in self]
 
     def __repr__(self) -> str:
         return " + ".join(f"({num!r}) / ((2-c)^{a} (1-u)^{b})"
-                          for num, a, b in self.terms) or "0"
+                          for num, a, b in self) or "0"
 
 
 # the return-height generating function F(x,y) = c / (1 - xcy)
-_F = AnsatzSum([(POLY_C, 0, 1)])
+_F = AnsatzSum({1: (1, 2)}, 1)
 
 
 def euler_apply(r: int, s: AnsatzSum) -> AnsatzSum:
     """Apply the shifted Euler operator (1/2)(x dx - y dy) - r.
 
-    On a term P(c)/((2-c)^a (1-u)^b) the chain rule gives, using
-    x dx c = 2c(c-1)/(2-c), x dx u = uc/(2-c) and y dy u = u:
+    On a term P(t)/((1+t)^e (1-u)^b) the chain rule gives, using
+    x dx t = 2t(1+t)(1+2t), x dx u = (1+2t)u, y dy u = u and
+    u/(1-u)^(b+1) = 1/(1-u)^(b+1) - 1/(1-u)^b:
 
-        c(c-1) P' / ((2-c)^(a+1) (1-u)^b)
-      + a c(c-1) P / ((2-c)^(a+2) (1-u)^b)
-      + b (c-1) P / ((2-c)^(a+1) (1-u)^(b+1))
-      - b (c-1) P / ((2-c)^(a+1) (1-u)^b)
-      - r P / ((2-c)^a (1-u)^b)
+        [t(1+2t)((1+t)P' - eP) - btP - rP] / ((1+t)^e (1-u)^b)
+      + btP / ((1+t)^e (1-u)^(b+1))
 
-    which is again a sum of ansatz terms.
+    Coefficient j of the bracket is
+    (j-r) p_j + (3j-3-b-e) p_(j-1) + (2j-4-2e) p_(j-2).
     """
-    out: list[tuple] = []
-    for p, a, b in s:
-        dp = p.derivative()
-        if dp:
-            out.append((_C_TIMES_C_MINUS_ONE * dp, a + 1, b))
-        if a:
-            out.append((a * _C_TIMES_C_MINUS_ONE * p, a + 2, b))
+    e, out = s.e, {}
+    for b, p in s.polys:
+        out[b] = _plus(out.get(b, ()), [
+            (j - r) * x + (3 * j - 3 - b - e) * y + (2 * j - 4 - 2 * e) * z
+            for j, (x, y, z) in enumerate(zip((*p, 0, 0), (0, *p, 0),
+                                              (0, 0, *p)))])
         if b:
-            q = b * C_MINUS_ONE * p
-            out.append((q, a + 1, b + 1))
-            out.append((-q, a + 1, b))
-        if r:
-            out.append((-r * p, a, b))
-    return AnsatzSum(out)
+            out[b + 1] = _plus(out.get(b + 1, ()), [0, *(b * x for x in p)])
+    return AnsatzSum(out, e)
 
 
 def g_apply(k: int, s: AnsatzSum) -> AnsatzSum:
     """Apply the k-th path-splitting operator.
 
     First the shifted Euler operator of order k, then the closed-form
-    kernel summation per term.  Pairing a term num/((2-c)^a (1-u)^b)
+    kernel summation per term.  In c, pairing a term num/((2-c)^a (1-u)^b)
     against the path-splitting weights
     sum_{j>=0} [z^(j+1)] xG(x,y,z) [z^j] (1-xcz)^(-b) collapses, after
     eliminating x through (xc)^2 = c-1 and summing the inner geometric
-    series over the z-return height, to
+    series over the z-return height (from j = 0 on), to
 
-        num K(u) / ((2-c)^(a+b) (1-u)^(b+1)),
+        num K / ((2-c)^(a+b) (1-u)^(b+1)),   with w = 2-c, v = 1-u,
+        K = [(c-1)^2 v^b - (1-v)^2 w^b] / (v - w)
+          = (c-1)^2 sum_{j<b} v^j w^(b-1-j) + w^b (c - v),
 
-        K(u) = [ (c-1)^2 (1-u)^b - u^2 (2-c)^b ] / (c - 1 - u).
-
-    The j >= 0 boundary (a coefficient at a negative z-power is zero) is
-    what makes the geometric sums start where they do; it is baked into
-    the bracket.  With w = 2-c and v = 1-u the bracket is
-    M(v) = (c-1)^2 v^b - (1-v)^2 w^b and the divisor is v - w.  Since
-    c-1 = 1-w, (1-w)^2 - (1-v)^2 = (v-w)(2-v-w) and 2-w = c, the
-    division is exact and sums in closed form:
-
-        M(v) / (v - w) = (c-1)^2 sum_{j<b} v^j w^(b-1-j) + w^b (c - v).
-
-    Each piece reduces against the denominator w^(a+b) v^(b+1), so the
-    term goes to (c num, a, b+1), (-num, a, b) and ((c-1)^2 num,
-    a+j+1, b+1-j) for j = 0..b-1; AnsatzSum sums them per b.
+    an exact division since c-1 = 1-w and 2-w = c.  In t, with
+    c-1 = t/(1+t) and w = 1/(1+t), over one more power of 1+t, a term
+    Q_b of the Euler image goes to (1+2t) Q_b at b+1, -(1+t) Q_b at b and
+    t^2 (1+t)^j Q_b at b+1-j for j < b.  The last group is summed per
+    target m by Horner's rule, H_m = Q_(m-1) + (1+t) H_(m+1), and t^2 H_m
+    is added at each m >= 2.
     """
-    out: list[tuple] = []
-    for num, a, b in euler_apply(k, s):
-        sq = _C_MINUS_ONE_SQUARED * num
-        out += [(POLY_C * num, a, b + 1), (-num, a, b)]
-        out += [(sq, a + j + 1, b + 1 - j) for j in range(b)]
-    return AnsatzSum(out)
+    q = euler_apply(k, s)
+    polys, out = dict(q.polys), {}
+    for b, p in q.polys:
+        out[b + 1] = _plus(out.get(b + 1, ()),
+                           [x + 2 * y for x, y in zip((*p, 0), (0, *p))])
+        out[b] = _plus(out.get(b, ()),
+                       [-x - y for x, y in zip((*p, 0), (0, *p))])
+    h: list[int] = []
+    for m in range(max(polys, default=0) + 1, 1, -1):
+        h = _plus(polys.get(m - 1, ()),
+                  [x + y for x, y in zip(h + [0], [0] + h)])
+        out[m] = _plus(out.get(m, ()), [0, 0, *h])
+    return AnsatzSum(out, q.e + 1)
 
 
 def y0_coefficient(s: AnsatzSum) -> RationalFnC:
-    """Constant coefficient in y: every (1-u)^-b contributes 1 at y^0."""
-    return RationalFnC(*sum_over_two_minus_c((num, a) for num, a, _ in s))
+    """Constant coefficient in y: every (1-u)^-b contributes 1 at y^0, so
+    it is the sum of the P_b over (1+t)^e, turned into c once."""
+    total: list[int] = []
+    for _, p in s.polys:
+        total = _plus(total, p)
+    return rational_from_t(total, s.e)
 
 
 def chain_iterates(r: int) -> Iterator[AnsatzSum]:
@@ -268,27 +279,29 @@ def chain_shape_violations(s: AnsatzSum, r: int) -> list[str]:
 
     After r >= 1 applications the sum must be expressible as terms
     indexed by i = 0..2r-1 with exponents a = 4r-1-i and b = 2+i, and
-    numerator c (c-1)^r p_i(c) with deg p_i <= 2r-1-i.  The sum holds one
-    reduced term per b, over (2-c)^a with a <= 4r-1-i; lifting it to the
-    shape's (2-c)^(4r-1-i) multiplies num by (2-c)^lift, lift = 4r-1-i-a.
-    Since (2-c) is prime to c(c-1), the lift leaves divisibility alone
-    and only raises the cofactor degree by lift, so num is tested as it
-    stands.  Returns human-readable violation strings; empty means the
-    shape holds.
+    numerator c (c-1)^r p_i(c) with deg p_i <= 2r-1-i.  Each stored P_b
+    has the reduced exponent a = max(deg P_b, e) - e, at most 4r-1-i.
+    In t, c (c-1)^r is t^r (1+2t), and if (1+t)^m is the highest power
+    of 1+t dividing P_b, the numerator over (2-c)^(4r-1-i) has degree
+    4r-1-i+e-m in c, so the degree bound asks (1+t)^(r-1+e) to divide
+    P_b.  Returns human-readable violations in the order of the terms'
+    (a, b); empty means the shape holds.
     """
     if r < 1:
         raise ValueError("shape check applies to r >= 1 iterates")
-    problems = []
-    for num, a, b in s:
+    problems, e = [], s.e
+    for a, b, p in sorted((max(len(p) - 1, e) - e, b, p) for b, p in s.polys):
         i = b - 2
         if i < 0 or i > 2 * r - 1 or a > 4 * r - 1 - i:
             problems.append(f"term exponents (a={a}, b={b}) outside shape")
             continue
-        q, j = divide_out_root(num, 1, r)  # then c divides q iff q(0) = 0
-        degree = q.degree - 1 + 4 * r - 1 - i - a  # of the lifted cofactor
-        if j < r or q[0]:
+        # t^r divides p, and 1+2t does: p(-1/2) (-2)^deg p = 0
+        if any(p[:r]) or sum(x * (-2) ** k for k, x in enumerate(p[::-1])):
             problems.append(f"numerator at b={b} not divisible by c(c-1)^{r}")
-        elif degree > 2 * r - 1 - i:
+            continue
+        m = _one_plus_t_power(p, r - 1 + e)
+        degree = 3 * r - 2 - i + e - m
+        if degree > 2 * r - 1 - i:
             problems.append(f"cofactor degree {degree} exceeds "
                             f"{2 * r - 1 - i} at b={b}")
     return problems

@@ -3,14 +3,22 @@
 These deliberately recompute things along different routes than the
 library code: coefficientwise operators on raw series grids, explicit
 enumeration of marked step pairs, and Newton's identities on Hermite
-coefficients.  The splitting kernel found by synthetic division
-(kernel_by_division) and the splitting operator that multiplies by its
-whole table (g_apply_by_division) are the references for the
-closed-form ansatz.g_apply.  The sum over powers of (2-c) that lifts
-every fraction by a full power of (2-c) (sum_over_two_minus_c_by_lifting)
-and the chain shape check that lifts every term to the shape's
-denominator (chain_shape_violations_by_lifting) are the references for
-the Horner's-rule algebra.sum_over_two_minus_c and the unlifted
+coefficients.
+
+The operator chain in c is the reference for the package's chain in
+t = (c-1)/(2-c).  It keeps each term as a triple (num, a, b) =
+num(c) / ((2-c)^a (1-u)^b), one reduced triple per b (terms_in_c):
+(2-c) is divided out of each sum by synthetic division at c = 2
+(divide_out_root), after Horner's rule over powers of (2-c)
+(sum_over_two_minus_c).  Its Euler operator (euler_apply_in_c) and
+splitting operator (g_apply_in_c) give the reference iterates
+(chain_in_c).  ansatz_from_c turns such triples into the package's
+AnsatzSum, so tests can state their inputs in c.  The splitting kernel
+found by synthetic division (kernel_by_division) and the splitting
+operator that multiplies by its whole table (g_apply_by_division) are
+the references for the closed-form ansatz.g_apply, and the chain shape
+check that lifts every term to the shape's denominator
+(chain_shape_violations_by_lifting) is the one for
 ansatz.chain_shape_violations.
 
 The exhaustive enumerators live here, not in the package: no report
@@ -52,7 +60,7 @@ from random import Random
 from typing import Iterable, Iterator
 
 from ppmoments import DEFAULT_SEED, sampler
-from ppmoments.algebra import C_MINUS_ONE, TWO_MINUS_C, PolyC, divide_out_root
+from ppmoments.algebra import POLY_C, PolyC
 from ppmoments.ansatz import AnsatzSum, ansatz_to_series, euler_apply, g_series
 from ppmoments.cli import _path, _poisson_mean, _positive
 from ppmoments.oracles import transformed_moment
@@ -90,6 +98,144 @@ def direct_g_apply_grid(k, s, x_order, y_order, g_grid=None):
     return out
 
 
+C_MINUS_ONE = PolyC((-1, 1))
+TWO_MINUS_C = PolyC((2, -1))
+
+
+def divide_out_root(p: PolyC, root: int, most: int) -> tuple[PolyC, int]:
+    """Divide c - root out of p as often as it goes, at most `most` times.
+
+    Returns (p / (c-root)^j, j) for the largest such j (j = most for the
+    zero polynomial).  Each step is a synthetic division (Horner at
+    c = root), so int coefficients stay ints; it stops at a nonzero
+    remainder p(root).
+    """
+    cs, j = p.coeffs, 0
+    while j < most:
+        acc, partial = 0, []
+        for c in reversed(cs):
+            acc = root * acc + c
+            partial.append(acc)
+        if partial and partial.pop():
+            break
+        cs = tuple(reversed(partial))
+        j += 1
+    return (PolyC(cs) if j else p), j
+
+
+def sum_over_two_minus_c(pairs: Iterable[tuple]) -> tuple[PolyC, int]:
+    """Sum the fractions num/(2-c)^a given as pairs (num, a).
+
+    Horner's rule over the pairs sorted by a: the running sum is kept
+    over (2-c)^top, and each step up to a larger a multiplies it by 2-c
+    once per unit of a before num is added.  (2-c) is then divided out as
+    often as it goes, so the result (num, a) has (2-c) not dividing num
+    while a > 0; a zero sum, the empty one included, is (0, 0).  Since
+    2-c = -(c-2), the quotient by (c-2)^j changes sign when j is odd.
+    """
+    acc, top = PolyC(), 0
+    for num, a in sorted(pairs, key=lambda pair: pair[1]):
+        while acc and top < a:
+            acc, top = acc * TWO_MINUS_C, top + 1
+        acc, top = acc + num, a
+    q, j = divide_out_root(acc, 2, top)
+    return (-q if j % 2 else q), top - j
+
+
+def terms_in_c(terms: Iterable[tuple]) -> tuple[tuple, ...]:
+    """The canonical c-basis sum of the triples (num, a, b): one reduced
+    triple per b, zero ones dropped, sorted by (a, b)."""
+    by_b: dict[int, list[tuple]] = {}
+    for num, a, b in terms:
+        by_b.setdefault(b, []).append((num, a))
+    reduced = [(*sum_over_two_minus_c(p), b) for b, p in by_b.items()]
+    return tuple(sorted((t for t in reduced if t[0]), key=lambda t: t[1:]))
+
+
+_C_TIMES_C_MINUS_ONE = POLY_C * C_MINUS_ONE
+
+
+def euler_apply_in_c(r: int, terms: Iterable[tuple]) -> tuple[tuple, ...]:
+    """The shifted Euler operator (1/2)(x dx - y dy) - r in c.
+
+    On a term P(c)/((2-c)^a (1-u)^b) the chain rule gives, using
+    x dx c = 2c(c-1)/(2-c), x dx u = uc/(2-c) and y dy u = u:
+
+        c(c-1) P' / ((2-c)^(a+1) (1-u)^b)
+      + a c(c-1) P / ((2-c)^(a+2) (1-u)^b)
+      + b (c-1) P / ((2-c)^(a+1) (1-u)^(b+1))
+      - b (c-1) P / ((2-c)^(a+1) (1-u)^b)
+      - r P / ((2-c)^a (1-u)^b)
+    """
+    out: list[tuple] = []
+    for p, a, b in terms:
+        dp = PolyC(i * c for i, c in enumerate(p.coeffs) if i)
+        if dp:
+            out.append((_C_TIMES_C_MINUS_ONE * dp, a + 1, b))
+        if a:
+            out.append((a * _C_TIMES_C_MINUS_ONE * p, a + 2, b))
+        if b:
+            q = b * C_MINUS_ONE * p
+            out.append((q, a + 1, b + 1))
+            out.append((-q, a + 1, b))
+        if r:
+            out.append((-r * p, a, b))
+    return terms_in_c(out)
+
+
+def g_apply_in_c(k: int, terms: Iterable[tuple]) -> tuple[tuple, ...]:
+    """The k-th splitting operator in c: each term of the Euler image
+    goes to (c num, a, b+1), (-num, a, b) and ((c-1)^2 num, a+j+1, b+1-j)
+    for j = 0..b-1 (the closed-form kernel of ansatz.g_apply)."""
+    out: list[tuple] = []
+    for num, a, b in euler_apply_in_c(k, terms):
+        sq = C_MINUS_ONE * C_MINUS_ONE * num
+        out += [(POLY_C * num, a, b + 1), (-num, a, b)]
+        out += [(sq, a + j + 1, b + 1 - j) for j in range(b)]
+    return terms_in_c(out)
+
+
+def chain_in_c(r: int) -> Iterator[tuple[tuple, ...]]:
+    """The operator-chain iterates of orders 0..r, in c."""
+    s = ((POLY_C, 0, 1),)
+    yield s
+    for k in range(r):
+        s = g_apply_in_c(k, s)
+        yield s
+
+
+def t_form(num, a: int) -> tuple[tuple[int, ...], int]:
+    """num(c)/(2-c)^a as (P, e), P's coefficients low to high, with
+    P(t)/(1+t)^e the same function.
+
+    With X = 1+2t and Y = 1+t, c = X/Y and 1/(2-c) = Y, so the function
+    is sum_k n_k X^k Y^(a-k), that is Y^(a-D) sum_k n_k X^k Y^(D-k) with
+    D = deg num, summed by Horner's rule; e = max(0, D - a).  An int num
+    is a constant.
+    """
+    ns = (num,) if isinstance(num, int) else num.coeffs
+    if not any(ns):
+        return (), 0
+    acc, power = [ns[-1]], [1]  # of one length, low to high
+    for n in reversed(ns[:-1]):
+        power = [p + q for p, q in zip(power + [0], [0] + power)]  # * Y
+        acc = [p + 2 * q + n * w
+               for p, q, w in zip(acc + [0], [0] + acc, power)]  # * X + n Y^j
+    d = len(ns) - 1
+    return (PolyC(acc) * PolyC((1, 1)) ** max(a - d, 0)).coeffs, max(0, d - a)
+
+
+def ansatz_from_c(terms: Iterable[tuple]) -> AnsatzSum:
+    """The AnsatzSum of the c-basis triples (num, a, b), over the largest
+    (1+t)^e any of them needs."""
+    forms = [(*t_form(num, a), b) for num, a, b in terms]
+    top = max((e for _, e, _ in forms), default=0)
+    polys: dict[int, PolyC] = {}
+    for p, e, b in forms:
+        polys[b] = polys.get(b, PolyC()) + PolyC(p) * PolyC((1, 1)) ** (top - e)
+    return AnsatzSum({b: p.coeffs for b, p in polys.items()}, top)
+
+
 @lru_cache(maxsize=None)
 def kernel_by_division(b: int) -> tuple[PolyC, ...]:
     """Numerators L_0, L_1, ... of the splitting kernel for (1-u)^-b.
@@ -116,22 +262,9 @@ def kernel_by_division(b: int) -> tuple[PolyC, ...]:
 def g_apply_by_division(k: int, s: AnsatzSum) -> AnsatzSum:
     """The k-th splitting operator through the divided kernel table: each
     Euler-operator term times each L_j, over (2-c)^(a+b) (1-u)^(b+1-j)."""
-    return AnsatzSum((num * lj, a + b, b + 1 - j)
-                     for num, a, b in euler_apply(k, s)
-                     for j, lj in enumerate(kernel_by_division(b)))
-
-
-def sum_over_two_minus_c_by_lifting(pairs) -> tuple[PolyC, int]:
-    """Sum the fractions num/(2-c)^a by lifting each pair to the largest
-    a with a full power of (2-c), then dividing (2-c) out as often as it
-    goes; the quotient by (c-2)^j changes sign when j is odd."""
-    pairs = list(pairs)
-    top = max((a for _, a in pairs), default=0)
-    acc = PolyC()
-    for num, a in pairs:
-        acc = acc + (num * TWO_MINUS_C ** (top - a) if a < top else num)
-    q, j = divide_out_root(acc, 2, top)
-    return (-q if j % 2 else q), top - j
+    return ansatz_from_c((num * lj, a + b, b + 1 - j)
+                         for num, a, b in euler_apply(k, s)
+                         for j, lj in enumerate(kernel_by_division(b)))
 
 
 def chain_shape_violations_by_lifting(s: AnsatzSum, r: int) -> list[str]:
@@ -164,7 +297,7 @@ def random_ansatz_sum(rng: Random, max_b: int = 3) -> AnsatzSum:
     for _ in range(rng.randint(1, 3)):
         terms.append((random_poly(rng), rng.randint(0, 3),
                       rng.randint(0, max_b)))
-    return AnsatzSum(terms)
+    return ansatz_from_c(terms)
 
 
 class UnbalancedPath(ValueError):

@@ -9,7 +9,6 @@ from random import Random
 
 from ppmoments import DEFAULT_SEED
 from ppmoments.algebra import (
-    C_MINUS_ONE,
     POLY_C,
     RationalFnC,
     catalan_series,
@@ -32,6 +31,7 @@ from ppmoments.oracles import enum_paths, moment_polynomial, word_moment
 from ppmoments.sampler import corner_moments, mc_moments
 
 from helpers import (
+    C_MINUS_ONE,
     corner_measure_by_partial_fractions,
     direct_g_apply_grid,
     euler_grid,

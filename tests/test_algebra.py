@@ -1,30 +1,30 @@
+from math import factorial, prod
 from random import Random
 
 import pytest
 
 from ppmoments.algebra import (
-    C_MINUS_ONE,
     NotFineStructure,
     POLY_C,
     PolyC,
     RationalFnC,
     SeriesX,
-    TWO_MINUS_C,
     catalan_number,
     catalan_series,
-    divide_out_root,
     expand_in_x,
     fine_structure_form,
     fine_structure_to_rational,
-    sum_over_two_minus_c,
+    over_one_plus_t,
+    rational_from_t,
     theta_from_rows,
     theta_support_window,
 )
 from ppmoments.ansatz import chain_iterates, y0_coefficient
-from ppmoments.cli import REFERENCE_THETA, _rook_column, run_sample
+from ppmoments.cli import REFERENCE_THETA, _closed_forms, _rook_column, run_sample
 from ppmoments.oracles import moment_polynomials
 
-from helpers import sum_over_two_minus_c_by_lifting
+from helpers import (C_MINUS_ONE, TWO_MINUS_C, divide_out_root,
+                     sum_over_two_minus_c, t_form)
 
 C = POLY_C
 ONE = PolyC((1,))
@@ -91,7 +91,7 @@ def test_divide_out_root():
 
 def test_integral_coefficients_are_ints():
     p, q = PolyC((3, -1, 4)), PolyC((2, 0, -5, 1))
-    for r in (p + q, p - q, p * q, 3 * p, p ** 3, p.derivative()):
+    for r in (p + q, p - q, p * q, 3 * p, p ** 3):
         assert all(type(c) is int for c in r.coeffs), r
     s = SeriesX(6, (1, 2, 3))
     for r in (s + s, s * s, 2 - s, s.inverse(), s ** 3, s.derivative(),
@@ -119,6 +119,8 @@ def test_non_unit_divisors_raise():
 
 
 def test_two_minus_c_reduction_is_canonical():
+    # rational_from_t gives the reduced pair, whatever power of (2-c) the
+    # function's c form carries
     rng = Random(29)
     for _ in range(30):
         core = PolyC(rng.randint(-4, 4) for _ in range(rng.randint(1, 5)))
@@ -126,7 +128,8 @@ def test_two_minus_c_reduction_is_canonical():
             continue
         j, a = rng.randint(0, 3), rng.randint(0, 5)
         num = core * TWO_MINUS_C ** j
-        f = RationalFnC(num, a)
+        f = rational_from_t(*t_form(num, a))
+        assert f == RationalFnC(*sum_over_two_minus_c([(num, a)]))
         assert f.a <= a
         assert f.num * TWO_MINUS_C ** (a - f.a) == num  # the same function
         # c - 2 is the only factor of (2-c)^a, so this is coprimality
@@ -137,7 +140,36 @@ def test_two_minus_c_reduction_is_canonical():
         rn, rd = PolyC(map(int, shown["num"])), PolyC(map(int, shown["den"]))
         assert rd.coeffs[-1] == 1 and rd.degree == f.a
         assert rn * TWO_MINUS_C ** f.a == f.num * rd
-    assert RationalFnC(PolyC(()), 3) == RationalFnC(PolyC(()))
+    assert rational_from_t((0, 0), 3) == RationalFnC(PolyC(()))
+
+
+def test_rational_from_t_examples():
+    # 1+2t over 1+t is c; t is (c-1)/(2-c); 1/(1+t) is 2-c
+    assert rational_from_t((1, 2), 1) == RationalFnC(POLY_C)
+    assert rational_from_t((0, 1)) == RationalFnC(C_MINUS_ONE, 1)
+    assert rational_from_t((1,), 1) == RationalFnC(TWO_MINUS_C)
+    assert rational_from_t((1, 1, 0), 1) == RationalFnC(PolyC((1,)))
+    assert rational_from_t(()) == RationalFnC(PolyC(()))
+
+
+def test_over_one_plus_t():
+    rng = Random(37)
+    one_plus_t = PolyC((1, 1))
+    for _ in range(40):
+        p = [rng.randint(-5, 5) for _ in range(rng.randint(1, 8))]
+        n = rng.randint(0, 4)
+        q = over_one_plus_t(p, n)
+        # the series quotient: q (1+t)^n agrees with p to len(p) terms
+        assert len(q) == len(p) and all(type(c) is int for c in q)
+        back = (PolyC(q) * one_plus_t ** n).coeffs
+        assert PolyC(back[:len(p)]) == PolyC(p)
+        # an exact multiple divides to the quotient, then n zeros
+        if PolyC(p):
+            exact = (PolyC(p) * one_plus_t ** n).coeffs
+            assert over_one_plus_t(exact, n) == [*PolyC(p).coeffs] + [0] * n
+    assert over_one_plus_t([1, 2, 1]) == [1, 1, 0]
+    assert over_one_plus_t([1, 0, 0, 0], 2) == [1, -2, 3, -4]
+    assert over_one_plus_t([], 3) == []
 
 
 def test_sum_over_two_minus_c():
@@ -157,69 +189,34 @@ def test_sum_over_two_minus_c():
     assert sum_over_two_minus_c([(2 * ONE, 2), (-C, 2)]) == (ONE, 1)
 
 
-def _random_pairs(rng, n, a_max=6):
-    # pairs (num, a) in no order, a repeated, some num divisible by 2-c
-    return [(PolyC(rng.randint(-4, 4) for _ in range(rng.randint(0, 4)))
-             * TWO_MINUS_C ** rng.randint(0, 2), rng.randint(0, a_max))
-            for _ in range(n)]
-
-
-def test_sum_over_two_minus_c_matches_lifting():
-    rng = Random(47)
-    for _ in range(60):
-        pairs = _random_pairs(rng, rng.randint(1, 8))
-        negated = [(-num, a) for num, a in pairs]
-        # the same fractions again, one power of 2-c higher up
-        raised = [(-num * TWO_MINUS_C, a + 1) for num, a in pairs]
-        high = [(num, a + 8) for num, a in _random_pairs(rng, 3)]
-        for case in (
-            pairs,
-            pairs + high + negated,  # zero before the first high a
-            high + raised + pairs,  # zero before the high a, each a moved
-            rng.sample(pairs + negated, 2 * len(pairs)),  # zero in full
-            raised + pairs,  # zero in full, at a different a than it began
-        ):
-            assert sum_over_two_minus_c(case) == \
-                sum_over_two_minus_c_by_lifting(case)
-    assert sum_over_two_minus_c([]) == sum_over_two_minus_c_by_lifting([]) \
-        == (PolyC(()), 0)
-
-
-def test_sum_over_two_minus_c_forms_no_power(monkeypatch):
-    # Horner's rule lifts by the two-term 2-c alone, never by a power
-    pairs = [(PolyC((a + 1, -a, 1)), a) for a in (6, 0, 3, 1, 5, 2, 4)]
-    expected = sum_over_two_minus_c_by_lifting(pairs)
-
-    def no_power(self, n):
-        raise AssertionError(f"a polynomial was raised to the power {n}")
-
-    monkeypatch.setattr(PolyC, "__pow__", no_power)
-    assert sum_over_two_minus_c(pairs) == expected
-
-
-def test_poly_derivative_and_eval():
+def test_poly_eval_and_power():
     p = PolyC((3, 0, 1))  # 3 + c^2
-    assert p.derivative() == PolyC((0, 2))
     assert p.eval_series(SeriesX(3, (0, 1))) == SeriesX(3, (3, 0, 1))
     assert p ** 0 == ONE
     assert (C + 1) ** 2 == PolyC((1, 2, 1))
 
 
 def test_rational_fn_canonical_form():
-    f = RationalFnC(C * TWO_MINUS_C, 2)
-    assert f == RationalFnC(C, 1)
+    f = RationalFnC(C, 1)
     assert (f.num, f.a) == (C, 1)
-    zero = RationalFnC(PolyC(()), 2)
+    zero = RationalFnC(PolyC(()))
     assert (zero.num, zero.a) == (PolyC(()), 0)
     # reports render over the monic (c-2)^a, flipping num's sign for odd a
-    for h in (f, RationalFnC(C, 1)):
-        assert h.to_json() == {"num": ["0", "-1"], "den": ["-2", "1"]}
-        assert repr(h) == "(-c) / (-2 + c)"
+    assert f.to_json() == {"num": ["0", "-1"], "den": ["-2", "1"]}
+    assert repr(f) == "(-c) / (-2 + c)"
     assert RationalFnC(C, 2).to_json() == {"num": ["0", "1"],
                                            "den": ["4", "-4", "1"]}
     assert repr(RationalFnC(C, 0)) == "c"
     with pytest.raises(ValueError):
         RationalFnC(C, -1)
+
+
+def test_rational_fn_rejects_unreduced_pairs():
+    # the pair is checked, not reduced: (2-c) may not divide num if a > 0
+    for num, a in ((C * TWO_MINUS_C, 2), (TWO_MINUS_C, 1), (PolyC(()), 3)):
+        with pytest.raises(ValueError, match="not reduced"):
+            RationalFnC(num, a)
+    assert RationalFnC(C * TWO_MINUS_C).num == C * TWO_MINUS_C
 
 
 def test_series_truncation_semantics():
@@ -303,10 +300,10 @@ def test_expand_in_x_is_ring_homomorphism():
         num1 = PolyC(rng.randint(-3, 3) for _ in range(rng.randint(1, 4)))
         num2 = PolyC(rng.randint(-3, 3) for _ in range(rng.randint(1, 4)))
         a1, a2 = rng.randint(0, 2), rng.randint(0, 2)
-        f, h = RationalFnC(num1, a1), RationalFnC(num2, a2)
-        product = RationalFnC(num1 * num2, a1 + a2)
-        total = RationalFnC(num1 * TWO_MINUS_C ** a2 + num2 * TWO_MINUS_C ** a1,
-                            a1 + a2)
+        f = RationalFnC(*sum_over_two_minus_c([(num1, a1)]))
+        h = RationalFnC(*sum_over_two_minus_c([(num2, a2)]))
+        product = RationalFnC(*sum_over_two_minus_c([(num1 * num2, a1 + a2)]))
+        total = RationalFnC(*sum_over_two_minus_c([(num1, a1), (num2, a2)]))
         order = 9
         assert expand_in_x(product, order) == expand_in_x(f, order) * expand_in_x(h, order)
         assert expand_in_x(total, order) == expand_in_x(f, order) + expand_in_x(h, order)
@@ -353,8 +350,8 @@ def test_fine_structure_to_rational_rejects_negative_powers():
 
 def test_theta_from_rows_matches_the_operator_chain():
     # the rows route and the chain's closed forms give the same table
-    rows = moment_polynomials(3 * 15 + 2)
-    for g, s in enumerate(chain_iterates(15)):
+    rows = moment_polynomials(3 * 30 + 2)
+    for g, s in enumerate(chain_iterates(30)):
         if g:
             want = fine_structure_form(y0_coefficient(s), g)
             assert theta_from_rows(_rook_column(rows, g), g) == want, g
@@ -393,3 +390,16 @@ def test_theta_from_rows_checks_the_residual_rows():
 def test_theta_support_window():
     assert theta_support_window(1) == (2, 2)
     assert theta_support_window(4) == (5, 11)
+
+
+def test_size_only_table_edges_have_closed_forms():
+    # theta_g(g+1) = 1 and theta_g(3g-1) = (4g-3)!! 2^(g-1) / g!: a route
+    # that shares nothing with the rows solver or the operator chain
+    tops = []
+    for g, (theta, _) in enumerate(_closed_forms(40), start=1):
+        lo, hi = theta_support_window(g)
+        assert (min(theta), max(theta), theta[lo]) == (lo, hi, 1), g
+        assert theta[hi] * factorial(g) == \
+            prod(range(4 * g - 3, 0, -2)) * 2 ** (g - 1), g
+        tops.append(theta[hi])
+    assert tops[:5] == [1, 15, 630, 45045, 4594590]

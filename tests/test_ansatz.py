@@ -5,14 +5,11 @@ from random import Random
 import pytest
 
 from ppmoments.algebra import (
-    C_MINUS_ONE,
     POLY_C,
     PolyC,
     RationalFnC,
-    TWO_MINUS_C,
     fine_structure_form,
     fine_structure_to_rational,
-    sum_over_two_minus_c,
 )
 from ppmoments.ansatz import (
     _F,
@@ -30,37 +27,46 @@ from ppmoments.ansatz import (
 )
 from ppmoments.oracles import enum_paths
 
-from helpers import (chain_shape_violations_by_lifting, direct_g_apply_grid,
+from helpers import (C_MINUS_ONE, TWO_MINUS_C, ansatz_from_c, chain_in_c,
+                     chain_shape_violations_by_lifting, direct_g_apply_grid,
                      euler_grid, g_apply_by_division, kernel_by_division,
-                     random_ansatz_sum, random_poly,
-                     sum_over_two_minus_c_by_lifting)
+                     random_ansatz_sum, random_poly, sum_over_two_minus_c)
 
 C = POLY_C
 ONE = PolyC((1,))
 
 
 def test_f_initial_is_single_term():
+    # c/(1-u) is (1+2t)/((1+t)(1-u)) in t
     assert len(_F) == 1
-    assert _F.terms == ((C, 0, 1),)
+    assert (_F.polys, _F.e) == (((1, (1, 2)),), 1)
+    assert tuple(_F) == ((C, 0, 1),)
+    assert _F == ansatz_from_c([(C, 0, 1)])
 
 
 def test_ansatz_sum_canonicalization():
     # sum the terms at each b, drop zeros, reduce numerator factors of (2-c)
-    s = AnsatzSum([(C, 1, 1), (-C, 1, 1)])
-    assert not s
-    merged = AnsatzSum([(C, 1, 1), (C, 1, 1)])
-    assert merged.terms == ((2 * C, 1, 1),)
-    reduced = AnsatzSum([(TWO_MINUS_C * C, 1, 1)])
-    assert reduced == AnsatzSum([(C, 0, 1)])
-    for bad in ((C, -1, 0), (C, 0, -1)):
+    s = ansatz_from_c([(C, 1, 1), (-C, 1, 1)])
+    assert not s and (s.polys, s.e) == ((), 0)
+    merged = ansatz_from_c([(C, 1, 1), (C, 1, 1)])
+    assert tuple(merged) == ((2 * C, 1, 1),)
+    reduced = ansatz_from_c([(TWO_MINUS_C * C, 1, 1)])
+    assert reduced == ansatz_from_c([(C, 0, 1)])
+    # in t: 1+t is divided out while it divides every P_b, and trailing
+    # zeros and zero P_b are dropped
+    assert AnsatzSum({1: (1, 2, 1, 0), 3: (-1, -1)}, 2) == \
+        AnsatzSum({1: (1, 1), 3: (-1,)}, 1)
+    assert AnsatzSum({0: (), 1: (1, 2)}, 1) == _F
+    assert AnsatzSum({0: (0, 0)}, 3) == AnsatzSum()
+    for polys, e in (({0: (1,)}, -1), ({-1: (1,)}, 0)):
         with pytest.raises(ValueError, match="nonnegative"):
-            AnsatzSum([bad])
+            AnsatzSum(polys, e)
 
 
 def test_equal_functions_compare_equal():
     # c/(2-c) - 1 = (2c-2)/(2-c): one function, one stored term at b = 1
-    assert AnsatzSum([(C, 1, 1), (-1, 0, 1)]) == \
-        AnsatzSum([(2 * C - 2, 1, 1)])
+    assert ansatz_from_c([(C, 1, 1), (-1, 0, 1)]) == \
+        ansatz_from_c([(2 * C - 2, 1, 1)])
 
 
 def test_chain_iterates_are_the_closed_shape():
@@ -77,7 +83,7 @@ def test_ansatz_serialization():
 
 
 def test_y0_coefficient_examples():
-    assert y0_coefficient(AnsatzSum([(C, 0, 5)])) == RationalFnC(C)
+    assert y0_coefficient(ansatz_from_c([(C, 0, 5)])) == RationalFnC(C)
     assert y0_coefficient(_F) == RationalFnC(C)
     assert y0_coefficient(AnsatzSum()) == RationalFnC(PolyC(()))
     half_euler = euler_apply(0, _F)
@@ -85,19 +91,19 @@ def test_y0_coefficient_examples():
 
 
 def test_euler_on_f_closed_form():
-    assert euler_apply(0, _F) == AnsatzSum([(C * C_MINUS_ONE, 1, 2)])
+    assert euler_apply(0, _F) == ansatz_from_c([(C * C_MINUS_ONE, 1, 2)])
 
 
 def test_euler_on_constant_in_u():
-    s = AnsatzSum([(C, 0, 0)])
-    assert euler_apply(0, s) == AnsatzSum([(C * C_MINUS_ONE, 1, 0)])
+    s = ansatz_from_c([(C, 0, 0)])
+    assert euler_apply(0, s) == ansatz_from_c([(C * C_MINUS_ONE, 1, 0)])
 
 
 def test_euler_linearity_in_shift():
     rng = Random(3)
     for _ in range(10):
         s = random_ansatz_sum(rng)
-        assert euler_apply(5, s) == AnsatzSum(
+        assert euler_apply(5, s) == ansatz_from_c(
             (*euler_apply(0, s), *((-5 * num, a, b) for num, a, b in s)))
 
 
@@ -230,26 +236,29 @@ def test_chain_shape_violations_name_each_break():
          "cofactor degree 2 exceeds 0 at b=5"),
     ]
     for extra, message in cases:
-        assert chain_shape_violations(AnsatzSum((*s, extra)), 2) == [message]
+        assert chain_shape_violations(ansatz_from_c((*s, extra)), 2) == \
+            [message]
 
 
 def _perturbed(rng, s, g):
     # s with one term replaced by a lower-a one, or one random term added
-    num, a, b = rng.choice(s.terms)
+    terms = tuple(s)
+    num, a, b = rng.choice(terms)
     k = rng.randint(1, min(a, 3))
     lower = C * C_MINUS_ONE ** rng.randint(g - 1, g) * random_poly(rng, 2 * g)
-    yield AnsatzSum((*s, (lower * TWO_MINUS_C ** k - num, a, b)))
-    yield AnsatzSum((*s, (random_poly(rng), rng.randint(0, 4 * g),
-                          rng.randint(0, 2 * g + 2))))
+    yield ansatz_from_c((*terms, (lower * TWO_MINUS_C ** k - num, a, b)))
+    yield ansatz_from_c((*terms, (random_poly(rng), rng.randint(0, 4 * g),
+                                  rng.randint(0, 2 * g + 2))))
 
 
 def test_sum_and_shape_check_match_lifting_on_the_chain():
+    # the sum in t, turned into c once, is the reference sum in c
     rng = Random(59)
     iterates = list(chain_iterates(12))
     for g, s in enumerate(iterates):
-        pairs = [(num, a) for num, a, _ in (*s, *iterates[min(g + 1, 12)])]
-        assert sum_over_two_minus_c(pairs) == \
-            sum_over_two_minus_c_by_lifting(pairs)
+        terms = (*s, *iterates[min(g + 1, 12)])
+        assert y0_coefficient(ansatz_from_c(terms)) == RationalFnC(
+            *sum_over_two_minus_c((num, a) for num, a, _ in terms))
         if not g:
             continue
         assert chain_shape_violations(s, g) == []
@@ -260,6 +269,13 @@ def test_sum_and_shape_check_match_lifting_on_the_chain():
                     chain_shape_violations_by_lifting(t, g)
 
 
+def test_chain_in_t_matches_the_reference_chain_in_c():
+    # every iterate reports the reduced c terms the chain in c computes
+    for g, (s, ref) in enumerate(zip(chain_iterates(12), chain_in_c(12))):
+        assert s.to_json() == [{"num": num.to_json(), "a": a, "b": b}
+                               for num, a, b in ref], g
+
+
 def test_chain_iterates_apply_each_order_once():
     s = _F
     iterates = list(chain_iterates(5))
@@ -268,6 +284,8 @@ def test_chain_iterates_apply_each_order_once():
         s = g_apply(g - 1, s)
         assert got == s
         assert all(type(c) is int for num, _, _ in got for c in num.coeffs)
+        assert got.e == 0
+        assert all(type(c) is int for _, p in got.polys for c in p)
     assert operator_chain(5) == iterates[-1]
     assert operator_chain(0) == _F
 

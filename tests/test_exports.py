@@ -179,12 +179,19 @@ def test_no_package_module_imports_fractions():
 
 def test_retired_closed_form_names_stay_gone():
     # a closed form is stored once, as the reduced pair (num, a) over
-    # (2-c)^a, a theta table is a plain dict, and so is a moment row
+    # (2-c)^a, a theta table is a plain dict, and so is a moment row; the
+    # operator chain runs in t, so no package code reduces by (2-c) or
+    # divides by c - root (the chain in c is a test reference)
     for owner, name in ((ppmoments, "FineStructureForm"),
                         (ppmoments, "MomentPolynomial"),
                         (oracles, "MomentPolynomial"),
                         (algebra, "FineStructureForm"),
                         (algebra, "strip_two_minus_c"),
+                        (algebra, "sum_over_two_minus_c"),
+                        (algebra, "divide_out_root"),
+                        (algebra, "C_MINUS_ONE"),
+                        (algebra, "TWO_MINUS_C"),
+                        (algebra.PolyC, "derivative"),
                         (ansatz.AnsatzSum, "scale"),
                         (ansatz.AnsatzSum, "__add__"),
                         (algebra.RationalFnC, "den")):
