@@ -13,17 +13,18 @@ does not export them again.
 
 The shape sampler is separate.  sample_pp takes a
 Poisson-distributed size, a uniform random permutation of that size, and
-the insertion-tableau shape of the permutation, a Partition (defined
-here, since only the shape side uses it).  The corner (transition)
-measure of a partition is the probability measure on the contents a_i
-of its addable corners whose Cauchy transform is
+the insertion-tableau shape of the permutation, as the tuple of its row
+lengths, largest first.  The corner (transition) measure of a partition
+is the probability measure on the contents a_i of its addable corners
+whose Cauchy transform is
 
     prod_j (z - b_j) / prod_i (z - a_i),
 
 with b_j the contents of its removable corners.  Both products are
 monic integer polynomials, so every moment is an int, and corner_moments
-reads them off one power-series division; positions rescaled by
-1/sqrt(n) divide the k-th moment by n**(k/2).  The corner measure has
+reads the contents off the row lengths and the moments off one
+power-series division; positions rescaled by 1/sqrt(n) divide the k-th
+moment by n**(k/2).  The corner measure has
 the same mass, mean and variance as the transformed measure of a
 partition of the same size.  Averaged over Poissonized Plancherel, its
 sixth and eighth moments are larger; tests/test_sampler.py pins both
@@ -64,14 +65,12 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 from . import DEFAULT_SEED, POISSON_MEAN_MAX
 from .oracles import transformed_moment
 
 __all__ = [
-    "DuplicateEntries",
-    "Partition",
     "RngState",
     "corner_moments",
     "mc_moments",
@@ -158,76 +157,6 @@ class RngState:
         for i in range(len(xs) - 1, 0, -1):
             j = self.randbelow(i + 1)
             xs[i], xs[j] = xs[j], xs[i]
-
-
-class DuplicateEntries(ValueError):
-    """Insertion words must have pairwise distinct entries."""
-
-
-class Partition:
-    """Integer partition: weakly decreasing tuple of positive parts.
-
-    The parts given must be integral and nonnegative; zero parts are
-    dropped.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[int] = ()):
-        given = tuple(parts)
-        ps = tuple(int(p) for p in given)
-        if ps != given:  # int() truncates 2.5 to 2
-            raise ValueError("parts must be integers")
-        if any(p < 0 for p in ps):
-            raise ValueError("parts must be nonnegative")
-        if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-        # weakly decreasing, so the zero parts are the trailing ones
-        object.__setattr__(self, "parts", tuple(p for p in ps if p))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition{self.parts}"
-
-    def addable_contents(self) -> list[int]:
-        """Contents (column - row) of cells that can be added, descending."""
-        out = []
-        prev = None
-        for i, p in enumerate(self.parts, start=1):
-            if prev is None or p < prev:
-                out.append(p + 1 - i)
-            prev = p
-        out.append(-len(self.parts))
-        return out
-
-    def removable_contents(self) -> list[int]:
-        """Contents of cells that can be removed, descending."""
-        out = []
-        parts = self.parts
-        for i, p in enumerate(parts, start=1):
-            if i == len(parts) or parts[i] < p:
-                out.append(p - i)
-        return out
 
 
 @lru_cache(maxsize=64)  # bounded: callers may pass any float mean
@@ -330,11 +259,10 @@ def poisson_sample(mean: float, rng: RngState) -> int:
             return int(k)
 
 
-def rsk_shape(word: Sequence[int]) -> Partition:
-    """Shape of the row-insertion tableau of a word of distinct integers."""
-    seen = set(word)
-    if len(seen) != len(word):
-        raise DuplicateEntries("insertion word has repeated entries")
+def rsk_shape(word: Sequence[int]) -> tuple[int, ...]:
+    """Row lengths of the row-insertion tableau of a word of distinct ints."""
+    if len(set(word)) != len(word):
+        raise ValueError("insertion word has repeated entries")
     rows: list[list[int]] = []
     for x in word:
         for row in rows:
@@ -345,11 +273,12 @@ def rsk_shape(word: Sequence[int]) -> Partition:
             x, row[i] = row[i], x
         else:
             rows.append([x])
-    return Partition(len(r) for r in rows)
+    return tuple(map(len, rows))
 
 
-def sample_pp(n: int, rng: RngState) -> Partition:
-    """One random partition: Poisson(n) size, uniform permutation, shape."""
+def sample_pp(n: int, rng: RngState) -> tuple[int, ...]:
+    """One random partition's row lengths: Poisson(n) size, uniform
+    permutation, shape."""
     if n < 1:
         raise ValueError("n must be positive")
     size = poisson_sample(n, rng)
@@ -358,30 +287,37 @@ def sample_pp(n: int, rng: RngState) -> Partition:
     return rsk_shape(perm)
 
 
-def corner_moments(shape: Partition, order_max: int) -> list[int]:
+def corner_moments(shape: Sequence[int], order_max: int) -> list[int]:
     """Moments m_0..m_order_max of the corner measure of shape, unscaled.
 
-    With w = 1/z the Cauchy transform sum_k m_k z**(-k-1) is w P(w)/Q(w),
+    shape is a partition's row lengths, largest first.  Row i of
+    (*shape, 0), of length r_i and counted from 0, ends in an addable
+    cell of content r_i - i when i = 0 or r_i < r_(i-1), and then row
+    i - 1 ends in a removable cell of content r_(i-1) - i.  With
+    w = 1/z the Cauchy transform sum_k m_k z**(-k-1) is w P(w)/Q(w),
     P = prod_j (1 - b_j w) over the removable contents b_j and
-    Q = prod_i (1 - a_i w) over the addable contents a_i.  Q(0) = 1, so
-    m_k = P_k - sum_(i=1..k) Q_i m_(k-i), in ints.
+    Q = prod_i (1 - a_i w) over the addable contents a_i, each built to
+    its true degree.  Q(0) = 1, so m_k = P_k - sum_(i=1..min(k, deg Q))
+    Q_i m_(k-i), in ints, with deg Q at most sqrt(2N) + 1 at size N.
     """
     if order_max < 0:
         raise ValueError("order_max must be nonnegative")
 
-    def series(contents: list[int]) -> list[int]:
-        poly = [1] + [0] * order_max
-        for c in contents:
-            for i in range(order_max, 0, -1):
-                poly[i] -= c * poly[i - 1]
-        return poly
+    def times(poly: list[int], content: int) -> list[int]:
+        """poly times 1 - content w."""
+        return [a - content * b for a, b in zip(poly + [0], [0] + poly)]
 
-    p = series(shape.removable_contents())
-    q = series(shape.addable_contents())
+    rows = (*shape, 0)
+    p, q = [1], [1]
+    for i, length in enumerate(rows):
+        if i == 0 or length < rows[i - 1]:
+            q = times(q, length - i)
+            if i:
+                p = times(p, rows[i - 1] - i)
     moments: list[int] = []
     for k in range(order_max + 1):
-        moments.append(p[k] - sum(q[i] * moments[k - i]
-                                  for i in range(1, k + 1)))
+        moments.append((p[k] if k < len(p) else 0)
+                       - sum(a * m for a, m in zip(q[1:], reversed(moments))))
     return moments
 
 

@@ -32,10 +32,13 @@ rook_polynomial) summed over every staircase shape
 (staircase_partitions, rook_counts_exhaustive), the Dyck words
 (dyck_words) each rewritten on its own (normal_order), every
 partition of a size (partitions_of), and the Plancherel average of the
-corner transition measure's moments (corner_moment_rows).  The corner
-measure's atoms and Fraction weights by partial fractions
-(corner_measure_by_partial_fractions) are the reference for the
-power-series division of sampler.corner_moments.  The rook
+corner transition measure's moments for every k up to a bound, from one
+enumeration (corner_moment_rows).  A shape is the tuple of its row
+lengths, largest first, with no zero parts, as sampler.rsk_shape gives
+it.  The corner measure's atoms and Fraction weights by partial
+fractions (corner_measure_by_partial_fractions), over contents read off
+the diagram's cells rather than its row lengths (corner_contents), are
+the reference for sampler.corner_moments.  The rook
 transfer matrix with one list of closed-pair counts per state
 (rook_rows_reference) is the reference for the package's moment rows,
 which it reaches by rook placements rather than by paths weighed over
@@ -64,7 +67,6 @@ from ppmoments.algebra import POLY_C, PolyC
 from ppmoments.ansatz import AnsatzSum, ansatz_to_series, euler_apply, g_series
 from ppmoments.cli import _path, _poisson_mean, _positive
 from ppmoments.oracles import transformed_moment
-from ppmoments.sampler import Partition
 
 
 def euler_grid(r, grid):
@@ -374,11 +376,12 @@ def iter_paths(length: int, start_height: int = 0,
     yield from rec(length, start_height, [])
 
 
-def path_to_partition(p: LatticePath) -> Partition:
-    """Partition cut out above a balanced path inside its bounding staircase.
+def path_to_partition(p: LatticePath) -> tuple[int, ...]:
+    """Row lengths of the partition cut out above a balanced path inside
+    its bounding staircase.
 
     One part per down step: the number of up steps strictly to its right.
-    Zero parts are dropped by canonicalization.
+    Zero parts are dropped.
     """
     if p.end_height != 0:
         raise UnbalancedPath(f"path ends at height {p.end_height}")
@@ -389,7 +392,7 @@ def path_to_partition(p: LatticePath) -> Partition:
             ups_after += 1
         else:
             parts_rev.append(ups_after)
-    return Partition(reversed(parts_rev))
+    return tuple(part for part in reversed(parts_rev) if part)
 
 
 def marking_counts(p: LatticePath) -> dict[int, int]:
@@ -449,27 +452,25 @@ def brute_marking_count(path, g: int) -> int:
     return total
 
 
-def conjugate(shape: Partition) -> Partition:
+def conjugate(shape: tuple[int, ...]) -> tuple[int, ...]:
     """Transposed diagram: column j's height is the number of parts >= j."""
-    if not shape.parts:
-        return shape
-    cols = [0] * shape.parts[0]
-    for p in shape.parts:
+    cols = [0] * max(shape, default=0)
+    for p in shape:
         for j in range(p):
             cols[j] += 1
-    return Partition(cols)
+    return tuple(cols)
 
 
-def cells(shape: Partition) -> Iterator[tuple[int, int]]:
+def cells(shape: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """All diagram cells as 1-indexed (row, column)."""
-    for i, p in enumerate(shape.parts, start=1):
+    for i, p in enumerate(shape, start=1):
         for j in range(1, p + 1):
             yield i, j
 
 
-def fits_staircase(shape: Partition, k: int) -> bool:
+def fits_staircase(shape: tuple[int, ...], k: int) -> bool:
     """Part i at most k - i: the diagram fits above a semilength-k path."""
-    return all(p <= k - i for i, p in enumerate(shape.parts, start=1))
+    return all(p <= k - i for i, p in enumerate(shape, start=1))
 
 
 class RookPlacement:
@@ -477,11 +478,11 @@ class RookPlacement:
 
     __slots__ = ("shape", "rooks")
 
-    def __init__(self, shape: Partition, rooks: Iterable[tuple[int, int]]):
+    def __init__(self, shape: tuple[int, ...],
+                 rooks: Iterable[tuple[int, int]]):
         rs = frozenset((int(r), int(c)) for r, c in rooks)
-        parts = shape.parts
         for r, c in rs:
-            if not (1 <= r <= len(parts) and 1 <= c <= parts[r - 1]):
+            if not (1 <= r <= len(shape) and 1 <= c <= shape[r - 1]):
                 raise ValueError(f"cell ({r}, {c}) outside the diagram")
         rows = [r for r, _ in rs]
         cols = [c for _, c in rs]
@@ -505,7 +506,8 @@ class RookPlacement:
         return hash((self.shape, self.rooks))
 
 
-def iter_rook_placements(shape: Partition, g: int) -> Iterator[RookPlacement]:
+def iter_rook_placements(shape: tuple[int, ...],
+                         g: int) -> Iterator[RookPlacement]:
     """Exhaustively yield all placements of g non-attacking rooks."""
     diagram = list(cells(shape))
 
@@ -530,14 +532,14 @@ def iter_rook_placements(shape: Partition, g: int) -> Iterator[RookPlacement]:
     yield from rec(0, [], set(), set())
 
 
-def rook_polynomial(shape: Partition) -> list[int]:
+def rook_polynomial(shape: tuple[int, ...]) -> list[int]:
     """Counts of g-rook placements for g = 0, 1, ... on a partition diagram.
 
     Column-by-column recursion in increasing column height: a rook in a
     column of height h, with t rooks already placed in shorter columns,
     has h - t free rows.
     """
-    heights = sorted(conjugate(shape).parts)
+    heights = sorted(conjugate(shape))
     ways = [1]
     for h in heights:
         nxt = ways + [0]
@@ -551,16 +553,16 @@ def rook_polynomial(shape: Partition) -> list[int]:
     return ways
 
 
-def count_rook_placements(shape: Partition, g: int) -> int:
+def count_rook_placements(shape: tuple[int, ...], g: int) -> int:
     poly = rook_polynomial(shape)
     return poly[g] if 0 <= g < len(poly) else 0
 
 
-def staircase_partitions(k: int) -> Iterator[Partition]:
-    """All partitions with part i at most k - i."""
+def staircase_partitions(k: int) -> Iterator[tuple[int, ...]]:
+    """Row lengths of all partitions with part i at most k - i."""
 
-    def rec(i: int, cap: int, acc: list[int]) -> Iterator[Partition]:
-        yield Partition(acc)
+    def rec(i: int, cap: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+        yield tuple(acc)
         top = min(cap, k - i)
         for part in range(top, 0, -1):
             acc.append(part)
@@ -570,12 +572,13 @@ def staircase_partitions(k: int) -> Iterator[Partition]:
     yield from rec(1, k - 1, [])
 
 
-def partitions_of(total: int) -> Iterator[Partition]:
-    """All partitions of the given size."""
+def partitions_of(total: int) -> Iterator[tuple[int, ...]]:
+    """Row lengths of all partitions of the given size, largest first."""
 
-    def rec(remaining: int, cap: int, acc: list[int]) -> Iterator[Partition]:
+    def rec(remaining: int, cap: int,
+            acc: list[int]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
-            yield Partition(acc)
+            yield tuple(acc)
             return
         for part in range(min(cap, remaining), 0, -1):
             acc.append(part)
@@ -585,27 +588,48 @@ def partitions_of(total: int) -> Iterator[Partition]:
     yield from rec(total, total, [])
 
 
-def tableau_count(shape: Partition) -> int:
+def tableau_count(shape: tuple[int, ...]) -> int:
     """f^lambda, the number of standard tableaux, by the hook length formula."""
-    cols = conjugate(shape).parts
+    cols = conjugate(shape)
     hooks = 1
     for i, j in cells(shape):
-        hooks *= shape.parts[i - 1] - j + cols[j - 1] - i + 1
-    return factorial(shape.size) // hooks
+        hooks *= shape[i - 1] - j + cols[j - 1] - i + 1
+    return factorial(sum(shape)) // hooks
+
+
+def corner_contents(shape: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """(addable, removable) contents j - i of shape's corners, descending.
+
+    Read off the diagram's cells, not its row lengths: a cell (i, j)
+    outside the diagram is addable when (i-1, j) and (i, j-1) are each
+    inside it or off its edge (row or column 0), and a cell inside is
+    removable when (i+1, j) and (i, j+1) are both outside.
+    """
+    inside = set(cells(shape))
+
+    def filled(i: int, j: int) -> bool:
+        return i == 0 or j == 0 or (i, j) in inside
+
+    border = itertools.product(range(1, len(shape) + 2),
+                               range(1, max(shape, default=0) + 2))
+    addable = [j - i for i, j in border if not filled(i, j)
+               and filled(i - 1, j) and filled(i, j - 1)]
+    removable = [j - i for i, j in inside
+                 if not filled(i + 1, j) and not filled(i, j + 1)]
+    return sorted(addable, reverse=True), sorted(removable, reverse=True)
 
 
 def corner_measure_by_partial_fractions(
-        shape: Partition) -> tuple[list[int], list[Fraction], list[int]]:
+        shape: tuple[int, ...]) -> tuple[list[int], list[Fraction], list[int]]:
     """(atoms, weights, lower) of the corner measure of shape.
 
     The atoms are the addable contents a_i, the lower contents are the
-    removable ones b_j, and the weights are the partial fractions
-    prod_j (a_i - b_j) / prod_(i' != i) (a_i - a_i') of
+    removable ones b_j (corner_contents), and the weights are the partial
+    fractions prod_j (a_i - b_j) / prod_(i' != i) (a_i - a_i') of
     prod_j (z - b_j) / prod_i (z - a_i).  This is the reference for the
     power-series division of sampler.corner_moments.
     """
-    atoms = shape.addable_contents()
-    lower = shape.removable_contents()
+    atoms, lower = corner_contents(shape)
     weights = []
     for i, a in enumerate(atoms):
         num = den = 1
@@ -618,36 +642,49 @@ def corner_measure_by_partial_fractions(
     return atoms, weights, lower
 
 
-def corner_moment_rows(k: int) -> dict[int, int]:
-    """1/n^g -> coefficient of the Poissonized Plancherel average of the
-    2k-th moment of Kerov's corner transition measure, by enumeration.
+def corner_moment_rows(k_max: int) -> list[dict[int, int]]:
+    """For k = 1..k_max, 1/n^g -> coefficient of the Poissonized
+    Plancherel average of the 2k-th moment of Kerov's corner transition
+    measure, by enumeration.
 
     The average over Plancherel(N), weights (f^lambda)^2/N!, is a
     polynomial of degree k in N.  Its forward differences at N = 0 give
     the coefficients a_j of the falling factorials N^(j); Poissonization
     sends N^(j) to n^j, so after scaling by n^k the 1/n^g row is a_(k-g).
-    One point past degree k checks the fit.  The averages are kept as
-    ints times (k+1)!, and each division back is checked to be exact.
+    One point past degree k checks the fit.  Every row comes from one
+    enumeration of the partitions of N <= k_max + 1, with one
+    sampler.corner_moments call per shape.  The averages are kept as
+    ints times (k_max+1)!, and each division back is checked to be exact.
     """
-    scale = factorial(k + 1)
-    values = [sum(tableau_count(lam) ** 2 * (scale // factorial(size))
-                  * sampler.corner_moments(lam, 2 * k)[2 * k]
-                  for lam in partitions_of(size))
-              for size in range(k + 2)]
-    diffs = []
-    while values:
-        diffs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    if diffs[k + 1]:
-        raise ValueError(f"the k={k} average is not of degree k in N")
-    row = {}
-    for j in range(k + 1):
-        count, rest = divmod(diffs[j], scale * factorial(j))
-        if rest:
-            raise ValueError(f"the k={k} coefficient of N^({j}) is not an int")
-        if count:
-            row[k - j] = count
-    return row
+    scale = factorial(k_max + 1)
+    values = []  # values[N][k]: (k_max+1)! times the average at size N
+    for size in range(k_max + 2):
+        sums = [0] * (k_max + 1)
+        for lam in partitions_of(size):
+            weight = tableau_count(lam) ** 2
+            moments = sampler.corner_moments(lam, 2 * k_max)
+            for k in range(k_max + 1):
+                sums[k] += weight * moments[2 * k]
+        values.append([v * (scale // factorial(size)) for v in sums])
+    rows = []
+    for k in range(1, k_max + 1):
+        column = [at_size[k] for at_size in values[:k + 2]]
+        diffs = []
+        while column:
+            diffs.append(column[0])
+            column = [b - a for a, b in zip(column, column[1:])]
+        if diffs[k + 1]:
+            raise ValueError(f"the k={k} average is not of degree k in N")
+        row = {}
+        for j in range(k + 1):
+            count, rest = divmod(diffs[j], scale * factorial(j))
+            if rest:
+                raise ValueError(
+                    f"the k={k} coefficient of N^({j}) is not an int")
+            if count:
+                row[k - j] = count
+        rows.append(row)
+    return rows
 
 
 @lru_cache(maxsize=None)

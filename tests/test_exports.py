@@ -27,8 +27,7 @@ def test_every_exported_name_resolves():
 
 # ROADMAP item 3 decides whether the shape sampler stays; until then
 # these names are public without a use in the package or README
-_UNDECIDED = {"ppmoments.sampler.DuplicateEntries",
-              "ppmoments.sampler.sample_pp"}
+_UNDECIDED = {"ppmoments.sampler.sample_pp"}
 
 
 def test_each_public_name_has_one_home_and_earns_it():
@@ -147,15 +146,14 @@ def test_exhaustive_enumerators_stay_out_of_the_package():
     # runs them, so the package neither exports nor imports them
     gone = ["LatticePath", "Marking", "RookPlacement", "UnbalancedPath",
             "_dyck_words", "_normal_order", "_rook_counts_exhaustive",
-            "count_markings", "count_rook_placements", "iter_paths",
+            "cells", "conjugate", "corner_contents", "count_markings",
+            "count_rook_placements", "fits_staircase", "iter_paths",
             "iter_rook_placements", "marking_counts", "partitions_of",
             "path_to_partition", "rat_to_str", "rook_counts",
-            "rook_polynomial", "staircase_partitions"]
-    for owner in (ppmoments, oracles):
+            "rook_polynomial", "staircase_partitions", "tableau_count"]
+    for owner in (ppmoments, oracles, sampler):
         present = [name for name in gone if hasattr(owner, name)]
         assert not present, f"{owner.__name__} still has {present}"
-    for method in ("cells", "conjugate", "fits_staircase"):
-        assert not hasattr(sampler.Partition, method)
     for path in Path(ppmoments.__file__).parent.glob("*.py"):
         assert "helpers" not in _imported_roots(path), \
             f"{path.name} imports helpers"
@@ -181,7 +179,8 @@ def test_retired_closed_form_names_stay_gone():
     # a closed form is stored once, as the reduced pair (num, a) over
     # (2-c)^a, a theta table is a plain dict, and so is a moment row; the
     # operator chain runs in t, so no package code reduces by (2-c) or
-    # divides by c - root (the chain in c is a test reference)
+    # divides by c - root (the chain in c is a test reference); a shape
+    # is the tuple of its row lengths, and RSK raises a plain ValueError
     for owner, name in ((ppmoments, "FineStructureForm"),
                         (ppmoments, "MomentPolynomial"),
                         (oracles, "MomentPolynomial"),
@@ -194,7 +193,9 @@ def test_retired_closed_form_names_stay_gone():
                         (algebra.PolyC, "derivative"),
                         (ansatz.AnsatzSum, "scale"),
                         (ansatz.AnsatzSum, "__add__"),
-                        (algebra.RationalFnC, "den")):
+                        (algebra.RationalFnC, "den"),
+                        (sampler, "Partition"),
+                        (sampler, "DuplicateEntries")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
 
 

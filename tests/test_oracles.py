@@ -13,7 +13,7 @@ from ppmoments.oracles import (
     transformed_moment,
     word_moment,
 )
-from ppmoments.sampler import Partition, _row_moment
+from ppmoments.sampler import _row_moment
 
 from helpers import (
     LatticePath,
@@ -21,6 +21,7 @@ from helpers import (
     UnbalancedPath,
     brute_marking_count,
     conjugate,
+    corner_contents,
     count_markings,
     count_rook_placements,
     dyck_words,
@@ -40,29 +41,27 @@ from helpers import (
 P = LatticePath.from_string
 
 
-def test_partition_validation():
-    assert Partition((3, 1, 0)).parts == (3, 1)
-    assert Partition((3, 1, 0, 0)).parts == (3, 1)
-    for parts in ((1, 2), (3, 0, 2), (0, 1), (2, -1)):
-        with pytest.raises(ValueError):
-            Partition(parts)
-    assert Partition(()).size == 0
-    assert conjugate(Partition((3, 1))) == Partition((2, 1, 1))
-    assert fits_staircase(Partition((2, 1)), 3)
-    assert not fits_staircase(Partition((3,)), 3)
+def test_conjugate_and_staircase_fit():
+    assert conjugate(()) == ()
+    assert conjugate((3, 1)) == (2, 1, 1)
+    assert conjugate((2, 1, 1)) == (3, 1)
+    assert fits_staircase((2, 1), 3)
+    assert not fits_staircase((3,), 3)
 
 
 def test_partition_corner_contents():
-    assert Partition(()).addable_contents() == [0]
-    assert Partition(()).removable_contents() == []
-    lam = Partition((2, 1))
-    assert lam.addable_contents() == [2, 0, -2]
-    assert lam.removable_contents() == [1, -1]
+    assert corner_contents(()) == ([0], [])
+    assert corner_contents((2, 1)) == ([2, 0, -2], [1, -1])
 
 
 def test_partitions_of_counts():
     assert [sum(1 for _ in partitions_of(m)) for m in range(8)] == \
         [1, 1, 2, 3, 5, 7, 11, 15]
+    # each is a tuple of positive row lengths, largest first, of size m
+    for m in range(8):
+        for lam in partitions_of(m):
+            assert type(lam) is tuple and sum(lam) == m
+            assert list(lam) == sorted(lam, reverse=True) and 0 not in lam
 
 
 def test_lattice_path_validation():
@@ -115,9 +114,9 @@ def test_dyck_words_spell_iter_paths():
 
 
 def test_path_to_partition_examples():
-    assert path_to_partition(P("UUDD")) == Partition(())
-    assert path_to_partition(P("UDUD")) == Partition((1,))
-    assert path_to_partition(P("UDUDUD")) == Partition((2, 1))
+    assert path_to_partition(P("UUDD")) == ()
+    assert path_to_partition(P("UDUD")) == (1,)
+    assert path_to_partition(P("UDUDUD")) == (2, 1)
     with pytest.raises(UnbalancedPath):
         path_to_partition(P("UUD"))
 
@@ -150,7 +149,7 @@ def test_count_markings_brute_force_agreement():
 
 
 def test_rook_placement_validation():
-    lam = Partition((2, 1))
+    lam = (2, 1)
     assert len(RookPlacement(lam, [(1, 2), (2, 1)])) == 2
     with pytest.raises(ValueError):
         RookPlacement(lam, [(2, 2)])  # outside the diagram
@@ -161,8 +160,7 @@ def test_rook_placement_validation():
 
 
 def test_rook_polynomial_against_enumeration():
-    for lam in (Partition(()), Partition((1,)), Partition((2, 1)),
-                Partition((3, 2, 1)), Partition((4, 2, 1)), Partition((2, 2))):
+    for lam in ((), (1,), (2, 1), (3, 2, 1), (4, 2, 1), (2, 2)):
         poly = rook_polynomial(lam)
         for g in range(len(poly) + 1):
             explicit = sum(1 for _ in iter_rook_placements(lam, g))
@@ -176,6 +174,7 @@ def test_staircase_partition_counts():
         shapes = list(staircase_partitions(k))
         assert len(shapes) == catalan_number(k)
         assert all(fits_staircase(s, k) for s in shapes)
+        assert 0 not in {part for s in shapes for part in s}
 
 
 def test_rook_counts_examples():
